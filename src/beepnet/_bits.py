@@ -25,26 +25,6 @@ def popcount(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a)
 
 
-def pack_indices(indices, nbits: int) -> np.ndarray:
-    """Bitset (uint64 words) with the given bit positions set."""
-    out = np.zeros(words_for(nbits), dtype=U64)
-    for i in indices:
-        out[i >> 6] |= U64(1) << U64(i & 63)
-    return out
-
-
-def unpack_indices(words: np.ndarray) -> list[int]:
-    """Sorted list of set bit positions of a bitset."""
-    out = []
-    for wi, w in enumerate(words.tolist()):
-        base = wi << 6
-        while w:
-            low = w & -w
-            out.append(base + low.bit_length() - 1)
-            w ^= low
-    return out
-
-
 def testbit(words: np.ndarray, i: int) -> bool:
     return bool((int(words[i >> 6]) >> (i & 63)) & 1)
 
@@ -61,7 +41,7 @@ def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
 def unpack_word_rows(words: np.ndarray, nbits: int) -> np.ndarray:
     """(n, words) uint64 -> (n, nbits) bool."""
     flat = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return flat[:, :nbits].astype(bool)
+    return flat[:, :nbits].view(bool)
 
 
 def bits_to_int(bits) -> int:

@@ -17,9 +17,6 @@ big-endian: the first transmitted bit is the payload's most significant bit.
 
 from __future__ import annotations
 
-from beepnet._bits import bits_to_int, int_to_bits
-from beepnet.engine import Feedback, NodeAction
-
 MAX_WIDTH = 32   # 2w must fit a uint64 channel word
 
 
@@ -59,42 +56,6 @@ def decode_extended(pattern: int, w: int) -> int | None:
     for r in range(w):
         payload |= (first >> r & 1) << (w - 1 - r)
     return payload
-
-
-def encode_extended_message(bits, w: int) -> list[int]:
-    """Pack a bit string into ceil(len/w) extended words, zero-padded at the end."""
-    _check_width(w)
-    bits = tuple(bits)
-    nwords = max(1, -(-len(bits) // w)) if bits else 0
-    out = []
-    for k in range(nwords):
-        chunk = bits[k * w:(k + 1) * w]
-        chunk = chunk + (0,) * (w - len(chunk))
-        out.append(encode_extended(bits_to_int(chunk), w))
-    return out
-
-
-def decode_extended_message(patterns, w: int, bit_length: int) -> tuple[int, ...] | None:
-    """Inverse of encode_extended_message; None if any word is invalid."""
-    _check_width(w)
-    bits: list[int] = []
-    for pattern in patterns:
-        payload = decode_extended(pattern, w)
-        if payload is None:
-            return None
-        bits.extend(int_to_bits(payload, w))
-    if bit_length > len(bits):
-        return None
-    if any(bits[bit_length:]):
-        return None
-    return tuple(bits[:bit_length])
-
-
-def encode_manchester_bit(bit: int) -> tuple[NodeAction, NodeAction]:
-    """Action pair for one bit: 1 -> (listen, beep), 0 -> (beep, listen)."""
-    if bit:
-        return (NodeAction.LISTEN, NodeAction.BEEP)
-    return (NodeAction.BEEP, NodeAction.LISTEN)
 
 
 def encode_manchester(payload: int, w: int) -> int:
@@ -139,21 +100,3 @@ def decode_manchester_block(heard: int, w: int) -> tuple[str, int | None]:
     if saw_empty:
         return (EMPTY, None)
     return (ONE, payload)
-
-
-def decode_manchester_feedback(feedback, w: int) -> tuple[str, int | None]:
-    """Same classification from a listener's 2w feedback codes.
-
-    Only meaningful for a node that listened through the whole word; a round
-    spent beeping gives no channel information and raises.
-    """
-    feedback = tuple(feedback)
-    if len(feedback) != 2 * w:
-        raise ValueError(f"need {2 * w} feedback codes, got {len(feedback)}")
-    heard = 0
-    for r, fb in enumerate(feedback):
-        if fb == Feedback.NOT_LISTENING:
-            raise ValueError("receiver beeped during the word")
-        if fb == Feedback.NOISE:
-            heard |= 1 << r
-    return decode_manchester_block(heard, w)

@@ -12,14 +12,13 @@ hashable regardless of how they were blocked.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
 
 from beepnet import kernel
-from beepnet._bits import U64, pack_bool_rows, testbit, words_for
+from beepnet._bits import U64, pack_bool_rows, testbit, unpack_word_rows, words_for
 from beepnet.graphs import Graph
 
 
@@ -155,24 +154,6 @@ class Trace:
             h.update(chunk)
         return h.hexdigest()
 
-    def save(self, path) -> None:
-        """JSON lines: {"round": t, "beepers": [ids], "feedback": {id: code}}."""
-        with open(path, "w") as fh:
-            ids = self.graph.ids
-            for t, beeps, noise in self.iter_round_words():
-                beepers = [u for i, u in enumerate(ids)
-                           if beeps[i >> 6] >> U64(i & 63) & U64(1)]
-                fb = {}
-                for i, u in enumerate(ids):
-                    if beeps[i >> 6] >> U64(i & 63) & U64(1):
-                        fb[str(u)] = "B"
-                    elif noise[i >> 6] >> U64(i & 63) & U64(1):
-                        fb[str(u)] = "N"
-                    else:
-                        fb[str(u)] = "S"
-                fh.write(json.dumps(
-                    {"round": t, "beepers": beepers, "feedback": fb}) + "\n")
-
 
 def trace_from_beeps(graph: Graph, beeps: np.ndarray, label: str | None = None,
                      chunk: int = 64) -> Trace:
@@ -184,47 +165,6 @@ def trace_from_beeps(graph: Graph, beeps: np.ndarray, label: str | None = None,
         patterns = pack_bool_rows(beeps[:, lo:hi])
         trace.append_block(patterns, hi - lo, label=label)
     return trace
-
-
-class BlockSink:
-    """Streaming consumer of trace blocks, for runs too big to keep whole."""
-
-    def consume(self, graph: Graph, block: TraceBlock) -> None:
-        raise NotImplementedError
-
-
-class TraceRecorder(BlockSink):
-    def __init__(self, graph: Graph):
-        self.trace = Trace(graph)
-
-    def consume(self, graph: Graph, block: TraceBlock) -> None:
-        self.trace.blocks.append(block)
-
-
-class DigestSink(BlockSink):
-    """Canonical digest of a streamed run without retaining the blocks."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._hash = hashlib.sha256()
-        self._rounds = 0
-        self._chunks: list[bytes] = []
-
-    def consume(self, graph: Graph, block: TraceBlock) -> None:
-        w = words_for(graph.n)
-        beeps = kernel.expand_patterns(block.patterns, block.nrounds)
-        noise = kernel.expand_patterns(block.noise, block.nrounds)
-        for t in range(block.nrounds):
-            self._chunks.append(beeps[t, :w].tobytes())
-            self._chunks.append(noise[t, :w].tobytes())
-        self._rounds += block.nrounds
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"beep-trace n={self.graph.n} rounds={self._rounds}\n".encode())
-        for chunk in self._chunks:
-            h.update(chunk)
-        return h.hexdigest()
 
 
 @dataclass
@@ -299,19 +239,23 @@ class ValidationReport:
 
 def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
                    seed: int = 0) -> ValidationReport:
-    """Recompute a trace's noise through an independent route.
+    """Recompute a trace's noise through routes that share no code with the producer.
 
-    Full pass with the alternate kernel implementation (or the fallback when
-    only one is built), plus dict-based step() recomputation on a round sample.
+    The full pass rebuilds every block's noise as a dense product of the
+    adjacency matrix, unpacked from graph.adj_words (built from the edge list,
+    not from the CSR the kernel gathers over), with the block's beeps:
+    noise = (adj @ beeps) > 0, exact in float32 for any degree below 2**24.
+    A sample of rounds is also replayed through the dict-based step().
     """
-    alt = kernel.alternate if kernel.alternate is not None else kernel
-    indptr, indices = graph.csr
+    adj = unpack_word_rows(graph.adj_words, graph.n).astype(np.float32)
     mismatches: list[str] = []
     full = 0
     for block in trace.blocks:
-        want = alt.or_neighbor_patterns(indptr, indices, block.patterns)
-        if not np.array_equal(want, block.noise):
-            bad = np.nonzero(want != block.noise)
+        beeps = unpack_word_rows(block.patterns, block.nrounds).astype(np.float32)
+        want = (adj @ beeps) > 0
+        got = unpack_word_rows(block.noise, block.nrounds)
+        if not np.array_equal(want, got):
+            bad = np.nonzero(want != got)
             mismatches.append(
                 f"noise mismatch in block at round {block.start_round}, "
                 f"first at node index {int(bad[0][0])}")

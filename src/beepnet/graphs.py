@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from beepnet._bits import U64, pack_indices, words_for
+from beepnet._bits import U64, words_for
 
 
 class ParameterError(ValueError):
@@ -133,20 +133,20 @@ class Graph:
                     work.append(v)
         return len(seen) == self.n
 
-    def bfs_distances(self, source_id: int) -> dict[int, int]:
+    def bfs_distances(self, source_id: int, cutoff: int | None = None) -> dict[int, int]:
+        """Hop distance from source_id to every node it reaches, or only to
+        those within cutoff hops when a cutoff is given."""
         dist = {source_id: 0}
         work = deque([source_id])
         while work:
             u = work.popleft()
+            if dist[u] == cutoff:
+                continue
             for v in self.neighbors_of(u):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     work.append(v)
         return dist
-
-    def id_bitset(self, ids) -> np.ndarray:
-        """Bitset over the ID space (bit position = ID) for selector math."""
-        return pack_indices(ids, self.id_space + 1)
 
 
 def graph_from_edges(edges, c: int = 1, n: int | None = None) -> Graph:

@@ -19,7 +19,6 @@ import json
 import math
 import statistics
 import time
-from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -148,20 +147,6 @@ def metrics_from_record(rec: dict) -> Metrics:
     rec = dict(rec)
     rec.pop("ok", None)
     return Metrics(**rec)
-
-
-def _bfs_distances(graph: Graph, source: int, cutoff: int) -> dict[int, int]:
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        if dist[u] == cutoff:
-            continue
-        for v in graph.neighbors_of(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
-    return dist
 
 
 def _payload(rng: np.random.Generator, max_bits: int, exact: bool = False) -> Bits:
@@ -318,7 +303,7 @@ def _run_multihop_sim(config, graph, seed, rng, failures):
     dh = config.delta_hat if config.delta_hat is not None else graph.delta
     msgs = {}
     for s in graph.ids:
-        dist = _bfs_distances(graph, s, config.h)
+        dist = graph.bfs_distances(s, config.h)
         for d in sorted(dist):
             if dist[d] >= 1:
                 msgs[(s, d)] = _payload(rng, config.B)
@@ -355,7 +340,7 @@ def _run_multihop_broadcast(config, graph, seed, rng, failures):
     delivered = 0
     expected = 0
     for u in graph.ids:
-        ball = _bfs_distances(graph, u, config.h)
+        ball = graph.bfs_distances(u, config.h)
         want = {(s, msgs[s]) for s in ball}
         expected += len(want)
         delivered += len(want & res.delivered[u])

@@ -1,37 +1,25 @@
-"""Round-kernel selection: compiled extension if importable, numpy otherwise.
+"""The round kernel: one numpy implementation, in `beepnet.kernel.fallback`.
 
-Both implementations expose the same four functions; `active` is the module in
-use and `alternate` the other one (None when the extension was not built).
-Trace validation deliberately recomputes with `alternate` when available so
-the check does not share code with the producer.
+`active` is that module and `IMPL` its name ("numpy"); callers may bind
+either the module (as c2b does) or the package-level functions. Trace
+validation rechecks noise without this package (see engine.validate_trace).
 """
 
 from __future__ import annotations
 
 from beepnet.kernel import fallback
 
-try:
-    from beepnet.kernel import _core as _compiled
-except ImportError:
-    _compiled = None
-
-active = _compiled if _compiled is not None else fallback
-alternate = fallback if _compiled is not None else None
+active = fallback
 
 IMPL = active.IMPL
 
-noise_rounds = active.noise_rounds
 or_neighbor_patterns = active.or_neighbor_patterns
 expand_patterns = active.expand_patterns
-collapse_rounds = active.collapse_rounds
 
 __all__ = [
     "IMPL",
     "active",
-    "alternate",
     "fallback",
-    "noise_rounds",
     "or_neighbor_patterns",
     "expand_patterns",
-    "collapse_rounds",
 ]

@@ -1,51 +1,18 @@
-"""Pure numpy implementation of the round kernels.
+"""The numpy round kernel: neighbor OR and pattern expansion over bitsets.
 
-Used when the compiled extension is unavailable, and as the independent
-recompute path when validating traces produced with the compiled kernel.
-All arrays follow the bitset conventions of beepnet._bits.
+This is the only implementation; the module keeps its name because
+benchmark tooling resolves it by that path. Trace validation does not call
+it: `engine.validate_trace` recomputes noise through a dense adjacency
+product instead. All arrays follow the bitset conventions of beepnet._bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-U64 = np.uint64
+from beepnet._bits import U64, pack_bool_rows, unpack_word_rows
 
 IMPL = "numpy"
-
-_CHUNK = 4096
-
-
-def _unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
-    """(rows, W) uint64 -> (rows, nbits) uint8 of 0/1, bit i little-endian."""
-    flat = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return flat[:, :nbits]
-
-
-def _pack_bits(bits: np.ndarray, nwords: int) -> np.ndarray:
-    """(rows, nbits) 0/1 -> (rows, nwords) uint64."""
-    rows, nbits = bits.shape
-    padded = np.zeros((rows, nwords * 64), dtype=np.uint8)
-    padded[:, :nbits] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view(U64)
-
-
-def noise_rounds(adj: np.ndarray, beeps: np.ndarray) -> np.ndarray:
-    """Per-round OR channel: bit v of the result row t is set iff some
-    neighbor of v beeps in round t.
-
-    adj: (n, W) adjacency bitsets, beeps: (T, W) per-round beeper bitsets.
-    Returns (T, W).
-    """
-    n, w = adj.shape
-    t = beeps.shape[0]
-    out = np.empty((t, w), dtype=U64)
-    for lo in range(0, t, _CHUNK):
-        hi = min(lo + _CHUNK, t)
-        hit = np.bitwise_and(beeps[lo:hi, None, :], adj[None, :, :])
-        noisy = hit.any(axis=2)
-        out[lo:hi] = _pack_bits(noisy.astype(np.uint8), w)
-    return out
 
 
 def or_neighbor_patterns(indptr: np.ndarray, indices: np.ndarray,
@@ -53,28 +20,24 @@ def or_neighbor_patterns(indptr: np.ndarray, indices: np.ndarray,
     """Per-node OR of neighbor patterns: out[v] = OR_{u in N(v)} patterns[u].
 
     indptr/indices: CSR neighbor lists over node indices.
-    patterns: (n, P) uint64 block patterns. Returns (n, P).
+    patterns: (n, P) uint64 block patterns. Returns (n, P); rows of nodes
+    without neighbors are zero.
     """
-    n, p = patterns.shape
-    out = np.zeros((n, p), dtype=U64)
-    for v in range(n):
-        lo, hi = indptr[v], indptr[v + 1]
-        if hi > lo:
-            out[v] = np.bitwise_or.reduce(patterns[indices[lo:hi]], axis=0)
+    gathered = patterns.take(indices, axis=0)
+    starts = indptr[:-1]
+    nonempty = indptr[1:] > starts
+    if nonempty.all():
+        return np.bitwise_or.reduceat(gathered, starts, axis=0)
+    # reduceat gives an empty segment the row at its start, not zero, so
+    # only rows with neighbors take part and the rest stay zero.
+    out = np.zeros(patterns.shape, dtype=U64)
+    if nonempty.any():
+        out[nonempty] = np.bitwise_or.reduceat(gathered, starts[nonempty], axis=0)
     return out
 
 
 def expand_patterns(patterns: np.ndarray, t: int) -> np.ndarray:
     """Node-major patterns (n, P) -> rounds-major beeper bitsets (t, W)."""
     n = patterns.shape[0]
-    w = (n + 63) // 64
-    bits = _unpack_bits(patterns, t)          # (n, t)
-    return _pack_bits(bits.T.copy(), w)       # (t, W)
-
-
-def collapse_rounds(rows: np.ndarray, n: int) -> np.ndarray:
-    """Rounds-major bitsets (T, W) -> node-major patterns (n, P)."""
-    t = rows.shape[0]
-    p = (t + 63) // 64
-    bits = _unpack_bits(rows, n)              # (t, n)
-    return _pack_bits(bits.T.copy(), p)       # (n, P)
+    bits = unpack_word_rows(patterns, t)                  # (n, t)
+    return pack_bool_rows(bits.T)[:, :(n + 63) // 64]     # (t, W)

@@ -8,7 +8,7 @@ pure function of its index, so reruns exercise identical inputs.
 import itertools
 import math
 import time
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 
@@ -48,20 +48,6 @@ C2B_BUDGET = 600.0
 BROADCAST_LENGTH_FACTOR = 4       # slots <= this * degree^2 * id width
 C2B_RATIO_CAP = 1200              # rounds <= this * degree^2 * w^2 * ceil(log2 degree)
 C2B_SLOPE_TOLERANCE = 0.4
-
-
-def _bfs(graph, source, cutoff):
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        if dist[u] == cutoff:
-            continue
-        for v in graph.neighbors_of(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
 
 
 # -- family checks against the bare definitions ------------------------------
@@ -240,7 +226,7 @@ def test_gate_multihop_delivery_and_tables():
     ]:
         graph = generate_random_graph(n, delta, seed=seed)
         rng = np.random.default_rng(seed)
-        balls = {u: _bfs(graph, u, h) for u in graph.ids}
+        balls = {u: graph.bfs_distances(u, h) for u in graph.ids}
         msgs = {}
         for s in graph.ids:
             for d in sorted(balls[s]):

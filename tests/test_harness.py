@@ -1,18 +1,7 @@
-import importlib.util
-import io
 import math
-import shlex
-import shutil
-import sys
-import sysconfig
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-import beepnet.bench
-import beepnet.kernel
-from beepnet.bench import run_bench
 from beepnet.graphs import ParameterError, graph_from_edges
 from beepnet.harness import (
     ExperimentConfig,
@@ -177,91 +166,3 @@ def test_fit_degree_slope_recovers_a_square():
     assert fit_degree_slope(ms) == pytest.approx(2.0, abs=1e-9)
     assert fit_degree_slope(ms[:1]) is None
 
-
-CORE = "beepnet.kernel._core"
-KERNEL_SRC = Path(beepnet.kernel.__file__).resolve().parent
-
-
-def _first_missing_line(pyx_text: str, c_text: str) -> str | None:
-    """First non-comment line of the .pyx that the generated C does not quote."""
-    for line in pyx_text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#") and line not in c_text:
-            return line
-    return None
-
-
-def _core_extension(source: Path):
-    from setuptools import Extension
-
-    # Same include dirs, macros and flags as setup.py.
-    return Extension(
-        CORE,
-        [str(source)],
-        include_dirs=[np.get_include()],
-        extra_compile_args=["-O3"],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-    )
-
-
-def _core_source(build_dir: Path) -> Path:
-    """C source of the compiled kernel, generated into build_dir when Cython is here.
-
-    Without Cython the tracked `_core.c` is used, after checking that it still
-    quotes every line of `_core.pyx`; a stale file would test old code.
-    """
-    pyx, c_file = KERNEL_SRC / "_core.pyx", KERNEL_SRC / "_core.c"
-    if importlib.util.find_spec("Cython") is None:
-        if not (pyx.exists() and c_file.exists()):
-            pytest.skip("neither Cython nor the generated _core.c is available")
-        missing = _first_missing_line(pyx.read_text(), c_file.read_text())
-        if missing is not None:
-            pytest.fail(f"_core.c is out of step with _core.pyx; it lacks: {missing}")
-        return c_file
-    from Cython.Build import cythonize
-
-    (ext,) = cythonize(
-        [_core_extension(pyx)],
-        build_dir=str(build_dir),
-        compiler_directives={"language_level": "3"},
-        quiet=True,
-    )
-    return Path(ext.sources[0])
-
-
-def _build_compiled_kernel(build_dir: Path):
-    """Build the compiled round kernel into build_dir and load it.
-
-    Uses the compiler and flags from sysconfig and never builds in place
-    under src/, where an importable extension would switch
-    beepnet.kernel.IMPL for every later run.
-    """
-    pytest.importorskip("setuptools")
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) on PATH to build the compiled kernel")
-    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
-        pytest.skip("Python.h not found; cannot build the compiled kernel")
-    from setuptools import Distribution
-
-    dist = Distribution({"ext_modules": [_core_extension(_core_source(build_dir))]})
-    cmd = dist.get_command_obj("build_ext")
-    cmd.build_lib, cmd.build_temp = str(build_dir / "lib"), str(build_dir / "temp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(CORE, cmd.get_ext_fullpath(CORE))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # Cython registers the module on load; drop it so later imports of
-    # beepnet.kernel still see no compiled build.
-    sys.modules.pop(CORE, None)
-    return module
-
-
-def test_kernel_bench_implementations_agree(tmp_path, monkeypatch):
-    if beepnet.bench.compiled is None:
-        monkeypatch.setattr(beepnet.bench, "compiled", _build_compiled_kernel(tmp_path))
-    buf = io.StringIO()
-    agree = run_bench(rounds=256, repeat=1, out=buf)
-    assert agree, buf.getvalue()
-    assert "speedup" in buf.getvalue()

@@ -1,4 +1,4 @@
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,19 +22,11 @@ STAR = graph_from_edges([(1, 3), (2, 3), (3, 4), (3, 5)])
 PATH4 = graph_from_edges([(1, 2), (2, 3), (3, 4)])
 
 
-def bfs_distances(graph, source, cutoff):
-    """Hop distance to every node within cutoff of source."""
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        if dist[u] == cutoff:
-            continue
-        for v in graph.neighbors_of(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
-    return dist
+def test_bfs_distances_cutoff():
+    assert PATH4.bfs_distances(1) == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert PATH4.bfs_distances(1, cutoff=2) == {1: 0, 2: 1, 3: 2}
+    assert PATH4.bfs_distances(2, cutoff=1) == {2: 0, 1: 1, 3: 1}
+    assert PATH4.bfs_distances(4, cutoff=0) == {4: 0}
 
 
 def random_payload(rng, max_bits):
@@ -67,7 +59,7 @@ def test_dissemination_path_reaches_two_hops():
 def test_dissemination_matches_bfs_balls(n, delta, h, seed):
     g = generate_random_graph(n, delta, seed=seed)
     res = run_id_dissemination(g, h)
-    dists = {u: bfs_distances(g, u, h) for u in g.ids}
+    dists = {u: g.bfs_distances(u, h) for u in g.ids}
     for u in g.ids:
         table = res.tables[u]
         ball = {v for v, d in dists[u].items() if d >= 1}
@@ -158,7 +150,7 @@ def test_simulation_random_graphs_deliver_exactly(n, delta, h, seed):
     rng = np.random.default_rng(seed + 100)
     B = 8
     msgs = {}
-    dists = {u: bfs_distances(g, u, h) for u in g.ids}
+    dists = {u: g.bfs_distances(u, h) for u in g.ids}
     for s in g.ids:
         for d, k in dists[s].items():
             if 1 <= k <= h:
@@ -201,7 +193,7 @@ def test_simulation_repeat_runs_agree():
     g = generate_random_graph(10, 3, seed=3)
     rng = np.random.default_rng(42)
     msgs = {}
-    dists = {u: bfs_distances(g, u, 2) for u in g.ids}
+    dists = {u: g.bfs_distances(u, 2) for u in g.ids}
     for s in g.ids:
         for d, k in dists[s].items():
             if 1 <= k <= 2:
@@ -241,7 +233,7 @@ def test_flooding_matches_bfs_balls(n, delta, h, seed):
     msgs = {s: random_payload(rng, 4) for s in sources}
     res = run_multihop_local_broadcast(g, h, 4, msgs)
     for u in g.ids:
-        dist = bfs_distances(g, u, h)
+        dist = g.bfs_distances(u, h)
         assert res.delivered[u] == {(s, m) for s, m in msgs.items() if s in dist}
 
 
