@@ -15,14 +15,21 @@ OR of two distinct words never decodes; the only systematic pile-up is
 several responders of one announcer beeping the identical second word,
 which is harmless and separately flagged by the trace auditor.
 
-The population runner vectorizes whole super-rounds; per-node machines
-(C2BNode) replay the identical schedule through the round engine for
-cross-checking on small instances.
+One population core (_Handshake) vectorizes whole super-rounds and holds
+the handshake state.  run_c2b drives it with the words it puts on the
+wire; check_handshake_lemmas drives it with the words read back from a
+recorded trace and holds the run's logs to what it derives, and the trace
+auditor sees the same words either way.  The core keeps one uint64 of node
+bits per node and a reversal table over word payloads, so it takes at most
+64 nodes and words of at most 16 bits.  Per-node machines (C2BNode) share
+no code with it: they replay the identical schedule through the round
+engine as an independent cross-check on small instances.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -263,10 +270,6 @@ class C2BResult:
     digest: str | None
     beeps_total: int
 
-    @property
-    def delivered_pairs(self) -> dict[int, set[tuple[int, tuple[int, ...]]]]:
-        return {v: {(u, m) for u, m in table.items()} for v, table in self.received.items()}
-
 
 def _reversal_table(w: int) -> np.ndarray:
     if w > REVERSAL_TABLE_LIMIT:
@@ -489,9 +492,174 @@ class _Auditor:
         return self.report
 
 
-def _clear_link(unrealized: np.ndarray, i: int, j: int) -> None:
-    keep = np.uint64(~(1 << j) & 0xFFFFFFFFFFFFFFFF)
-    unrealized[i] = unrealized[i] & keep
+class _Handshake:
+    """The population side of the handshake protocol, one super-round at a time.
+
+    Holds a run's word tables and its state (open links, responsiveness)
+    and walks the schedule through the three step kinds: the announcing
+    super-round, a window's two halves, and the window's close.  The caller
+    supplies the channel: ``wire(sr, patterns)`` takes the words the
+    population beeps in super-round ``sr`` and returns the (beeps, noise)
+    words that crossed the channel; ``idle(sr, count)`` covers a stretch
+    in which nobody beeps.  The live runner computes those words, the
+    replay reads them back from a trace; everything logged (decodes,
+    realizations, received words, open links per epoch) derives from them
+    alone, and the auditor, when given, sees the same words.
+    """
+
+    def __init__(self, graph: Graph, schedule: C2BSchedule, inp: CongestRoundInput,
+                 audit: bool):
+        n, w, m = graph.n, schedule.w, schedule.words_per_message
+        self.graph = graph
+        self.schedule = schedule
+        self.ids = graph.ids
+        self.ids_arr = np.array(graph.ids, dtype=np.int64)
+        self.arange = np.arange(n)
+        self.wmask = np.uint64((1 << w) - 1)
+        self.wshift = np.uint64(w)
+        self.rev = _reversal_table(w)
+        self.id2idx = np.full(1 << w, -1, dtype=np.int64)
+        self.id2idx[self.ids_arr] = self.arange
+        self.id_word = np.array([encode_extended(u, w) for u in graph.ids], dtype=np.uint64)
+        self.msg_words = np.empty((n, n, m), dtype=np.uint64)
+        self.msg_words[:, :] = _message_words((), w, m)
+        self.msg_len = np.zeros((n, n), dtype=np.int64)
+        for (u, v), bits in inp.messages.items():
+            ui, vi = graph.index_of[u], graph.index_of[v]
+            self.msg_words[ui, vi] = _message_words(bits, w, m)
+            self.msg_len[ui, vi] = len(bits)
+
+        self.unrealized = graph.adj_words[:, 0].copy()
+        self.announcing = np.zeros(n, dtype=bool)
+        self.responsive = np.full(n, -1, dtype=np.int64)
+        self.recv_pat = np.zeros((n, n, m), dtype=np.uint64)
+        self.recv_mask = np.zeros((n, n), dtype=bool)
+        self.decode_log: list[DecodeRecord] = []
+        self.realization_log: list[RealizationRecord] = []
+        self.link_history: list[dict[int, int]] = []
+        self.auditor = _Auditor(graph, schedule, self.id_word, self.msg_words) if audit else None
+        self.sr = 0
+
+    def run(self, wire, idle) -> None:
+        self.wire, self.idle = wire, idle
+        sched = self.schedule
+        for plan in sched.epochs:
+            ann_member = family_membership(self.graph, plan.announce)
+            sub_member = [family_membership(self.graph, s.family) for s in plan.subphases]
+            for j in range(len(plan.announce)):
+                if not self.announce((plan.index, j + 1, None, None), plan.k, ann_member[j]):
+                    self._silence(sched.phase_super_rounds(plan))
+                    continue
+                for a, sub in enumerate(plan.subphases, 1):
+                    for b in range(len(sub.family)):
+                        if not self.window((plan.index, j + 1, a, b + 1), sub_member[a - 1][b]):
+                            self._silence(sched.window_super_rounds)
+            self.link_history.append(
+                {self.ids[i]: int(c) for i, c in enumerate(np.bitwise_count(self.unrealized))})
+
+    def _silence(self, count: int) -> None:
+        self.idle(self.sr, count)
+        self.sr += count
+        if self.auditor is not None:
+            self.auditor.report.super_rounds += count
+
+    def _open(self, peer: np.ndarray) -> np.ndarray:
+        """Whether each node's link to peer[i] is still open; peer is a node
+        index or -1 for none."""
+        shift = np.maximum(peer, 0).astype(np.uint64)
+        return ((self.unrealized >> shift) & np.uint64(1)).astype(bool) & (peer >= 0)
+
+    def _hear(self, spot: tuple, role: str, part: int | None, patterns: np.ndarray,
+              listeners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One super-round: beep, then decode at every listener."""
+        meta = ScheduleIndex(*spot, role, part, self.sr, 0)
+        patterns, noise = self.wire(self.sr, patterns)
+        self.sr += 1
+        first = noise & self.wmask
+        valid = (noise != np.uint64(0)) & ((noise >> self.wshift) == (first ^ self.wmask))
+        payload = self.rev[first.astype(np.int64)].astype(np.int64)
+        decoded = listeners & valid
+        for u in np.nonzero(decoded)[0]:
+            self.decode_log.append(
+                DecodeRecord(meta.super_round, self.ids[u], role, part, int(payload[u])))
+        if self.auditor is not None:
+            self.auditor.on_super_round(meta, patterns, noise, listeners, decoded, payload)
+        return patterns, noise, valid, payload
+
+    def announce(self, spot: tuple, k: int, member: np.ndarray) -> bool:
+        """Announcers beep their IDs; a clean hearer with that link open
+        becomes responsive to the announcer.  False if nobody announces."""
+        announcing = member & (np.bitwise_count(self.unrealized) >= k)
+        if not announcing.any():
+            return False
+        self.announcing = announcing
+        eligible = ~announcing & (self.unrealized != np.uint64(0))
+        _, _, valid, payload = self._hear(
+            spot, "announcing", None, np.where(announcing, self.id_word, np.uint64(0)),
+            eligible)
+        heard = np.where(eligible & valid, self.id2idx[payload], -1)
+        self.responsive = np.where(self._open(heard), heard, -1)
+        return True
+
+    def window(self, spot: tuple, member: np.ndarray) -> bool:
+        """Responders send <own id><announcer id><payload> and each announcer
+        that hears one cleanly confirms in kind; the links that close both
+        ways are realized.  False if nobody responds."""
+        hp = self.schedule.half_parts
+        responsive = self.responsive
+        senders = self._open(responsive) & member
+        if not senders.any():
+            return False
+        target = np.maximum(responsive, 0)
+        listeners = self.announcing
+        sent: list[list[np.ndarray]] = []
+        links: list[set[tuple[int, int]]] = []
+        for role in ("responding", "confirming"):
+            words, heard, valid, payload = [], [], [], []
+            for part in range(hp):
+                if part == 0:
+                    word = self.id_word
+                elif part == 1:
+                    word = self.id_word[target]
+                else:
+                    word = self.msg_words[self.arange, target, part - 2]
+                p, noise, ok, val = self._hear(
+                    spot, role, part, np.where(senders, word, np.uint64(0)), listeners)
+                words.append(p)
+                heard.append(noise)
+                valid.append(ok)
+                payload.append(val)
+            peer = np.where(valid[0], self.id2idx[payload[0]], -1)
+            accept = listeners & np.logical_and.reduce(valid) & (payload[1] == self.ids_arr)
+            if role == "responding":
+                accept &= self._open(peer)
+            else:
+                accept &= peer == responsive
+            rows = np.nonzero(accept)[0]
+            self.recv_pat[rows, peer[rows]] = np.stack(heard[2:], axis=1)[rows]
+            self.recv_mask[rows, peer[rows]] = True
+            sent.append(words)
+            links.append({(int(i), int(peer[i])) for i in rows})
+            # the announcers that accepted confirm; the other responsive nodes listen
+            senders, target, listeners = accept, np.maximum(peer, 0), (responsive >= 0) & ~accept
+        self._close(spot, links, sent)
+        return True
+
+    def _close(self, spot: tuple, links: list[set[tuple[int, int]]],
+               sent: list[list[np.ndarray]]) -> None:
+        """Realize the links that both halves accepted, (announcer, responder)
+        in the first and (responder, announcer) in the second."""
+        pairs, confirmed = links[0], {(v, r) for r, v in links[1]}
+        if confirmed != pairs:
+            raise RuntimeError(f"window closed asymmetrically: {pairs} vs {confirmed}")
+        ids = self.ids
+        for vi, ri in sorted(pairs):
+            for i, j in ((vi, ri), (ri, vi)):
+                self.unrealized[i] &= np.uint64(~(1 << j) & 0xFFFFFFFFFFFFFFFF)
+                self.realization_log.append(RealizationRecord(ids[i], ids[j], *spot))
+        if self.auditor is not None and pairs:
+            meta = ScheduleIndex(*spot, "confirming", self.schedule.half_parts - 1, self.sr - 1, 0)
+            self.auditor.on_window(meta, sorted(pairs), sent[0], sent[1])
 
 
 def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
@@ -509,247 +677,63 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     _validate_input(graph, inp)
     sched = build_schedule(graph.n, graph.c, delta_hat, inp.width, seed)
+    core = _Handshake(graph, sched, inp, audit)
 
     n, w, m = graph.n, sched.w, sched.words_per_message
     ids = graph.ids
-    ids_arr = np.array(ids, dtype=np.int64)
-    u64 = np.uint64
-    one = u64(1)
-    wmask = u64((1 << w) - 1)
-    wshift = u64(w)
-    rev = _reversal_table(w)
-    id2idx = np.full(1 << w, -1, dtype=np.int64)
-    for j, u in enumerate(ids):
-        id2idx[u] = j
-    id_word = np.array([encode_extended(u, w) for u in ids], dtype=np.uint64)
-
-    msg_words = np.empty((n, n, m), dtype=np.uint64)
-    msg_words[:, :] = np.array(_message_words((), w, m), dtype=np.uint64)
-    msg_len = np.zeros((n, n), dtype=np.int64)
-    for (u, v), bits in inp.messages.items():
-        ui, vi = graph.index_of[u], graph.index_of[v]
-        msg_words[ui, vi] = np.array(_message_words(bits, w, m), dtype=np.uint64)
-        msg_len[ui, vi] = len(bits)
-
     indptr, indices = graph.csr
-    unrealized = graph.adj_words[:, 0].copy()
-    responsive = np.full(n, -1, dtype=np.int64)
-    recv_pat = np.zeros((n, n, m), dtype=np.uint64)
-    recv_mask = np.zeros((n, n), dtype=bool)
-
     feed = _TraceFeed(graph, record, 2 * w, sched.total_rounds)
-    auditor = _Auditor(graph, sched, id_word, msg_words) if audit else None
-    decode_log: list[DecodeRecord] = []
-    realization_log: list[RealizationRecord] = []
-    link_history: list[dict[int, int]] = []
     beeps_total = 0
-    sr = 0
     zeros = np.zeros(n, dtype=np.uint64)
-    arange_n = np.arange(n)
 
-    def on_wire(patterns: np.ndarray) -> np.ndarray:
-        nonlocal beeps_total, sr
+    def on_wire(sr: int, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal beeps_total
         if patterns.any():
             noise = kernel.or_neighbor_patterns(indptr, indices, patterns[:, None])[:, 0]
             beeps_total += int(np.bitwise_count(patterns).sum())
         else:
             noise = zeros
         feed.push(patterns, noise)
-        sr += 1
-        return noise
+        return patterns, noise
 
-    def idle(count: int) -> None:
-        nonlocal sr
-        if feed.mode == "none":
-            # Nothing listens to silent super-rounds when no trace is kept.
-            sr += count
-        else:
+    def idle(sr: int, count: int) -> None:
+        # Nothing listens to silent super-rounds when no trace is kept.
+        if feed.mode != "none":
             for _ in range(count):
-                on_wire(zeros)
-        if auditor is not None:
-            auditor.report.super_rounds += count
+                feed.push(zeros, zeros)
 
-    def word_decode(noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        first = noise & wmask
-        second = noise >> wshift
-        valid = (noise != u64(0)) & (second == (first ^ wmask))
-        payload = rev[first.astype(np.int64)].astype(np.int64)
-        return valid, payload
-
-    for plan in sched.epochs:
-        ann_member = family_membership(graph, plan.announce)
-        sub_member = [family_membership(graph, s.family) for s in plan.subphases]
-        for j in range(len(plan.announce)):
-            deg_open = np.bitwise_count(unrealized).astype(np.int64)
-            announcing = ann_member[j] & (deg_open >= plan.k)
-            if not announcing.any():
-                idle(sched.phase_super_rounds(plan))
-                responsive[:] = -1
-                continue
-
-            patterns = np.where(announcing, id_word, u64(0))
-            sr_here = sr
-            noise = on_wire(patterns)
-            eligible = (~announcing) & (unrealized != u64(0))
-            valid, payload = word_decode(noise)
-            decoded = eligible & valid
-            for u in np.nonzero(decoded)[0]:
-                decode_log.append(
-                    DecodeRecord(sr_here, ids[u], "announcing", None, int(payload[u])))
-            if auditor is not None:
-                auditor.on_super_round(
-                    ScheduleIndex(plan.index, j + 1, None, None, "announcing",
-                                  None, sr_here, 0),
-                    patterns, noise, eligible, decoded, payload)
-            pidx = np.where(decoded, id2idx[payload], -1)
-            shift = np.clip(pidx, 0, 63).astype(np.uint64)
-            has_link = ((unrealized >> shift) & one).astype(bool) & (pidx >= 0)
-            responsive = np.where(has_link, pidx, -1).astype(np.int64)
-
-            for a, sub in enumerate(plan.subphases, 1):
-                memb = sub_member[a - 1]
-                for b in range(len(sub.family)):
-                    tgt = np.clip(responsive, 0, n - 1)
-                    open_to_tgt = ((unrealized >> tgt.astype(np.uint64)) & one).astype(bool)
-                    responding = (responsive >= 0) & open_to_tgt & memb[b]
-                    if not responding.any():
-                        idle(sched.window_super_rounds)
-                        continue
-
-                    resp_sent: list[np.ndarray] = []
-                    resp_noise: list[np.ndarray] = []
-                    pv: list[tuple[np.ndarray, np.ndarray]] = []
-                    for part in range(sched.half_parts):
-                        if part == 0:
-                            word = id_word
-                        elif part == 1:
-                            word = id_word[tgt]
-                        else:
-                            word = msg_words[arange_n, tgt, part - 2]
-                        patterns = np.where(responding, word, u64(0))
-                        sr_here = sr
-                        noise = on_wire(patterns)
-                        resp_sent.append(patterns)
-                        resp_noise.append(noise)
-                        valid, payload = word_decode(noise)
-                        decoded = announcing & valid
-                        for u in np.nonzero(decoded)[0]:
-                            decode_log.append(
-                                DecodeRecord(sr_here, ids[u], "responding", part,
-                                             int(payload[u])))
-                        if auditor is not None:
-                            auditor.on_super_round(
-                                ScheduleIndex(plan.index, j + 1, a, b + 1,
-                                              "responding", part, sr_here, 0),
-                                patterns, noise, announcing, decoded, payload)
-                        pv.append((valid, payload))
-
-                    all_valid = pv[0][0] & pv[1][0]
-                    for t in range(m):
-                        all_valid = all_valid & pv[2 + t][0]
-                    r_idx = np.where(pv[0][0], id2idx[pv[0][1]], -1)
-                    open_to_r = ((unrealized >> np.clip(r_idx, 0, 63).astype(np.uint64))
-                                 & one).astype(bool)
-                    accept = (announcing & all_valid & (r_idx >= 0)
-                              & (pv[1][1] == ids_arr) & open_to_r)
-                    acc_rows = np.nonzero(accept)[0]
-                    r_of = r_idx[acc_rows]
-                    for t in range(m):
-                        recv_pat[acc_rows, r_of, t] = resp_noise[2 + t][acc_rows]
-                    recv_mask[acc_rows, r_of] = True
-
-                    confirming = accept
-                    ctgt = np.clip(r_idx, 0, n - 1)
-                    conf_sent: list[np.ndarray] = []
-                    conf_noise: list[np.ndarray] = []
-                    qv: list[tuple[np.ndarray, np.ndarray]] = []
-                    for part in range(sched.half_parts):
-                        if part == 0:
-                            word = id_word
-                        elif part == 1:
-                            word = id_word[ctgt]
-                        else:
-                            word = msg_words[arange_n, ctgt, part - 2]
-                        patterns = np.where(confirming, word, u64(0))
-                        sr_here = sr
-                        noise = on_wire(patterns)
-                        conf_sent.append(patterns)
-                        conf_noise.append(noise)
-                        valid, payload = word_decode(noise)
-                        obligated = (responsive >= 0) & ~confirming
-                        decoded = obligated & valid
-                        for u in np.nonzero(decoded)[0]:
-                            decode_log.append(
-                                DecodeRecord(sr_here, ids[u], "confirming", part,
-                                             int(payload[u])))
-                        if auditor is not None:
-                            auditor.on_super_round(
-                                ScheduleIndex(plan.index, j + 1, a, b + 1,
-                                              "confirming", part, sr_here, 0),
-                                patterns, noise, obligated, decoded, payload)
-                        qv.append((valid, payload))
-
-                    w_all = qv[0][0] & qv[1][0]
-                    for t in range(m):
-                        w_all = w_all & qv[2 + t][0]
-                    w_accept = ((responsive >= 0) & ~confirming & w_all
-                                & (id2idx[qv[0][1]] == responsive)
-                                & (qv[1][1] == ids_arr))
-                    pairs_v = {(int(i), int(r_idx[i])) for i in acc_rows}
-                    pairs_w = {(int(responsive[i]), int(i))
-                               for i in np.nonzero(w_accept)[0]}
-                    if pairs_v != pairs_w:
-                        raise RuntimeError(
-                            f"window closed asymmetrically: {pairs_v} vs {pairs_w}")
-                    for vi, ri in sorted(pairs_v):
-                        _clear_link(unrealized, vi, ri)
-                        _clear_link(unrealized, ri, vi)
-                        for t in range(m):
-                            recv_pat[ri, vi, t] = conf_noise[2 + t][ri]
-                        recv_mask[ri, vi] = True
-                        realization_log.append(RealizationRecord(
-                            ids[vi], ids[ri], plan.index, j + 1, a, b + 1))
-                        realization_log.append(RealizationRecord(
-                            ids[ri], ids[vi], plan.index, j + 1, a, b + 1))
-                    if auditor is not None and pairs_v:
-                        auditor.on_window(
-                            ScheduleIndex(plan.index, j + 1, a, b + 1, "confirming",
-                                          sched.half_parts - 1, sr - 1, 0),
-                            sorted(pairs_v), resp_sent, conf_sent)
-
-            responsive[:] = -1
-        link_history.append(
-            {ids[i]: int(c) for i, c in enumerate(np.bitwise_count(unrealized))})
-
-    if sr != sched.total_super_rounds:
-        raise AssertionError(f"ran {sr} super-rounds, schedule says {sched.total_super_rounds}")
+    core.run(on_wire, idle)
+    if core.sr != sched.total_super_rounds:
+        raise RuntimeError(
+            f"ran {core.sr} super-rounds, schedule says {sched.total_super_rounds}")
     trace, dig = feed.finish()
-    handshake = auditor.finish(realization_log) if auditor is not None else None
-    failed = bool((unrealized != u64(0)).any())
+    handshake = core.auditor.finish(core.realization_log) if audit else None
+    unrealized = core.unrealized
+    failed = bool((unrealized != np.uint64(0)).any())
     residual = {ids[i]: frozenset(ids[j] for j in range(n) if int(unrealized[i]) >> j & 1)
                 for i in range(n) if int(unrealized[i])}
 
     received: dict[int, dict[int, tuple[int, ...]]] = {}
     raw_received: dict[int, dict[int, tuple[int, ...]]] = {}
     for vi in range(n):
-        for ui in np.nonzero(recv_mask[vi])[0]:
+        for ui in np.nonzero(core.recv_mask[vi])[0]:
             payloads = []
             for t in range(m):
-                val = decode_extended(int(recv_pat[vi, ui, t]), w)
+                val = decode_extended(int(core.recv_pat[vi, ui, t]), w)
                 if val is None:
                     raise RuntimeError("a committed handshake word fails to decode")
                 payloads.append(val)
             bits = _words_to_bits(payloads, w, inp.width)
             raw_received.setdefault(ids[vi], {})[ids[int(ui)]] = bits
-            received.setdefault(ids[vi], {})[ids[int(ui)]] = bits[:int(msg_len[ui, vi])]
+            received.setdefault(ids[vi], {})[ids[int(ui)]] = bits[:int(core.msg_len[ui, vi])]
     if not failed:
         want = 2 * len(graph.edges)
-        got = int(recv_mask.sum())
+        got = int(core.recv_mask.sum())
         if got != want:
             raise RuntimeError(f"clean finish but {got} of {want} directions recorded")
 
     return C2BResult(received, raw_received, sched.total_rounds, sched,
-                     realization_log, decode_log, link_history, handshake,
+                     core.realization_log, core.decode_log, core.link_history, handshake,
                      failed, residual, trace, dig, beeps_total)
 
 
@@ -963,10 +947,13 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
                            inp: CongestRoundInput) -> HandshakeReport:
     """Replay a recorded run against its logs, from the wire upward.
 
-    Reconstructs listener state (open links, responsiveness) independently
-    from the trace, then holds every logged decode and realization to the
-    single-beeper rules; identical-word pile-ups in the responding half
-    are reported as flags, everything else lands in violations.
+    Drives the runner's handshake core with the words read back from the
+    trace, so listener state (open links, responsiveness) and every decode
+    and realization are derived from the channel alone; the trace must
+    beep exactly the words the schedule has the population send.  The logs
+    are then held to what the replay derived.  Identical-word pile-ups in
+    the responding half are reported as flags, everything else lands in
+    violations.
     """
     schedule = result.schedule
     if trace.graph is not graph and trace.graph.ids != graph.ids:
@@ -974,119 +961,37 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     if trace.total_rounds != schedule.total_rounds:
         raise ParameterError(
             f"trace has {trace.total_rounds} rounds, schedule wants {schedule.total_rounds}")
-    n, w, m = graph.n, schedule.w, schedule.words_per_message
-    ids = graph.ids
-    idx_of = graph.index_of
-    u64 = np.uint64
-    one = u64(1)
-    wmask = u64((1 << w) - 1)
-    rev = _reversal_table(w)
-    id2idx = np.full(1 << w, -1, dtype=np.int64)
-    for j, u in enumerate(ids):
-        id2idx[u] = j
-
-    id_word = np.array([encode_extended(u, w) for u in ids], dtype=np.uint64)
-    msg_words = np.empty((n, n, m), dtype=np.uint64)
-    msg_words[:, :] = np.array(_message_words((), w, m), dtype=np.uint64)
-    for (u, v), bits in inp.messages.items():
-        msg_words[idx_of[u], idx_of[v]] = np.array(
-            _message_words(bits, w, m), dtype=np.uint64)
-
     pat, noi = _trace_super_round_words(trace, schedule)
-    auditor = _Auditor(graph, schedule, id_word, msg_words)
+    core = _Handshake(graph, schedule, inp, audit=True)
+    report = core.auditor.report
 
-    events: dict[int, list[DecodeRecord]] = {}
-    for rec in result.decode_log:
-        events.setdefault(rec.super_round, []).append(rec)
+    def replay(sr: int, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not np.array_equal(patterns, pat[:, sr]):
+            report.violations.append(f"the trace does not beep the scheduled words at sr {sr}")
+        return pat[:, sr], noi[:, sr]
 
-    windows: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
-    for rec in result.realization_log:
-        key = (rec.epoch, rec.phase, rec.subphase, rec.window)
-        pair = tuple(sorted((idx_of[rec.node], idx_of[rec.peer])))
-        if pair not in windows.setdefault(key, []):
-            windows[key].append(pair)
-    commits: dict[int, list[tuple[tuple[int, int, int, int], int, int]]] = {}
-    for key, pairs in windows.items():
-        first = schedule.window_first_super_round(*key)
-        last = first + schedule.window_super_rounds - 1
-        for x, y in pairs:
-            # the responder beeped the window's opening super-round
-            if int(pat[x, first]):
-                v_idx, r_idx = y, x
-            else:
-                v_idx, r_idx = x, y
-            commits.setdefault(last, []).append((key, v_idx, r_idx))
+    def silent(sr: int, count: int) -> None:
+        if pat[:, sr:sr + count].any():
+            report.violations.append(
+                f"the trace beeps in super-rounds {sr}..{sr + count - 1}, "
+                f"which the schedule leaves silent")
 
-    unrealized = graph.adj_words[:, 0].copy()
-    responsive = np.full(n, -1, dtype=np.int64)
-    total_s = schedule.total_super_rounds
-    for s in range(total_s):
-        column = pat[:, s]
-        noise = noi[:, s]
-        here = events.get(s, ())
-        if not column.any() and not here and s not in commits:
-            auditor.report.super_rounds += 1
-            continue
-        meta = schedule.describe(s * 2 * w)
-        beeping = column != u64(0)
-        decoded = np.zeros(n, dtype=bool)
-        payload = np.zeros(n, dtype=np.int64)
-        for rec in here:
-            i = idx_of.get(rec.node)
-            if i is None:
-                auditor.report.violations.append(
-                    f"decode log names unknown node {rec.node} at sr {s}")
-                continue
-            decoded[i] = True
-            payload[i] = rec.payload
-        if meta.role == "announcing":
-            obligated = (~beeping) & (unrealized != u64(0))
-        elif meta.role == "responding":
-            first_sr = s - meta.part
-            obligated = pat[:, first_sr - _announce_distance(schedule, meta)] != u64(0)
-        else:
-            obligated = (responsive >= 0) & ~_window_confirmers(
-                pat, schedule, meta, s)
-        auditor.on_super_round(meta, column, noise, obligated, decoded, payload)
-        if meta.role == "announcing":
-            first = noise & wmask
-            valid = (noise != u64(0)) & ((noise >> u64(w)) == (first ^ wmask))
-            heard = rev[first.astype(np.int64)].astype(np.int64)
-            pidx = np.where(valid & ~beeping, id2idx[heard], -1)
-            shift = np.clip(pidx, 0, 63).astype(np.uint64)
-            has_link = ((unrealized >> shift) & one).astype(bool) & (pidx >= 0)
-            responsive = np.where(has_link, pidx, -1).astype(np.int64)
-        for key, v_idx, r_idx in commits.get(s, ()):
-            if responsive[r_idx] != v_idx:
-                auditor.report.violations.append(
-                    f"realization {ids[v_idx]}-{ids[r_idx]} at {key} but "
-                    f"{ids[r_idx]} was not responsive to {ids[v_idx]}")
-            first = schedule.window_first_super_round(*key)
-            hp = schedule.half_parts
-            respond = [pat[:, first + p] for p in range(hp)]
-            confirm = [pat[:, first + hp + p] for p in range(hp)]
-            auditor.on_window(meta, [(v_idx, r_idx)], respond, confirm)
-            _clear_link(unrealized, v_idx, r_idx)
-            _clear_link(unrealized, r_idx, v_idx)
-    return auditor.finish(result.realization_log)
-
-
-def _announce_distance(schedule: C2BSchedule, meta: ScheduleIndex) -> int:
-    """Super-rounds between a window's first responding super-round and
-    its phase's announcing super-round."""
-    plan = schedule.epochs[meta.epoch - 1]
-    dist = 0
-    for a, sub in enumerate(plan.subphases, 1):
-        if a == meta.subphase:
-            return dist + (meta.window - 1) * schedule.window_super_rounds + 1
-        dist += len(sub.family) * schedule.window_super_rounds
-    raise ParameterError(f"no subphase {meta.subphase} in epoch {meta.epoch}")
-
-
-def _window_confirmers(pat: np.ndarray, schedule: C2BSchedule,
-                       meta: ScheduleIndex, s: int) -> np.ndarray:
-    first_confirm = s - meta.part
-    return pat[:, first_confirm] != np.uint64(0)
+    try:
+        core.run(replay, silent)
+    except RuntimeError as exc:
+        report.violations.append(f"replay stopped: {exc}")
+        return report
+    for name, claimed, derived in (("decode", result.decode_log, core.decode_log),
+                                   ("realization", result.realization_log,
+                                    core.realization_log)):
+        surplus = Counter(claimed)
+        surplus.subtract(derived)
+        for rec, count in surplus.items():
+            if count > 0:
+                report.violations.append(f"{name} log claims {rec}, which the trace does not give")
+            elif count < 0:
+                report.violations.append(f"{name} log omits {rec}, which the trace gives")
+    return core.auditor.finish(result.realization_log)
 
 
 def flatten_received(received: dict[int, dict[int, tuple[int, ...]]]

@@ -51,11 +51,6 @@ class Graph:
     # -- derived structure, built lazily and cached ------------------------
 
     @property
-    def id_space(self) -> int:
-        """Largest permissible ID, n^c."""
-        return self.n ** self.c
-
-    @property
     def index_of(self) -> dict[int, int]:
         if "index_of" not in self._cache:
             self._cache["index_of"] = {u: i for i, u in enumerate(self.ids)}
@@ -119,19 +114,6 @@ class Graph:
         if "edgeset" not in self._cache:
             self._cache["edgeset"] = set(self.edges)
         return (a, b) in self._cache["edgeset"]
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {self.ids[0]}
-        work = deque(seen)
-        while work:
-            u = work.popleft()
-            for v in self.neighbors_of(u):
-                if v not in seen:
-                    seen.add(v)
-                    work.append(v)
-        return len(seen) == self.n
 
     def bfs_distances(self, source_id: int, cutoff: int | None = None) -> dict[int, int]:
         """Hop distance from source_id to every node it reaches, or only to

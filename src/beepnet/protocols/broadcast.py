@@ -132,11 +132,12 @@ def run_local_broadcast(
                 if beeps[r, rnd]:
                     continue  # own beep that round, nothing heard
                 bit = int(noise[r, rnd])
-                assert bit == int(beeps[u_idx, rnd])
-                if got[t] is None:
-                    got[t] = bit
-                else:
-                    assert got[t] == bit
+                if bit != int(beeps[u_idx, rnd]) or got[t] not in (None, bit):
+                    raise RuntimeError(
+                        f"receiver {ids[r]} heard {bit} from its lone beeping neighbor "
+                        f"{ids[u_idx]} in round {rnd}, which does not match what "
+                        f"{ids[u_idx]} sent")
+                got[t] = bit
 
     raw_output: dict[int, dict[int, Bits]] = {}
     output: dict[int, dict[int, Bits]] = {}

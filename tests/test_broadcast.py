@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import beepnet.kernel
 from beepnet.encoding import id_width
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import ParameterError, generate_random_graph, graph_from_edges
@@ -110,6 +111,15 @@ def test_machine_route_matches_population():
     assert engine_res.trace.digest() == res.trace.digest()
     report = validate_trace(g, engine_res.trace)
     assert report.ok
+
+
+def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
+    g = generate_random_graph(10, 3, seed=9)
+    msgs = _random_messages(g, 2, 1)
+    monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns",
+                        lambda indptr, indices, patterns: np.zeros_like(patterns))
+    with pytest.raises(RuntimeError, match=r"receiver \d+ heard 0 .* neighbor \d+ in round \d+"):
+        run_local_broadcast(g, _inp(g, msgs, 2))
 
 
 def test_incomplete_knowledge_rejected():

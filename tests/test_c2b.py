@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from beepnet.c2b import (
     C2BNode,
+    C2BSchedule,
     CongestRoundInput,
     DecodeRecord,
     RealizationRecord,
@@ -23,6 +24,7 @@ from beepnet.c2b import (
     save_realization_log,
     subphase_parameters,
 )
+from beepnet.cli import main
 from beepnet.engine import run
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 
@@ -225,27 +227,36 @@ def test_population_node_limit():
 # ------------------------------------------------------- machine cross-check
 
 
-def test_machines_match_population_on_the_star():
-    msgs = _directed_messages(STAR, 3, 17)
-    pop = run_c2b(STAR, CongestRoundInput(msgs, 3), delta_hat=4, record="full")
-    res = _run_machines(STAR, msgs, 3, 4)
+def _check_machines_match(graph, width, delta_hat, seed):
+    """The per-node machines reproduce the population run, which passes
+    its own trace replay."""
+    msgs = _directed_messages(graph, width, seed)
+    inp = CongestRoundInput(msgs, width)
+    pop = run_c2b(graph, inp, delta_hat=delta_hat, record="full")
+    res = _run_machines(graph, msgs, width, pop.schedule.delta_hat)
     assert res.rounds == pop.rounds
     assert res.trace.digest() == pop.digest
-    got = {u: res.outputs[u]["received"] for u in STAR.ids if res.outputs[u]["received"]}
+    got = {u: res.outputs[u]["received"] for u in graph.ids if res.outputs[u]["received"]}
     assert got == pop.raw_received
-    mach_real = set().union(*(res.outputs[u]["realizations"] for u in STAR.ids))
+    mach_real = set().union(*(res.outputs[u]["realizations"] for u in graph.ids))
     assert mach_real == set(pop.realization_log)
-    assert all(not res.outputs[u]["open"] for u in STAR.ids)
+    assert all(not res.outputs[u]["open"] for u in graph.ids)
+    assert check_handshake_lemmas(pop.trace, graph, pop, inp).ok
+    return pop
+
+
+def test_machines_match_population_on_the_star():
+    _check_machines_match(STAR, 3, 4, 17)
 
 
 def test_machines_match_population_on_a_random_graph():
-    g = generate_random_graph(8, 2, seed=7, c=1)
-    msgs = _directed_messages(g, 2, 23)
-    pop = run_c2b(g, CongestRoundInput(msgs, 2), record="full")
-    res = _run_machines(g, msgs, 2, g.delta)
-    assert res.trace.digest() == pop.digest
-    got = {u: res.outputs[u]["received"] for u in g.ids if res.outputs[u]["received"]}
-    assert got == pop.raw_received
+    _check_machines_match(generate_random_graph(8, 2, seed=7, c=1), 2, None, 23)
+
+
+def test_machines_match_population_on_multiword_messages():
+    pop = _check_machines_match(STAR, 7, 4, 17)
+    sched = pop.schedule
+    assert (sched.w, sched.words_per_message, pop.rounds) == (3, 3, 12960)
 
 
 # ------------------------------------------------------------------ checks
@@ -290,6 +301,42 @@ def test_dropped_direction_breaks_symmetry():
     bad.realization_log = res.realization_log[:-1]
     rep = check_handshake_lemmas(res.trace, STAR, bad, inp)
     assert any("asymmetr" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("field, forge, want", [
+    ("decode_log", lambda log: log[:3] + log[4:], "decode log omits"),
+    ("decode_log", lambda log: log[:3] + [log[3]._replace(payload=log[3].payload ^ 1)] + log[4:],
+     "decode log claims"),
+    # both records of one realized pair, so the log stays symmetric
+    ("realization_log", lambda log: [r._replace(window=r.window + 1) for r in log[:2]] + log[2:],
+     "realization log claims"),
+], ids=["dropped-decode", "changed-payload", "moved-realization"])
+def test_altered_log_is_a_violation(field, forge, want):
+    inp, res = _star_run()
+    bad = dataclasses.replace(res, **{field: forge(getattr(res, field))})
+    rep = check_handshake_lemmas(res.trace, STAR, bad, inp)
+    assert any(v.startswith(want) for v in rep.violations)
+
+
+@pytest.mark.parametrize("live", [False, True])
+def test_flipped_trace_beep_is_a_violation(live):
+    inp, res = _star_run()
+    sr = res.decode_log[0].super_round if live else 0
+    r = sr * 2 * res.schedule.w
+    block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
+    word, bit = divmod(r - block.start_round, 64)
+    block.patterns[0, word] ^= np.uint64(1 << bit)
+    rep = check_handshake_lemmas(res.trace, STAR, res, inp)
+    want = "the trace does not beep" if live else "the trace beeps in"
+    assert any(v.startswith(want) for v in rep.violations)
+
+
+def test_super_round_miscount_aborts_the_run(monkeypatch, capsys):
+    total = C2BSchedule.total_super_rounds
+    monkeypatch.setattr(C2BSchedule, "total_super_rounds",
+                        property(lambda sched: total.fget(sched) + 1))
+    assert main(["run", "c2b", "--n", "8", "--delta", "2", "--seeds", "1"]) == 1
+    assert "aborted: ran " in capsys.readouterr().err
 
 
 def test_epoch_invariant_rejects_bad_histories():

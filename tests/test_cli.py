@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beepnet
 from beepnet.cli import main
 from beepnet.graphs import load_graph
 from beepnet.multihop import load_layer_annotations
@@ -115,3 +120,21 @@ def test_unknown_protocol_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "quicksort", "--n", "8", "--delta", "2"])
     assert exc.value.code == 2
+
+
+def test_run_reports_match_across_processes(tmp_path):
+    # The report bytes must not depend on the process, string hashing included.
+    src = str(Path(beepnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"report-{hash_seed}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "beepnet.cli", "run", "c2b", "--n", "16", "--delta", "3",
+             "--B", "2", "--seeds", "1", "--out", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+            check=True, capture_output=True,
+        )
+        reports.append(out.read_bytes())
+    assert reports[0].startswith(b"# beepnet report v1")
+    assert reports[0] == reports[1]
