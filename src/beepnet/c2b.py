@@ -35,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import bits_to_hex, hex_to_bits, pack_bool_rows
+from ._bits import bits_to_hex, hex_to_bits, pack_bool_rows, unpack_word_rows, words_for
 from .encoding import decode_extended, encode_extended, id_width
-from .engine import Feedback, NodeAction, NodeProtocol, Trace
+from .engine import Feedback, NodeAction, NodeProtocol, Trace, TraceDigest
 from .graphs import Graph, ParameterError
 from .kernel import active as kernel
 from .protocols._common import family_membership, resolve_degree_bound
@@ -45,6 +45,7 @@ from .selectors import DEFAULT_SEED, SelectorFamily, get_avoiding_selector
 
 POPULATION_NODE_LIMIT = 64   # one channel word of node bits
 REVERSAL_TABLE_LIMIT = 16    # widest payload served by the lookup table
+TRACE_FEED_CHUNK = 512       # super-rounds per recorded trace block
 
 
 class ScheduleIndex(NamedTuple):
@@ -303,37 +304,30 @@ def _words_to_bits(payloads: list[int], w: int, length: int) -> tuple[int, ...]:
 
 
 class _TraceFeed:
-    """Streams per-super-round patterns into a Trace, a bare digest, or /dev/null.
+    """Streams per-super-round patterns into one sink: a Trace ("full"), the
+    engine's TraceDigest ("digest", round total from the schedule) or none.
 
-    Digest mode hashes the same canonical byte stream Trace.digest would
-    produce, without retaining anything; the header needs the round total,
-    which the schedule supplies before the run starts.
+    Both sinks take the same blocks: live super-rounds packed per
+    TRACE_FEED_CHUNK, and silent stretches as zero blocks of at most that many.
     """
 
-    def __init__(self, graph: Graph, mode: str, sr_rounds: int, total_rounds: int,
-                 chunk: int = 512):
+    def __init__(self, graph: Graph, mode: str, sr_rounds: int, total_rounds: int):
         if mode not in ("none", "digest", "full"):
             raise ParameterError(f"unknown record mode {mode!r}")
         self.graph = graph
         self.mode = mode
         self.sr_rounds = sr_rounds
-        self.chunk = chunk
-        self.trace = Trace(graph) if mode == "full" else None
-        self._hash = None
-        if mode == "digest":
-            import hashlib
-
-            self._hash = hashlib.sha256()
-            self._hash.update(f"beep-trace n={graph.n} rounds={total_rounds}\n".encode())
+        self.sink = (Trace(graph) if mode == "full"
+                     else TraceDigest(graph.n, total_rounds) if mode == "digest" else None)
         self._beeps: list[np.ndarray] = []
         self._noise: list[np.ndarray] = []
 
     def push(self, patterns: np.ndarray, noise: np.ndarray) -> None:
-        if self.mode == "none":
+        if self.sink is None:
             return
         self._beeps.append(patterns)
         self._noise.append(noise)
-        if len(self._beeps) >= self.chunk:
+        if len(self._beeps) >= TRACE_FEED_CHUNK:
             self.flush()
 
     def _to_cols(self, bunch: list[np.ndarray]) -> np.ndarray:
@@ -343,29 +337,29 @@ class _TraceFeed:
         return np.ascontiguousarray(
             bits.transpose(1, 0, 2).reshape(self.graph.n, -1).astype(bool))
 
-    def flush(self) -> None:
-        if self.mode == "none" or not self._beeps:
+    def flush(self, silent: int = 0) -> None:
+        """Append the buffered super-rounds, then `silent` super-rounds of silence."""
+        if self.sink is None:
             return
-        nrounds = self.sr_rounds * len(self._beeps)
-        beeps = pack_bool_rows(self._to_cols(self._beeps))
-        noise = pack_bool_rows(self._to_cols(self._noise))
-        if self.trace is not None:
-            self.trace.append_block(beeps, nrounds, noise=noise)
-        else:
-            w = (self.graph.n + 63) // 64
-            both = np.empty((nrounds, 2, w), dtype=np.uint64)
-            both[:, 0] = kernel.expand_patterns(beeps, nrounds)[:, :w]
-            both[:, 1] = kernel.expand_patterns(noise, nrounds)[:, :w]
-            self._hash.update(both.tobytes())
-        self._beeps = []
-        self._noise = []
+        if self._beeps:
+            self.sink.append_block(pack_bool_rows(self._to_cols(self._beeps)),
+                                   self.sr_rounds * len(self._beeps),
+                                   pack_bool_rows(self._to_cols(self._noise)))
+            self._beeps = []
+            self._noise = []
+        for lo in range(0, silent, TRACE_FEED_CHUNK):
+            nrounds = self.sr_rounds * min(TRACE_FEED_CHUNK, silent - lo)
+            # fresh arrays per block: a kept trace's blocks are mutable
+            shape = (self.graph.n, words_for(nrounds))
+            self.sink.append_block(np.zeros(shape, dtype=np.uint64), nrounds,
+                                   np.zeros(shape, dtype=np.uint64))
 
     def finish(self) -> tuple[Trace | None, str | None]:
         self.flush()
         if self.mode == "full":
-            return self.trace, self.trace.digest()
+            return self.sink, self.sink.digest()
         if self.mode == "digest":
-            return None, self._hash.hexdigest()
+            return None, self.sink.hexdigest()
         return None, None
 
 
@@ -668,8 +662,8 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     """Deliver every directed per-edge message through beeped handshakes.
 
     The whole population advances one super-round (one extended word) at
-    a time; silent stretches of the schedule are pushed through the trace
-    feed without touching the decode machinery.
+    a time; a silent stretch of the schedule enters the trace feed in one
+    call, without touching the decode machinery.
     """
     if graph.n > POPULATION_NODE_LIMIT:
         raise ParameterError(
@@ -697,16 +691,16 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
         return patterns, noise
 
     def idle(sr: int, count: int) -> None:
-        # Nothing listens to silent super-rounds when no trace is kept.
-        if feed.mode != "none":
-            for _ in range(count):
-                feed.push(zeros, zeros)
+        feed.flush(silent=count)
 
     core.run(on_wire, idle)
     if core.sr != sched.total_super_rounds:
         raise RuntimeError(
             f"ran {core.sr} super-rounds, schedule says {sched.total_super_rounds}")
     trace, dig = feed.finish()
+    if trace is not None and trace.total_rounds != sched.total_rounds:
+        raise RuntimeError(
+            f"recorded {trace.total_rounds} rounds, schedule says {sched.total_rounds}")
     handshake = core.auditor.finish(core.realization_log) if audit else None
     unrealized = core.unrealized
     failed = bool((unrealized != np.uint64(0)).any())
@@ -926,21 +920,15 @@ def _trace_super_round_words(trace: Trace, schedule: C2BSchedule) -> tuple[np.nd
     """(n, S) pattern and noise ints per super-round, from a recorded trace."""
     n = trace.graph.n
     sr_rounds = 2 * schedule.w
-    parts_b = []
-    parts_n = []
-    for block in trace.blocks:
-        parts_b.append(kernel.expand_patterns(block.patterns, block.nrounds)[:, 0])
-        parts_n.append(kernel.expand_patterns(block.noise, block.nrounds)[:, 0])
-    beep_rounds = np.concatenate(parts_b)       # (R,) node masks per round
-    noise_rounds = np.concatenate(parts_n)
-    shifts = np.arange(n, dtype=np.uint64)[:, None]
-    bool_b = ((beep_rounds[None, :] >> shifts) & np.uint64(1)).astype(bool)
-    bool_n = ((noise_rounds[None, :] >> shifts) & np.uint64(1)).astype(bool)
     S = trace.total_rounds // sr_rounds
     pow2 = (np.uint64(1) << np.arange(sr_rounds, dtype=np.uint64))
-    pat = (bool_b.reshape(n, S, sr_rounds) * pow2).sum(axis=2, dtype=np.uint64)
-    noi = (bool_n.reshape(n, S, sr_rounds) * pow2).sum(axis=2, dtype=np.uint64)
-    return pat, noi
+
+    def words(rows: str) -> np.ndarray:
+        bits = np.concatenate([unpack_word_rows(getattr(block, rows), block.nrounds)
+                               for block in trace.blocks], axis=1)      # (n, R)
+        return (bits.reshape(n, S, sr_rounds) * pow2).sum(axis=2, dtype=np.uint64)
+
+    return words("patterns"), words("noise")
 
 
 def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,

@@ -5,8 +5,8 @@ least one neighbor beeps, silence otherwise; a beeper learns nothing about the
 channel. Feedback codes: S (silence), N (noise), B (was beeping).
 
 Traces are stored as blocks of node-major bit patterns so that long schedules
-stay compact; a canonical per-round byte stream makes runs comparable and
-hashable regardless of how they were blocked.
+stay compact; TraceDigest hashes the canonical per-round byte stream that
+makes runs comparable regardless of how they were blocked.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from beepnet import kernel
-from beepnet._bits import U64, pack_bool_rows, testbit, unpack_word_rows, words_for
+from beepnet._bits import U64, pack_bool_rows, testbit, unpack_word_rows
 from beepnet.graphs import Graph
+
+TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
 
 
 class NodeAction(IntEnum):
@@ -80,7 +82,6 @@ class TraceBlock:
     nrounds: int
     patterns: np.ndarray    # (n, P) uint64, bit t = node beeped in round start+t
     noise: np.ndarray       # (n, P) uint64, bit t = some neighbor beeped
-    label: str | None = None
 
 
 @dataclass
@@ -96,22 +97,13 @@ class Trace:
         return last.start_round + last.nrounds
 
     def append_block(self, patterns: np.ndarray, nrounds: int,
-                     noise: np.ndarray | None = None,
-                     label: str | None = None) -> TraceBlock:
+                     noise: np.ndarray | None = None) -> TraceBlock:
         if noise is None:
             indptr, indices = self.graph.csr
             noise = kernel.or_neighbor_patterns(indptr, indices, patterns)
-        block = TraceBlock(self.total_rounds, nrounds, patterns, noise, label)
+        block = TraceBlock(self.total_rounds, nrounds, patterns, noise)
         self.blocks.append(block)
         return block
-
-    def iter_round_words(self):
-        """Yields (round, beep_words (W,), noise_words (W,)) in round order."""
-        for block in self.blocks:
-            beeps = kernel.expand_patterns(block.patterns, block.nrounds)
-            noise = kernel.expand_patterns(block.noise, block.nrounds)
-            for t in range(block.nrounds):
-                yield block.start_round + t, beeps[t], noise[t]
 
     def actions_at(self, round_no: int) -> dict[int, NodeAction]:
         block = self._block_at(round_no)
@@ -140,30 +132,47 @@ class Trace:
                 return block
         raise AssertionError("unreachable")
 
-    def canonical_bytes(self):
-        """Yields a block-layout-independent byte stream for hashing."""
-        w = words_for(self.graph.n)
-        yield f"beep-trace n={self.graph.n} rounds={self.total_rounds}\n".encode()
-        for _, beeps, noise in self.iter_round_words():
-            yield beeps[:w].tobytes()
-            yield noise[:w].tobytes()
-
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for chunk in self.canonical_bytes():
-            h.update(chunk)
-        return h.hexdigest()
+        stream = TraceDigest(self.graph.n, self.total_rounds)
+        for block in self.blocks:
+            stream.append_block(block.patterns, block.nrounds, block.noise)
+        return stream.hexdigest()
 
 
-def trace_from_beeps(graph: Graph, beeps: np.ndarray, label: str | None = None,
-                     chunk: int = 64) -> Trace:
-    """Build a trace from a precomputed (n, nrounds) boolean action matrix."""
+class TraceDigest:
+    """sha256 of the canonical trace stream, fed blocks as Trace.append_block is.
+
+    The stream is a header line naming n and the round total, then per round
+    the beeper bitset and the noise bitset as little-endian uint64 words.
+    hexdigest raises RuntimeError unless the blocks add up to that total.
+    """
+
+    def __init__(self, n: int, total_rounds: int):
+        self.total_rounds = total_rounds
+        self.rounds = 0
+        self._hash = hashlib.sha256(f"beep-trace n={n} rounds={total_rounds}\n".encode())
+
+    def append_block(self, patterns: np.ndarray, nrounds: int, noise: np.ndarray) -> None:
+        beeps = kernel.expand_patterns(patterns, nrounds)       # (nrounds, W)
+        heard = kernel.expand_patterns(noise, nrounds)
+        self._hash.update(np.stack((beeps, heard), axis=1).tobytes())
+        self.rounds += nrounds
+
+    def hexdigest(self) -> str:
+        if self.rounds != self.total_rounds:
+            raise RuntimeError(
+                f"trace stream got {self.rounds} rounds, its header says {self.total_rounds}")
+        return self._hash.hexdigest()
+
+
+def trace_from_beeps(graph: Graph, beeps: np.ndarray, noise: np.ndarray) -> Trace:
+    """Build a trace from precomputed (n, nrounds) boolean beep and noise matrices."""
     trace = Trace(graph)
     total = beeps.shape[1]
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        patterns = pack_bool_rows(beeps[:, lo:hi])
-        trace.append_block(patterns, hi - lo, label=label)
+    for lo in range(0, total, TRACE_BLOCK_ROUNDS):
+        hi = min(lo + TRACE_BLOCK_ROUNDS, total)
+        trace.append_block(pack_bool_rows(beeps[:, lo:hi]), hi - lo,
+                           pack_bool_rows(noise[:, lo:hi]))
     return trace
 
 

@@ -144,11 +144,15 @@ def load_graph(path) -> Graph:
         header = fh.readline().split()
         if len(header) != 3:
             raise ParameterError(f"{path}: header must be 'n m c'")
-        n, m, c = (int(x) for x in header)
-        edges = []
-        for _ in range(m):
-            u, v = (int(x) for x in fh.readline().split())
-            edges.append((u, v))
+        ln = 1
+        try:
+            n, m, c = (int(x) for x in header)
+            edges = []
+            for ln in range(2, m + 2):
+                u, v = (int(x) for x in fh.readline().split())
+                edges.append((u, v))
+        except ValueError as exc:
+            raise ParameterError(f"{path} line {ln}: {exc}") from exc
     if m == 0:
         ids = tuple(range(1, n + 1))
     else:

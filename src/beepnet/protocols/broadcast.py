@@ -111,7 +111,7 @@ def run_local_broadcast(
         beeps[:, t * length : (t + 1) * length] = member.T & bits[:, t][:, None]
 
     noise = noise_matrix(graph, beeps)
-    trace = trace_from_beeps(graph, beeps, label="local-broadcast") if record else None
+    trace = trace_from_beeps(graph, beeps, noise) if record else None
 
     # Blocks where a receiver sees exactly one neighbor.
     adj = np.zeros((n, n), dtype=bool)

@@ -192,7 +192,6 @@ def _slotted_exchange(
     delta_hat: int | None,
     seed: int,
     record: bool,
-    label: str,
     traces: list[Trace] | None,
 ):
     """One step: broadcast every queued (tree, value) message in its slot.
@@ -225,8 +224,6 @@ def _slotted_exchange(
         rounds += res.rounds
         beeps += res.beeps_total
         if record and traces is not None and res.trace is not None:
-            for block in res.trace.blocks:
-                block.label = f"{label}-slot{r}"
             traces.append(res.trace)
         for v in graph.ids:
             for u, bits in res.output[v].items():
@@ -286,10 +283,10 @@ def run_cluster_gathering(
     rounds = 0
     beeps = 0
     _, nslots = _slot_assignment(layout) if steps else (None, 0)
-    for step in range(1, steps + 1):
+    for _ in range(steps):
         heard, r_spent, b_spent = _slotted_exchange(
             graph, layout, outgoing, agg.value_bits, delta_hat, seed,
-            record, f"gather-step{step}", traces,
+            record, traces,
         )
         rounds += r_spent
         beeps += b_spent
@@ -355,10 +352,10 @@ def run_leader_broadcast(
     rounds = 0
     beeps = 0
     _, nslots = _slot_assignment(layout) if steps else (None, 0)
-    for step in range(1, steps + 1):
+    for _ in range(steps):
         heard, r_spent, b_spent = _slotted_exchange(
             graph, layout, outgoing, value_bits, delta_hat, seed,
-            record, f"spread-step{step}", traces,
+            record, traces,
         )
         rounds += r_spent
         beeps += b_spent

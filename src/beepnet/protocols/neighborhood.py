@@ -69,7 +69,7 @@ def run_learning_neighborhood(
         beeps[:, i * 2 * w : (i + 1) * 2 * w] = member[i][:, None] & word
 
     noise = noise_matrix(graph, beeps)
-    trace = trace_from_beeps(graph, beeps, label="learn-neighborhood") if record else None
+    trace = trace_from_beeps(graph, beeps, noise) if record else None
 
     found: dict[int, set[int]] = {u: set() for u in graph.ids}
     collisions = 0

@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beepnet import harness
 from beepnet.c2b import (
+    TRACE_FEED_CHUNK,
     C2BNode,
     C2BSchedule,
     CongestRoundInput,
@@ -23,6 +26,7 @@ from beepnet.c2b import (
     save_message_table,
     save_realization_log,
     subphase_parameters,
+    _TraceFeed,
 )
 from beepnet.cli import main
 from beepnet.engine import run
@@ -331,6 +335,37 @@ def test_flipped_trace_beep_is_a_violation(live):
     assert any(v.startswith(want) for v in rep.violations)
 
 
+@pytest.fixture
+def lossy_feed(monkeypatch):
+    """Make the trace feed drop one super-round of the first silent stretch."""
+    flush = _TraceFeed.flush
+    dropped = []
+
+    def lossy(self, silent=0):
+        if silent and not dropped:
+            dropped.append(silent)
+            silent -= 1
+        flush(self, silent)
+
+    monkeypatch.setattr(_TraceFeed, "flush", lossy)
+    return dropped
+
+
+@pytest.mark.parametrize("record", ["digest", "full"])
+def test_a_dropped_silent_super_round_aborts_the_run(lossy_feed, record):
+    inp = CongestRoundInput(_directed_messages(STAR, 3, 31), 3)
+    with pytest.raises(RuntimeError):
+        run_c2b(STAR, inp, delta_hat=4, record=record)
+    assert lossy_feed
+
+
+def test_a_dropped_silent_super_round_fails_the_cli_run(lossy_feed, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "TRACE_ROUNDS_LIMIT", 0)   # record the digest only
+    assert main(["run", "c2b", "--n", "8", "--delta", "2", "--seeds", "1"]) == 1
+    assert "aborted: trace stream got" in capsys.readouterr().err
+    assert lossy_feed
+
+
 def test_super_round_miscount_aborts_the_run(monkeypatch, capsys):
     total = C2BSchedule.total_super_rounds
     monkeypatch.setattr(C2BSchedule, "total_super_rounds",
@@ -400,12 +435,34 @@ def test_repeat_runs_are_identical():
     assert a.beeps_total == b.beeps_total
 
 
+def _canonical_digest(trace) -> str:
+    """sha256 of the canonical trace stream, straight from its definition:
+    the header line, then per round the beeper words and the noise words."""
+    n = trace.graph.n
+    nbytes = 8 * ((n + 63) // 64)
+    h = hashlib.sha256(f"beep-trace n={n} rounds={trace.total_rounds}\n".encode())
+    for block in trace.blocks:
+        for t in range(block.nrounds):
+            for rows in (block.patterns, block.noise):
+                word = sum((int(rows[i, t // 64]) >> (t % 64) & 1) << i for i in range(n))
+                h.update(word.to_bytes(nbytes, "little"))
+    return h.hexdigest()
+
+
 def test_record_modes_share_the_digest():
-    g = Graph(n=2, c=2, ids=(1, 3), edges=((1, 3),))
-    inp = CongestRoundInput({(1, 3): (1,)}, width=1)
-    full = run_c2b(g, inp, record="full")
-    digest = run_c2b(g, inp, record="digest")
-    bare = run_c2b(g, inp, record="none", audit=False)
-    assert full.trace.digest() == full.digest == digest.digest
-    assert digest.trace is None
-    assert bare.digest is None and bare.handshake is None
+    pair = Graph(n=2, c=2, ids=(1, 3), edges=((1, 3),))
+    # The star run has 4310 super-rounds and silent phases of 641, so its
+    # silent stretches span more than one feed block.
+    for g, inp, delta_hat in ((pair, CongestRoundInput({(1, 3): (1,)}, width=1), None),
+                              (STAR, CongestRoundInput(_directed_messages(STAR, 24, 59), 24), 4)):
+        full = run_c2b(g, inp, delta_hat=delta_hat, record="full")
+        digest = run_c2b(g, inp, delta_hat=delta_hat, record="digest")
+        bare = run_c2b(g, inp, delta_hat=delta_hat, record="none", audit=False)
+        assert full.trace.digest() == full.digest == digest.digest
+        assert full.digest == _canonical_digest(full.trace)
+        assert digest.trace is None
+        assert bare.digest is None and bare.handshake is None
+    block = TRACE_FEED_CHUNK * 2 * full.schedule.w
+    blocks = full.trace.blocks
+    assert any(a.nrounds == block and not a.patterns.any() and not b.patterns.any()
+               for a, b in zip(blocks, blocks[1:]))

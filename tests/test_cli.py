@@ -97,6 +97,17 @@ def test_run_rejects_bad_degree_bound(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("body", [
+    "3 2 1\n1 2\n",           # truncated: the header promises two edges
+    "3 2 1\n1 2\n2 x\n",      # a non-integer ID
+], ids=["truncated", "non-integer"])
+def test_run_rejects_a_malformed_graph_file(tmp_path, capsys, body):
+    graph_file = tmp_path / "bad.graph"
+    graph_file.write_text(body)
+    assert main(["run", "c2b", "--graph", str(graph_file), "--delta", "2"]) == 2
+    assert f"{graph_file} line 3" in capsys.readouterr().err
+
+
 def test_report_table_over_saved_runs(tmp_path, capsys):
     r1 = tmp_path / "a.jsonl"
     r2 = tmp_path / "b.jsonl"
