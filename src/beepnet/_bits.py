@@ -55,32 +55,3 @@ def bits_to_int(bits) -> int:
 
 def int_to_bits(value: int, length: int) -> tuple[int, ...]:
     return tuple((value >> j) & 1 for j in range(length))
-
-
-def bits_to_hex(bits) -> str:
-    """Hex form of a bit string, padded on the right to a nibble boundary.
-
-    The first bit maps to the most significant bit of the first hex digit, so
-    (1,0,1,1,0) -> "b0".
-    """
-    if not bits:
-        return "0"
-    n = len(bits)
-    padded = list(bits) + [0] * (-n % 4)
-    digits = []
-    for i in range(0, len(padded), 4):
-        d = padded[i] << 3 | padded[i + 1] << 2 | padded[i + 2] << 1 | padded[i + 3]
-        digits.append("%x" % d)
-    return "".join(digits)
-
-
-def hex_to_bits(hexstr: str, bit_length: int) -> tuple[int, ...]:
-    bits = []
-    for ch in hexstr:
-        d = int(ch, 16)
-        bits.extend(((d >> 3) & 1, (d >> 2) & 1, (d >> 1) & 1, d & 1))
-    if len(bits) < bit_length:
-        raise ValueError(f"hex payload {hexstr!r} shorter than {bit_length} bits")
-    if any(bits[bit_length:]):
-        raise ValueError(f"hex payload {hexstr!r} has set bits past length {bit_length}")
-    return tuple(bits[:bit_length])

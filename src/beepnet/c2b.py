@@ -19,11 +19,12 @@ One population core (_Handshake) vectorizes whole super-rounds and holds
 the handshake state.  run_c2b drives it with the words it puts on the
 wire; check_handshake_lemmas drives it with the words read back from a
 recorded trace and holds the run's logs to what it derives, and the trace
-auditor sees the same words either way.  The core keeps one uint64 of node
-bits per node and a reversal table over word payloads, so it takes at most
-64 nodes and words of at most 16 bits.  Per-node machines (C2BNode) share
-no code with it: they replay the identical schedule through the round
-engine as an independent cross-check on small instances.
+auditor sees the same words either way.  Both decode whole rows of channel
+words through encoding.decode_extended_rows.  The core keeps one uint64 of
+node bits per node, so it takes at most 64 nodes.  Per-node machines
+(C2BNode) share no code with it: they decode with the scalar
+decode_extended and replay the identical schedule through the round engine
+as an independent cross-check on small instances.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import bits_to_hex, hex_to_bits, pack_bool_rows, unpack_word_rows, words_for
-from .encoding import decode_extended, encode_extended, id_width
+from . import _bits
+from ._bits import pack_bool_rows, unpack_word_rows, words_for
+from .encoding import decode_extended, decode_extended_rows, encode_extended, id_width
 from .engine import Feedback, NodeAction, NodeProtocol, Trace, TraceDigest
 from .graphs import Graph, ParameterError
 from .kernel import active as kernel
@@ -44,8 +46,8 @@ from .protocols._common import family_membership, resolve_degree_bound
 from .selectors import DEFAULT_SEED, SelectorFamily, get_avoiding_selector
 
 POPULATION_NODE_LIMIT = 64   # one channel word of node bits
-REVERSAL_TABLE_LIMIT = 16    # widest payload served by the lookup table
 TRACE_FEED_CHUNK = 512       # super-rounds per recorded trace block
+AUDIT_BATCH = 512            # live super-rounds the auditor checks at once
 
 
 class ScheduleIndex(NamedTuple):
@@ -201,11 +203,6 @@ def build_schedule(n: int, c: int, delta_hat: int, width: int = 0,
     )
 
 
-def c2b_schedule_length(n: int, c: int, delta: int, width: int = 0,
-                        seed: int = DEFAULT_SEED) -> int:
-    return build_schedule(n, c, delta, width, seed).total_rounds
-
-
 @dataclass
 class CongestRoundInput:
     """Per directed edge (u, v), the bits u wants v to have; width caps them.
@@ -270,18 +267,6 @@ class C2BResult:
     trace: Trace | None
     digest: str | None
     beeps_total: int
-
-
-def _reversal_table(w: int) -> np.ndarray:
-    if w > REVERSAL_TABLE_LIMIT:
-        raise ParameterError(f"word width {w} beyond the population route's table limit")
-    table = np.zeros(1 << w, dtype=np.uint64)
-    for x in range(1 << w):
-        r = 0
-        for j in range(w):
-            r |= (x >> j & 1) << (w - 1 - j)
-        table[x] = r
-    return table
 
 
 def _message_words(bits: tuple[int, ...], w: int, nwords: int) -> list[int]:
@@ -369,23 +354,18 @@ def _validate_input(graph: Graph, inp: CongestRoundInput) -> None:
             raise ParameterError(f"message {u}->{v} does not ride an edge")
 
 
-def _pack_index_bits(mask: np.ndarray) -> int:
-    """Bool vector over node indices -> one int, bit j = node j."""
-    out = 0
-    for j in np.nonzero(mask)[0]:
-        out |= 1 << int(j)
-    return out
-
-
 class _Auditor:
     """Checks decode events and realizations against the raw channel.
 
     Fed one super-round at a time (either live from the population runner
-    or replayed from a saved trace): verifies that a lone full-word beeper
-    is always decoded by every obligated listener, that every logged
-    decode had a lone beeper behind it (identical-word pile-ups in the
-    second responding word are flagged, not failed), and that every
-    realization's window carries exactly the handshake words it claims.
+    or replayed from a saved trace), with the listeners' decodes already
+    made, and checks AUDIT_BATCH super-rounds at once: that a lone
+    full-word beeper is always decoded by every obligated listener, that
+    every logged decode had a lone beeper behind it whose word the listener
+    heard bit for bit (identical-word pile-ups in the second responding
+    word are flagged, not failed), and that every realization's window
+    carries exactly the handshake words it claims.  The report is complete
+    once flush() or finish() has run.
     """
 
     def __init__(self, graph: Graph, schedule: C2BSchedule,
@@ -396,6 +376,7 @@ class _Auditor:
         self.msg_words = msg_words
         self.adj = graph.adj_words[:, 0]
         self.report = HandshakeReport()
+        self._pending: list[tuple] = []
 
     def _spot(self, meta: ScheduleIndex) -> str:
         return (f"epoch {meta.epoch} phase {meta.phase} "
@@ -404,54 +385,53 @@ class _Auditor:
     def on_super_round(self, meta: ScheduleIndex, patterns: np.ndarray,
                        noise: np.ndarray, obligated: np.ndarray,
                        decoded: np.ndarray, payloads: np.ndarray) -> None:
-        self.report.super_rounds += 1
-        ids = self.graph.ids
-        beeper_bits = np.uint64(_pack_index_bits(patterns != 0))
-        cnt = np.bitwise_count(self.adj & beeper_bits)
+        self._pending.append((meta, patterns, noise, obligated, decoded, payloads))
+        if len(self._pending) >= AUDIT_BATCH:
+            self.flush()
 
-        lone = obligated & (patterns == 0) & (cnt == 1)
-        if lone.any():
-            partner_word = self.adj & beeper_bits
-            partner = np.zeros(self.graph.n, dtype=np.int64)
-            rows = np.nonzero(lone)[0]
-            partner[rows] = np.round(
-                np.log2(partner_word[rows].astype(np.float64))).astype(np.int64)
-            for u in rows:
-                p = int(patterns[partner[u]])
-                value = decode_extended(p, self.schedule.w)
-                if value is None:
-                    continue
-                if not decoded[u] or int(payloads[u]) != value:
-                    self.report.violations.append(
-                        f"{ids[u]} missed the lone word {value} from "
-                        f"{ids[partner[u]]} at {self._spot(meta)}")
-
-        for u in np.nonzero(decoded)[0]:
-            self.report.decode_events += 1
-            heard = int(noise[u])
-            if decode_extended(heard, self.schedule.w) != int(payloads[u]):
-                self.report.violations.append(
-                    f"{ids[u]} logged payload {int(payloads[u])} that its channel "
-                    f"word does not decode to, at {self._spot(meta)}")
-                continue
-            c = int(cnt[u])
-            if c == 1:
-                continue
+    def flush(self) -> None:
+        """Check the super-rounds fed since the last flush, as (S, n) arrays."""
+        if not self._pending:
+            return
+        metas, *rows = zip(*self._pending)
+        self._pending = []
+        patterns, noise, obligated, decoded, payloads = map(np.stack, rows)
+        self.report.super_rounds += len(metas)
+        self.report.decode_events += int(np.count_nonzero(decoded))
+        beeping = patterns != 0
+        # beeping neighbors; packed through _bits, since profilers time this
+        # module's own pack_bool_rows binding as trace-feed work
+        near = self.adj & _bits.pack_bool_rows(beeping)[:, :1]
+        cnt = np.bitwise_count(near)
+        # where cnt == 1, near is 2^j for the lone beeping neighbor j
+        partner = np.minimum(np.bitwise_count(near - np.uint64(1)), self.graph.n - 1)
+        sent = np.take_along_axis(patterns, partner.astype(np.intp), axis=1)
+        valid, value = decode_extended_rows(sent, self.schedule.w)
+        lone = cnt == 1
+        ids, spot = self.graph.ids, self._spot
+        for k, u in np.argwhere(lone & obligated & ~beeping & valid
+                                & ~(decoded & (payloads == value))):
+            self.report.violations.append(
+                f"{ids[u]} missed the lone word {value[k, u]} from "
+                f"{ids[partner[k, u]]} at {spot(metas[k])}")
+        for k, u in np.argwhere(lone & decoded & (noise != sent)):
+            self.report.violations.append(
+                f"{ids[u]} logged payload {payloads[k, u]} from a word its lone beeping "
+                f"neighbor {ids[partner[k, u]]} did not send, at {spot(metas[k])}")
+        for k, u in np.argwhere(decoded & ~lone):
+            meta, c = metas[k], int(cnt[k, u])
+            words = {int(patterns[k, j]) for j in range(self.graph.n) if int(near[k, u]) >> j & 1}
             if c == 0:
                 self.report.violations.append(
-                    f"{ids[u]} decoded with no beeping neighbor at {self._spot(meta)}")
-                continue
-            beeping = [j for j in range(self.graph.n)
-                       if (int(self.adj[u]) >> j & 1) and int(patterns[j])]
-            words = {int(patterns[j]) for j in beeping}
-            if (meta.role == "responding" and meta.part is not None
+                    f"{ids[u]} decoded with no beeping neighbor at {spot(meta)}")
+            elif (meta.role == "responding" and meta.part is not None
                     and meta.part >= 1 and len(words) == 1):
                 self.report.flagged.append(
                     f"{ids[u]} heard {c} identical responding words "
-                    f"(part {meta.part}) at {self._spot(meta)}")
+                    f"(part {meta.part}) at {spot(meta)}")
             else:
                 self.report.violations.append(
-                    f"{ids[u]} decoded a {c}-beeper pile-up at {self._spot(meta)}")
+                    f"{ids[u]} decoded a {c}-beeper pile-up at {spot(meta)}")
 
     def on_window(self, meta: ScheduleIndex, pairs: list[tuple[int, int]],
                   respond: list[np.ndarray], confirm: list[np.ndarray]) -> None:
@@ -475,6 +455,7 @@ class _Auditor:
                     f"at {self._spot(meta)}")
 
     def finish(self, realization_log: list[RealizationRecord]) -> HandshakeReport:
+        self.flush()
         seen = {}
         for rec in realization_log:
             seen.setdefault(frozenset((rec.node, rec.peer)), []).append(rec)
@@ -507,13 +488,8 @@ class _Handshake:
         self.graph = graph
         self.schedule = schedule
         self.ids = graph.ids
-        self.ids_arr = np.array(graph.ids, dtype=np.int64)
+        self.ids_arr = np.array(graph.ids, dtype=np.int64)   # sorted
         self.arange = np.arange(n)
-        self.wmask = np.uint64((1 << w) - 1)
-        self.wshift = np.uint64(w)
-        self.rev = _reversal_table(w)
-        self.id2idx = np.full(1 << w, -1, dtype=np.int64)
-        self.id2idx[self.ids_arr] = self.arange
         self.id_word = np.array([encode_extended(u, w) for u in graph.ids], dtype=np.uint64)
         self.msg_words = np.empty((n, n, m), dtype=np.uint64)
         self.msg_words[:, :] = _message_words((), w, m)
@@ -563,15 +539,18 @@ class _Handshake:
         shift = np.maximum(peer, 0).astype(np.uint64)
         return ((self.unrealized >> shift) & np.uint64(1)).astype(bool) & (peer >= 0)
 
+    def _node_index(self, payload: np.ndarray) -> np.ndarray:
+        """Index of the node whose ID each payload is, or -1 for none."""
+        pos = np.minimum(np.searchsorted(self.ids_arr, payload), self.graph.n - 1)
+        return np.where(self.ids_arr[pos] == payload, pos, -1)
+
     def _hear(self, spot: tuple, role: str, part: int | None, patterns: np.ndarray,
               listeners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One super-round: beep, then decode at every listener."""
         meta = ScheduleIndex(*spot, role, part, self.sr, 0)
         patterns, noise = self.wire(self.sr, patterns)
         self.sr += 1
-        first = noise & self.wmask
-        valid = (noise != np.uint64(0)) & ((noise >> self.wshift) == (first ^ self.wmask))
-        payload = self.rev[first.astype(np.int64)].astype(np.int64)
+        valid, payload = decode_extended_rows(noise, self.schedule.w)
         decoded = listeners & valid
         for u in np.nonzero(decoded)[0]:
             self.decode_log.append(
@@ -591,7 +570,7 @@ class _Handshake:
         _, _, valid, payload = self._hear(
             spot, "announcing", None, np.where(announcing, self.id_word, np.uint64(0)),
             eligible)
-        heard = np.where(eligible & valid, self.id2idx[payload], -1)
+        heard = np.where(eligible & valid, self._node_index(payload), -1)
         self.responsive = np.where(self._open(heard), heard, -1)
         return True
 
@@ -623,7 +602,7 @@ class _Handshake:
                 heard.append(noise)
                 valid.append(ok)
                 payload.append(val)
-            peer = np.where(valid[0], self.id2idx[payload[0]], -1)
+            peer = np.where(valid[0], self._node_index(payload[0]), -1)
             accept = listeners & np.logical_and.reduce(valid) & (payload[1] == self.ids_arr)
             if role == "responding":
                 accept &= self._open(peer)
@@ -709,17 +688,16 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
 
     received: dict[int, dict[int, tuple[int, ...]]] = {}
     raw_received: dict[int, dict[int, tuple[int, ...]]] = {}
-    for vi in range(n):
-        for ui in np.nonzero(core.recv_mask[vi])[0]:
-            payloads = []
-            for t in range(m):
-                val = decode_extended(int(core.recv_pat[vi, ui, t]), w)
-                if val is None:
-                    raise RuntimeError("a committed handshake word fails to decode")
-                payloads.append(val)
-            bits = _words_to_bits(payloads, w, inp.width)
-            raw_received.setdefault(ids[vi], {})[ids[int(ui)]] = bits
-            received.setdefault(ids[vi], {})[ids[int(ui)]] = bits[:int(core.msg_len[ui, vi])]
+    to_idx, from_idx = np.nonzero(core.recv_mask)
+    valid, payloads = decode_extended_rows(core.recv_pat[to_idx, from_idx], w)   # (K, m)
+    if not valid.all():
+        raise RuntimeError("a committed handshake word fails to decode")
+    # payloads big-endian, words in order, cut to the message width
+    bits = (payloads[:, :, None] >> np.arange(w - 1, -1, -1)) & 1
+    rows = bits.reshape(len(to_idx), m * w)[:, :inp.width].tolist()
+    for vi, ui, row in zip(to_idx.tolist(), from_idx.tolist(), rows):
+        raw_received.setdefault(ids[vi], {})[ids[ui]] = tuple(row)
+        received.setdefault(ids[vi], {})[ids[ui]] = tuple(row[:int(core.msg_len[ui, vi])])
     if not failed:
         want = 2 * len(graph.edges)
         got = int(core.recv_mask.sum())
@@ -917,16 +895,33 @@ def check_epoch_invariant(link_history: list[dict[int, int]], delta_hat: int) ->
 
 
 def _trace_super_round_words(trace: Trace, schedule: C2BSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """(n, S) pattern and noise ints per super-round, from a recorded trace."""
+    """(n, S) pattern and noise words per super-round, from a recorded trace.
+
+    Each super-round's 2w round bits are packed into the narrowest unsigned
+    dtype that holds them, one trace block at a time, so beyond the current
+    block the call needs at most a byte per recorded node-round.  Blocks
+    need not start on a super-round.
+    """
     n = trace.graph.n
     sr_rounds = 2 * schedule.w
     S = trace.total_rounds // sr_rounds
-    pow2 = (np.uint64(1) << np.arange(sr_rounds, dtype=np.uint64))
+    nbytes = (sr_rounds + 7) // 8
+    itemsize = 1 << (nbytes - 1).bit_length()
 
     def words(rows: str) -> np.ndarray:
-        bits = np.concatenate([unpack_word_rows(getattr(block, rows), block.nrounds)
-                               for block in trace.blocks], axis=1)      # (n, R)
-        return (bits.reshape(n, S, sr_rounds) * pow2).sum(axis=2, dtype=np.uint64)
+        out = np.zeros((n, S, itemsize), dtype=np.uint8)
+        done = 0
+        carry = np.zeros((n, 0), dtype=bool)    # rounds of an unfinished super-round
+        for block in trace.blocks:
+            bits = np.concatenate(
+                [carry, unpack_word_rows(getattr(block, rows), block.nrounds)], axis=1)
+            whole = bits.shape[1] // sr_rounds
+            out[:, done:done + whole, :nbytes] = np.packbits(
+                bits[:, :whole * sr_rounds].reshape(n, whole, sr_rounds),
+                axis=2, bitorder="little")
+            done += whole
+            carry = bits[:, whole * sr_rounds:]
+        return out.view(f"<u{itemsize}")[:, :, 0]
 
     return words("patterns"), words("noise")
 
@@ -954,9 +949,10 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     report = core.auditor.report
 
     def replay(sr: int, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not np.array_equal(patterns, pat[:, sr]):
+        beeped = pat[:, sr].astype(np.uint64)
+        if not np.array_equal(patterns, beeped):
             report.violations.append(f"the trace does not beep the scheduled words at sr {sr}")
-        return pat[:, sr], noi[:, sr]
+        return beeped, noi[:, sr].astype(np.uint64)
 
     def silent(sr: int, count: int) -> None:
         if pat[:, sr:sr + count].any():
@@ -967,6 +963,7 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     try:
         core.run(replay, silent)
     except RuntimeError as exc:
+        core.auditor.flush()
         report.violations.append(f"replay stopped: {exc}")
         return report
     for name, claimed, derived in (("decode", result.decode_log, core.decode_log),
@@ -980,71 +977,3 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
             elif count < 0:
                 report.violations.append(f"{name} log omits {rec}, which the trace gives")
     return core.auditor.finish(result.realization_log)
-
-
-def flatten_received(received: dict[int, dict[int, tuple[int, ...]]]
-                     ) -> dict[tuple[int, int], tuple[int, ...]]:
-    """received[v][u] tables into the directed {(u, v): bits} form."""
-    out = {}
-    for v, table in received.items():
-        for u, bits in table.items():
-            out[(u, v)] = tuple(bits)
-    return out
-
-
-def save_message_table(messages: dict[tuple[int, int], tuple[int, ...]],
-                       path) -> None:
-    """One directed message per line: sender, receiver, hex payload, bit count."""
-    lines = [f"{u} {v} {bits_to_hex(bits)} {len(bits)}"
-             for (u, v), bits in sorted(messages.items())]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
-
-
-def load_message_table(path) -> dict[tuple[int, int], tuple[int, ...]]:
-    out: dict[tuple[int, int], tuple[int, ...]] = {}
-    with open(path, encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParameterError(
-                    f"{path} line {ln}: expected 'sender receiver payload bits'")
-            try:
-                u, v, length = int(parts[0]), int(parts[1]), int(parts[3])
-                bits = hex_to_bits(parts[2], length)
-            except ValueError as exc:
-                raise ParameterError(f"{path} line {ln}: {exc}") from exc
-            if (u, v) in out:
-                raise ParameterError(f"{path} line {ln}: duplicate direction {u}->{v}")
-            out[(u, v)] = bits
-    return out
-
-
-def save_realization_log(log: list[RealizationRecord], path) -> None:
-    """One realization per line: node, peer, epoch, phase, subphase."""
-    with open(path, "w", encoding="ascii") as fh:
-        for rec in log:
-            fh.write(f"{rec.node} {rec.peer} {rec.epoch} {rec.phase} {rec.subphase}\n")
-
-
-def load_realization_log(path) -> list[tuple[int, int, int, int, int]]:
-    out = []
-    with open(path, encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ParameterError(
-                    f"{path} line {ln}: expected 'node peer epoch phase subphase'")
-            try:
-                out.append(tuple(int(p) for p in parts))
-            except ValueError as exc:
-                raise ParameterError(f"{path} line {ln}: {exc}") from exc
-    return out

@@ -13,11 +13,18 @@ Two layers live here:
 
 Patterns are ints with bit r = round r of the word. Payloads are ints read
 big-endian: the first transmitted bit is the payload's most significant bit.
+decode_extended reads one such int; decode_extended_rows reads a whole uint64
+array of channel words at once under the same rules.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 MAX_WIDTH = 32   # 2w must fit a uint64 channel word
+
+# _BYTE_REVERSED[b] is byte b with its eight bits in reverse order.
+_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
 
 
 def id_width(n: int, c: int) -> int:
@@ -56,6 +63,28 @@ def decode_extended(pattern: int, w: int) -> int | None:
     for r in range(w):
         payload |= (first >> r & 1) << (w - 1 - r)
     return payload
+
+
+def decode_extended_rows(words: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """decode_extended over a uint64 array: (valid, payload) of its shape.
+
+    valid is bool; payload is int64 and 0 wherever the word is not valid.
+    """
+    _check_width(w)
+    words = np.asarray(words, dtype=np.uint64)
+    # both halves fit in 63 bits for any w, so int64 reads them unchanged
+    first = (words & np.uint64((1 << w) - 1)).view(np.int64)
+    rest = (words >> np.uint64(w)).view(np.int64)
+    # equal only if bits w..2w-1 complement the first half and none lies above
+    valid = rest == first ^ ((1 << w) - 1)
+    # reverse the payload's bytes and the bits inside each, then drop the
+    # padding the reversal moved into the low bits
+    payload = _BYTE_REVERSED[first & 0xFF]
+    for k in range(1, (w + 7) // 8):
+        payload = payload << 8 | _BYTE_REVERSED[first >> 8 * k & 0xFF]
+    payload >>= -w % 8
+    payload *= valid
+    return valid, payload
 
 
 def encode_manchester(payload: int, w: int) -> int:

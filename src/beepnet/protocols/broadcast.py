@@ -6,11 +6,17 @@ receiver credits round (t, i) to neighbor u when u is the only one of
 its neighbors in block i, reading noise as 1 and silence as 0.  The
 family is built for subsets one larger than the degree bound so that
 every neighbor gets a block where the receiver itself stays silent.
+
+run_local_broadcast decodes with array operations over a padded
+neighbor table built from the CSR: it counts each receiver's neighbors
+per block, names the lone one where the count is 1, and reads all those
+(block, receiver) pairs one message bit at a time.  LocalBroadcastNode
+decodes the same schedule one node at a time, as an independent check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,42 +119,50 @@ def run_local_broadcast(
     noise = noise_matrix(graph, beeps)
     trace = trace_from_beeps(graph, beeps, noise) if record else None
 
-    # Blocks where a receiver sees exactly one neighbor.
-    adj = np.zeros((n, n), dtype=bool)
+    # nbr[r] lists r's neighbor indices in graph.neighbors order, padded
+    # with n, a node that belongs to no block.
     indptr, indices = graph.csr
-    for v in range(n):
-        adj[v, indices[indptr[v] : indptr[v + 1]]] = True
-    counts = member.astype(np.uint8) @ adj.astype(np.uint8)  # (L, n)
+    receiver = np.repeat(np.arange(n), np.diff(indptr))
+    nbr = np.full((n, max(graph.delta, 1)), n, dtype=np.int64)
+    nbr[receiver, np.arange(indices.size) - indptr[receiver]] = indices
+    in_block = np.pad(member, ((0, 0), (0, 1)))[:, nbr]  # (L, n, max degree)
 
-    raw: dict[int, dict[int, list[int | None]]] = {u: {} for u in graph.ids}
+    # (block, receiver) pairs where the receiver has exactly one neighbor
+    # in the block, that neighbor's slot in nbr and its index.
+    blocks, receivers = np.nonzero(np.count_nonzero(in_block, axis=2) == 1)
+    slots = in_block[blocks, receivers].argmax(axis=1)
+    senders = nbr[receivers, slots]
+
+    got = np.zeros(nbr.shape + (width,), dtype=np.uint8)
+    heard_any = np.zeros(got.shape, dtype=bool)
     ids = graph.ids
-    for i in range(length):
-        present = np.nonzero(member[i])[0]
-        for r in np.nonzero(counts[i] == 1)[0]:
-            u_idx = next(j for j in present if adj[j, r])
-            got = raw[ids[r]].setdefault(ids[u_idx], [None] * width)
-            for t in range(width):
-                rnd = t * length + i
-                if beeps[r, rnd]:
-                    continue  # own beep that round, nothing heard
-                bit = int(noise[r, rnd])
-                if bit != int(beeps[u_idx, rnd]) or got[t] not in (None, bit):
-                    raise RuntimeError(
-                        f"receiver {ids[r]} heard {bit} from its lone beeping neighbor "
-                        f"{ids[u_idx]} in round {rnd}, which does not match what "
-                        f"{ids[u_idx]} sent")
-                got[t] = bit
+    for t in range(width):
+        rnd = t * length + blocks
+        listening = ~beeps[receivers, rnd]  # own beep that round, nothing heard
+        heard = noise[receivers, rnd]
+        bad = np.flatnonzero(listening & (heard != beeps[senders, rnd]))
+        if bad.size:
+            k = bad[0]
+            raise RuntimeError(
+                f"receiver {ids[receivers[k]]} heard {int(heard[k])} from its lone beeping "
+                f"neighbor {ids[senders[k]]} in round {rnd[k]}, which does not match what "
+                f"{ids[senders[k]]} sent")
+        r, slot = receivers[listening], slots[listening]
+        got[r, slot, t] = heard[listening]
+        heard_any[r, slot, t] = True
+
+    missing = np.argwhere((nbr < n) & ~heard_any.all(axis=2))
+    if missing.size:
+        r, slot = missing[0]
+        raise RuntimeError(
+            f"channel never isolated neighbor {ids[nbr[r, slot]]} for receiver {ids[r]}")
 
     raw_output: dict[int, dict[int, Bits]] = {}
     output: dict[int, dict[int, Bits]] = {}
-    for u in graph.ids:
+    for u, neighbors, rows in zip(ids, graph.neighbors, got.tolist()):
         raw_output[u] = {}
         output[u] = {}
-        for v in graph.neighbors_of(u):
-            got = raw[u].get(v)
-            if got is None or any(b is None for b in got):
-                raise RuntimeError(f"channel never isolated neighbor {v} for receiver {u}")
-            full = tuple(got)
+        for v, full in zip(neighbors, map(tuple, rows)):
             raw_output[u][v] = full
             output[u][v] = full[: lengths.get(graph.index_of[v], 0)]
 

@@ -6,7 +6,7 @@ import pytest
 import beepnet.kernel
 from beepnet.encoding import id_width
 from beepnet.engine import run, validate_trace
-from beepnet.graphs import ParameterError, generate_random_graph, graph_from_edges
+from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 from beepnet.protocols import (
     LocalBroadcastInput,
     LocalBroadcastNode,
@@ -93,11 +93,28 @@ def test_family_length_budget():
         assert len(fam) <= budget, (n, delta, len(fam), budget)
 
 
-def test_machine_route_matches_population():
-    g = generate_random_graph(10, 3, seed=9)
-    width = 2
-    msgs = _random_messages(g, width, seed=3)
-    res = run_local_broadcast(g, _inp(g, msgs, width), delta_hat=3)
+def _mixed_length_messages(graph, width, seed):
+    rng = np.random.default_rng(seed)
+    msgs = {u: tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, width + 1))))
+            for u in graph.ids}
+    msgs[graph.ids[0]] = ()
+    return msgs
+
+
+# c=2 leaves most of the ID space unused; node 35 has no neighbor
+SPARSE = Graph(n=6, c=2, ids=(3, 8, 17, 22, 30, 35),
+               edges=((3, 8), (3, 17), (8, 22), (17, 22), (22, 30)))
+
+
+@pytest.mark.parametrize("graph, width, delta_hat, messages", [
+    (generate_random_graph(10, 3, seed=9), 2, 3, _random_messages),
+    (SPARSE, 3, None, _random_messages),
+    (generate_random_graph(12, 4, seed=6), 5, 4, _mixed_length_messages),
+], ids=["random", "sparse-ids", "mixed-lengths"])
+def test_machine_route_matches_population(graph, width, delta_hat, messages):
+    g = graph
+    msgs = messages(g, width, seed=3)
+    res = run_local_broadcast(g, _inp(g, msgs, width), delta_hat=delta_hat)
     fam = res.family
     nodes = {
         u: LocalBroadcastNode(u, g.neighbors_of(u), msgs[u], width, fam)
@@ -108,6 +125,7 @@ def test_machine_route_matches_population():
     assert engine_res.rounds == res.rounds
     for u in g.ids:
         assert nodes[u].output() == res.raw_output[u]
+        assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
     assert engine_res.trace.digest() == res.trace.digest()
     report = validate_trace(g, engine_res.trace)
     assert report.ok

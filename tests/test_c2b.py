@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,21 +16,17 @@ from beepnet.c2b import (
     DecodeRecord,
     RealizationRecord,
     build_schedule,
-    c2b_schedule_length,
     check_epoch_invariant,
     check_handshake_lemmas,
     epoch_count,
-    flatten_received,
-    load_message_table,
-    load_realization_log,
     run_c2b,
-    save_message_table,
-    save_realization_log,
     subphase_parameters,
+    _trace_super_round_words,
     _TraceFeed,
 )
 from beepnet.cli import main
-from beepnet.engine import run
+from beepnet.encoding import encode_extended
+from beepnet.engine import run, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 
 STAR = graph_from_edges([(1, 3), (2, 3), (3, 4), (3, 5)])
@@ -42,6 +39,11 @@ def _directed_messages(graph, width, seed):
         out[(u, v)] = tuple(int(b) for b in rng.integers(0, 2, size=width))
         out[(v, u)] = tuple(int(b) for b in rng.integers(0, 2, size=width))
     return out
+
+
+def flatten_received(received):
+    """received[v][u] tables into the directed {(u, v): bits} form."""
+    return {(u, v): tuple(bits) for v, table in received.items() for u, bits in table.items()}
 
 
 def _run_machines(graph, msgs, width, delta_hat):
@@ -137,8 +139,8 @@ def test_describe_round_offset_identity(r):
 
 def test_schedule_lengths_are_stable():
     # frozen — computed once from the deterministic selector families
-    assert c2b_schedule_length(2, 2, 1, width=4) == 4860
-    assert c2b_schedule_length(5, 1, 4, width=3) == 7800
+    assert build_schedule(2, 2, 1, width=4).total_rounds == 4860
+    assert build_schedule(5, 1, 4, width=3).total_rounds == 7800
 
 
 def test_schedule_rejects_bad_parameters():
@@ -170,7 +172,7 @@ def test_single_edge_delivers_both_directions():
     assert not res.failed
     assert res.received == {1: {3: (0, 1)}, 3: {1: (1, 0, 1)}}
     assert res.raw_received[3][1] == (1, 0, 1, 0)
-    assert res.rounds == c2b_schedule_length(2, 2, 1, width=4)
+    assert res.rounds == build_schedule(2, 2, 1, width=4).total_rounds
     # one realization per side, same window
     assert len(res.realization_log) == 2
     a, b = res.realization_log
@@ -222,6 +224,20 @@ def test_larger_degree_bound_than_true_degree():
     assert check_epoch_invariant(res.link_history, 5)
 
 
+def test_words_past_sixteen_bits_deliver(tmp_path, monkeypatch):
+    # IDs up to 2^16 need 17-bit words
+    monkeypatch.setenv("BEEPNET_CACHE_DIR", str(tmp_path))
+    g = Graph(n=2, c=16, ids=(5, 60001), edges=((5, 60001),))
+    msgs = {(5, 60001): (1, 0, 1, 1), (60001, 5): (0, 1, 1)}
+    inp = CongestRoundInput(msgs, width=4)
+    res = run_c2b(g, inp, record="full")
+    assert res.schedule.w == 17
+    assert not res.failed
+    assert flatten_received(res.received) == msgs
+    assert res.handshake.ok
+    assert check_handshake_lemmas(res.trace, g, res, inp).ok
+
+
 def test_population_node_limit():
     g = generate_random_graph(65, 2, seed=1, c=1)
     with pytest.raises(ParameterError):
@@ -246,6 +262,8 @@ def _check_machines_match(graph, width, delta_hat, seed):
     assert mach_real == set(pop.realization_log)
     assert all(not res.outputs[u]["open"] for u in graph.ids)
     assert check_handshake_lemmas(pop.trace, graph, pop, inp).ok
+    # the engine's 64-round blocks do not start on super-round boundaries
+    assert check_handshake_lemmas(res.trace, graph, pop, inp).ok
     return pop
 
 
@@ -335,6 +353,45 @@ def test_flipped_trace_beep_is_a_violation(live):
     assert any(v.startswith(want) for v in rep.violations)
 
 
+@pytest.mark.parametrize("fault, want", [
+    (lambda payload, w: 1, "decode log claims"),
+    # another valid word, so the replay decodes as well, but not what was sent
+    (lambda payload, w: encode_extended(payload, w) ^ encode_extended(payload ^ 1, w),
+     "logged payload"),
+], ids=["one-bit", "other-word"])
+def test_tampered_noise_of_a_decoding_listener_is_a_violation(fault, want):
+    inp, res = _star_run()
+    w = res.schedule.w
+    # an announcement decode: distinct IDs never pile up, so one announcer beeped
+    rec = next(r for r in res.decode_log if r.role == "announcing")
+    node, start = STAR.index_of[rec.node], rec.super_round * 2 * w
+    mask = fault(rec.payload, w)
+    for t in range(2 * w):
+        if mask >> t & 1:
+            block = next(b for b in res.trace.blocks if start + t < b.start_round + b.nrounds)
+            word, bit = divmod(start + t - block.start_round, 64)
+            block.noise[node, word] ^= np.uint64(1 << bit)
+    rep = check_handshake_lemmas(res.trace, STAR, res, inp)
+    assert any(want in v for v in rep.violations), rep.violations
+    report = validate_trace(STAR, res.trace)
+    assert any(m.startswith(f"noise mismatch in block at round {block.start_round},")
+               for m in report.mismatches)
+
+
+def test_replay_words_cost_under_two_bytes_per_node_round():
+    g = generate_random_graph(12, 3, seed=4, c=1)
+    res = run_c2b(g, CongestRoundInput(_directed_messages(g, 6, 104), 6), record="full")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pat, noise = _trace_super_round_words(res.trace, res.schedule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert pat.shape == noise.shape == (g.n, res.schedule.total_super_rounds)
+    assert peak < 2 * g.n * res.rounds
+
+
 @pytest.fixture
 def lossy_feed(monkeypatch):
     """Make the trace feed drop one super-round of the first silent stretch."""
@@ -379,46 +436,6 @@ def test_epoch_invariant_rejects_bad_histories():
     assert not check_epoch_invariant([{1: 1, 2: 0}, {1: 1, 2: 0}], 4)  # last not 0
     assert not check_epoch_invariant([{1: 0}], 4)  # wrong epoch count
     assert check_epoch_invariant([{1: 1, 2: 0}, {1: 0, 2: 0}], 4)
-
-
-# -------------------------------------------------------------------- files
-
-
-def test_message_table_roundtrip(tmp_path):
-    msgs = _directed_messages(STAR, 5, 3)
-    msgs[(2, 3)] = ()
-    path = tmp_path / "messages.txt"
-    save_message_table(msgs, path)
-    assert load_message_table(path) == msgs
-
-
-def test_received_table_matches_input(tmp_path):
-    msgs = _directed_messages(STAR, 3, 41)
-    res = run_c2b(STAR, CongestRoundInput(msgs, 3), delta_hat=4)
-    path = tmp_path / "received.txt"
-    save_message_table(flatten_received(res.received), path)
-    assert load_message_table(path) == msgs
-
-
-def test_message_table_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 2 ff\n")
-    with pytest.raises(ParameterError):
-        load_message_table(path)
-    path.write_text("1 2 ff 8\n1 2 aa 8\n")
-    with pytest.raises(ParameterError):
-        load_message_table(path)
-    path.write_text("1 2 zz 8\n")
-    with pytest.raises(ParameterError):
-        load_message_table(path)
-
-
-def test_realization_log_roundtrip(tmp_path):
-    _, res = _star_run()
-    path = tmp_path / "real.txt"
-    save_realization_log(res.realization_log, path)
-    back = load_realization_log(path)
-    assert back == [tuple(r)[:5] for r in res.realization_log]
 
 
 # ------------------------------------------------------------- determinism
