@@ -420,12 +420,12 @@ class _Auditor:
                 f"neighbor {ids[partner[k, u]]} did not send, at {spot(metas[k])}")
         for k, u in np.argwhere(decoded & ~lone):
             meta, c = metas[k], int(cnt[k, u])
-            words = {int(patterns[k, j]) for j in range(self.graph.n) if int(near[k, u]) >> j & 1}
             if c == 0:
                 self.report.violations.append(
                     f"{ids[u]} decoded with no beeping neighbor at {spot(meta)}")
-            elif (meta.role == "responding" and meta.part is not None
-                    and meta.part >= 1 and len(words) == 1):
+            elif (meta.role == "responding" and meta.part is not None and meta.part >= 1
+                    and len({int(patterns[k, j]) for j in range(self.graph.n)
+                             if int(near[k, u]) >> j & 1}) == 1):
                 self.report.flagged.append(
                     f"{ids[u]} heard {c} identical responding words "
                     f"(part {meta.part}) at {spot(meta)}")
