@@ -267,7 +267,7 @@ def _run_c2b(config, graph, seed, rng, failures):
     sched = build_schedule(graph.n, graph.c, dh, config.B)
     record = "full" if sched.total_rounds <= TRACE_ROUNDS_LIMIT else "digest"
     res = run_c2b(
-        graph, CongestRoundInput(msgs, config.B), delta_hat=dh, record=record, audit=True
+        graph, CongestRoundInput(msgs, config.B), delta_hat=dh, record=record
     )
     delivered = sum(
         res.received[v].get(u, None) == msgs[(u, v)]
@@ -277,7 +277,7 @@ def _run_c2b(config, graph, seed, rng, failures):
         failures.append(f"unrealized links left on {sorted(res.residual)}")
     if not check_epoch_invariant(res.link_history, dh):
         failures.append("epoch invariant violated")
-    if res.handshake is not None and res.handshake.violations:
+    if res.handshake.violations:
         failures.append(f"handshake: {res.handshake.violations[0]}")
     if res.rounds != sched.total_rounds:
         failures.append(f"rounds {res.rounds} != schedule {sched.total_rounds}")
@@ -308,7 +308,7 @@ def _run_multihop_sim(config, graph, seed, rng, failures):
             if dist[d] >= 1:
                 msgs[(s, d)] = _payload(rng, config.B)
     res = run_multihop_simulation(
-        graph, MultihopInput(config.h, config.B, msgs), delta_hat=dh, audit=True
+        graph, MultihopInput(config.h, config.B, msgs), delta_hat=dh
     )
     want = {u: set() for u in graph.ids}
     for (s, d), m in msgs.items():

@@ -178,7 +178,6 @@ def run_multihop_simulation(
     inp: MultihopInput,
     delta_hat: int | None = None,
     seed: int = DEFAULT_SEED,
-    audit: bool = False,
 ) -> MultihopResult:
     """Deliver every payload addressed at most h hops away.
 
@@ -189,7 +188,7 @@ def run_multihop_simulation(
     dropped.  Items are framed on the wire as destination ID, source ID,
     payload length, payload.  The per-edge bits of an epoch must stay
     under (B + w) * delta_hat**h; going over means the routing logic is
-    broken and raises.
+    broken and raises, as does a handshake audit violation in any epoch.
     """
     for s, d in inp.messages:
         for end in (s, d):
@@ -233,11 +232,10 @@ def run_multihop_simulation(
             delta_hat=delta_hat,
             seed=seed,
             record="none",
-            audit=audit,
         )
         if cres.failed:
             raise RuntimeError(f"epoch {i} exchange left links unrealized")
-        if audit and cres.handshake is not None and cres.handshake.violations:
+        if cres.handshake.violations:
             raise RuntimeError(f"epoch {i} audit: {cres.handshake.violations[0]}")
         forwarding_rounds += cres.rounds
         beeps += cres.beeps_total

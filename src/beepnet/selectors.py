@@ -440,8 +440,13 @@ def load_family(path) -> SelectorFamily:
     body = raw[1:]
     if len(body) != length:
         raise ParameterError(f"selector file {path} promises {length} sets, has {len(body)}")
-    sets = tuple(tuple(int(tok) for tok in line.split()) for line in body)
-    return SelectorFamily(n, kind, k, l, sets, seed, method)
+    sets = []
+    for ln, line in enumerate(body, 2):
+        try:
+            sets.append(tuple(int(tok) for tok in line.split()))
+        except ValueError as exc:
+            raise ParameterError(f"{path} line {ln}: {exc}") from exc
+    return SelectorFamily(n, kind, k, l, tuple(sets), seed, method)
 
 
 def cache_dir() -> Path:

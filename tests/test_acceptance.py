@@ -234,7 +234,7 @@ def test_gate_multihop_delivery_and_tables():
                     size = int(rng.integers(0, B + 1))
                     msgs[(s, d)] = tuple(int(b) for b in rng.integers(0, 2, size=size))
         res = run_multihop_simulation(
-            graph, MultihopInput(h=h, B=B, messages=msgs), audit=True
+            graph, MultihopInput(h=h, B=B, messages=msgs)
         )
         want = {u: set() for u in graph.ids}
         for (s, d), m in msgs.items():
@@ -259,7 +259,7 @@ def test_gate_multihop_delivery_and_tables():
         for d in core
     }
     res = run_multihop_simulation(
-        graph, MultihopInput(h=3, B=8, messages=msgs), audit=True
+        graph, MultihopInput(h=3, B=8, messages=msgs)
     )
     for (s, d), m in msgs.items():
         assert (s, m) in res.delivered[d]

@@ -110,17 +110,6 @@ def test_describe_walks_the_whole_schedule():
     assert len(seen_windows) == expected
 
 
-def test_window_lookup_agrees_with_describe():
-    sched = build_schedule(5, 1, 4, width=3)
-    for r in range(0, sched.total_rounds, 2 * sched.w):
-        idx = sched.describe(r)
-        if idx.role == "responding" and idx.part == 0:
-            back = sched.window_first_super_round(
-                idx.epoch, idx.phase, idx.subphase, idx.window
-            )
-            assert back == idx.super_round
-
-
 def test_describe_rejects_out_of_range():
     sched = build_schedule(2, 2, 1, width=1)
     with pytest.raises(ParameterError):
@@ -296,6 +285,11 @@ def test_honest_trace_passes_the_audit():
     assert rep.ok
     assert rep.super_rounds == res.schedule.total_super_rounds
     assert rep.decode_events == len(res.decode_log)
+    # each decode sits at the super-round its role and part name
+    sched = res.schedule
+    for rec in res.decode_log:
+        idx = sched.describe(rec.super_round * 2 * sched.w)
+        assert (idx.role, idx.part) == (rec.role, rec.part), rec
 
 
 def test_forged_decode_is_a_violation():
@@ -340,17 +334,31 @@ def test_altered_log_is_a_violation(field, forge, want):
     assert any(v.startswith(want) for v in rep.violations)
 
 
-@pytest.mark.parametrize("live", [False, True])
-def test_flipped_trace_beep_is_a_violation(live):
+@pytest.mark.parametrize("where", [
+    pytest.param("silent", id="False"),          # False/True: is the flipped super-round live
+    pytest.param("announcing", id="True"),
+    "last-part",
+])
+def test_flipped_trace_beep_is_a_violation(where):
     inp, res = _star_run()
-    sr = res.decode_log[0].super_round if live else 0
+    last = res.schedule.half_parts - 1
+    sr = {
+        "silent": 0,
+        "announcing": res.decode_log[0].super_round,
+        # inside a half-window's block, not at its first super-round
+        "last-part": next(r.super_round for r in res.decode_log
+                          if r.role == "responding" and r.part == last),
+    }[where]
     r = sr * 2 * res.schedule.w
     block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
     word, bit = divmod(r - block.start_round, 64)
     block.patterns[0, word] ^= np.uint64(1 << bit)
     rep = check_handshake_lemmas(res.trace, STAR, res, inp)
-    want = "the trace does not beep" if live else "the trace beeps in"
-    assert any(v.startswith(want) for v in rep.violations)
+    if where == "silent":
+        assert any(v.startswith("the trace beeps in") for v in rep.violations)
+    else:
+        assert [v for v in rep.violations if v.startswith("the trace does not beep")] == [
+            f"the trace does not beep the scheduled words at sr {sr}"]
 
 
 @pytest.mark.parametrize("fault, want", [
@@ -376,6 +384,27 @@ def test_tampered_noise_of_a_decoding_listener_is_a_violation(fault, want):
     report = validate_trace(STAR, res.trace)
     assert any(m.startswith(f"noise mismatch in block at round {block.start_round},")
                for m in report.mismatches)
+
+
+@pytest.fixture(scope="module")
+def star_trace():
+    return _star_run()[1].trace
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_flipped_noise_bit_names_its_block(star_trace, data):
+    node = data.draw(st.integers(0, STAR.n - 1), label="node")
+    t = data.draw(st.integers(0, star_trace.total_rounds - 1), label="round")
+    block = next(b for b in star_trace.blocks if t < b.start_round + b.nrounds)
+    word, bit = divmod(t - block.start_round, 64)
+    block.noise[node, word] ^= np.uint64(1 << bit)
+    try:
+        report = validate_trace(STAR, star_trace, sample_rounds=0)
+    finally:
+        block.noise[node, word] ^= np.uint64(1 << bit)
+    assert report.mismatches == [
+        f"noise mismatch in block at round {block.start_round}, first at node index {node}"]
 
 
 def test_replay_words_cost_under_two_bytes_per_node_round():
@@ -474,11 +503,11 @@ def test_record_modes_share_the_digest():
                               (STAR, CongestRoundInput(_directed_messages(STAR, 24, 59), 24), 4)):
         full = run_c2b(g, inp, delta_hat=delta_hat, record="full")
         digest = run_c2b(g, inp, delta_hat=delta_hat, record="digest")
-        bare = run_c2b(g, inp, delta_hat=delta_hat, record="none", audit=False)
+        bare = run_c2b(g, inp, delta_hat=delta_hat, record="none")
         assert full.trace.digest() == full.digest == digest.digest
         assert full.digest == _canonical_digest(full.trace)
         assert digest.trace is None
-        assert bare.digest is None and bare.handshake is None
+        assert bare.digest is None and bare.handshake.ok
     block = TRACE_FEED_CHUNK * 2 * full.schedule.w
     blocks = full.trace.blocks
     assert any(a.nrounds == block and not a.patterns.any() and not b.patterns.any()

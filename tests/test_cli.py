@@ -56,6 +56,16 @@ def test_verify_selector_flags_a_damaged_family(tmp_path):
     assert main(["verify-selector", str(fam_file)]) == 1
 
 
+def test_verify_selector_rejects_a_non_integer_member(tmp_path, capsys):
+    fam_file = tmp_path / "fam.txt"
+    main(["build-selector", "--n", "8", "--k", "3", "--out", str(fam_file)])
+    lines = fam_file.read_text().splitlines()
+    lines[2] = " ".join(lines[2].split()[:-1] + ["3x"])
+    fam_file.write_text("\n".join(lines) + "\n")
+    assert main(["verify-selector", str(fam_file)]) == 2
+    assert f"{fam_file} line 3" in capsys.readouterr().err
+
+
 def test_run_writes_report_and_succeeds(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     main(["gen-graph", "--n", "10", "--delta", "3", "--seed", "2", "--out", str(graph_file)])

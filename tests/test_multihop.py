@@ -114,7 +114,7 @@ def test_simulation_input_validation():
 
 def test_simulation_path_end_to_end():
     inp = MultihopInput(h=3, B=4, messages={(1, 4): (1, 0, 1, 1)})
-    res = run_multihop_simulation(PATH4, inp, audit=True)
+    res = run_multihop_simulation(PATH4, inp)
     assert res.delivered[4] == {(1, (1, 0, 1, 1))}
     assert res.delivered[1] == res.delivered[2] == res.delivered[3] == set()
     assert res.rounds == res.dissemination_rounds + res.forwarding_rounds
@@ -134,7 +134,7 @@ def test_simulation_beyond_radius_is_dropped_not_corrupted():
 
 def test_simulation_single_hop_is_a_plain_exchange():
     msgs = {(1, 3): (1, 1, 0), (3, 1): (0, 0, 1), (2, 3): (1,), (4, 3): ()}
-    res = run_multihop_simulation(STAR, MultihopInput(h=1, B=3, messages=msgs), audit=True)
+    res = run_multihop_simulation(STAR, MultihopInput(h=1, B=3, messages=msgs))
     want = {u: set() for u in STAR.ids}
     for (s, d), m in msgs.items():
         want[d].add((s, m))
@@ -155,7 +155,7 @@ def test_simulation_random_graphs_deliver_exactly(n, delta, h, seed):
         for d, k in dists[s].items():
             if 1 <= k <= h:
                 msgs[(s, d)] = random_payload(rng, B)
-    res = run_multihop_simulation(g, MultihopInput(h=h, B=B, messages=msgs), audit=True)
+    res = run_multihop_simulation(g, MultihopInput(h=h, B=B, messages=msgs))
     want = {u: set() for u in g.ids}
     for (s, d), m in msgs.items():
         want[d].add((s, m))
@@ -175,7 +175,7 @@ def test_simulation_lower_bound_graph_delivers_leaf_to_core():
         for d in roots
     }
     assert len(msgs) == (4 // 2) ** 3 * (4 - 1) ** (3 - 2)
-    res = run_multihop_simulation(g, MultihopInput(h=3, B=8, messages=msgs), audit=True)
+    res = run_multihop_simulation(g, MultihopInput(h=3, B=8, messages=msgs))
     for (s, d), m in msgs.items():
         assert (s, m) in res.delivered[d]
     for u in g.ids:

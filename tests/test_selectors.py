@@ -249,6 +249,23 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     clear_memory_cache()
 
 
+def test_a_non_integer_cache_token_rebuilds_the_family(tmp_path, monkeypatch):
+    monkeypatch.setenv("BEEPNET_CACHE_DIR", str(tmp_path))
+    clear_memory_cache()
+    first = get_strong_selector(8, 3, seed=4)
+    (path,) = tmp_path.glob("*.txt")
+    lines = path.read_text().splitlines()
+    lines[1] = " ".join(["x"] + lines[1].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=f"{path} line 2"):
+        load_family(path)
+    clear_memory_cache()
+    second = get_strong_selector(8, 3, seed=4)
+    assert second.sets == first.sets
+    assert load_family(path).sets == first.sets      # the bad file was rewritten
+    clear_memory_cache()
+
+
 def test_masks_match_sets():
     fam = build_strong_selector(8, 3, seed=2)
     masks = fam.masks()
