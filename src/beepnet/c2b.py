@@ -23,10 +23,11 @@ noise words and decodes them in one decode_extended_rows call.  run_c2b
 drives it with the words it puts on the wire; check_handshake_lemmas
 drives it with the words read back from a recorded trace and holds the
 run's logs to what it derives, and the trace auditor sees the same blocks
-either way.  The core keeps one uint64 of node bits per node, so it takes
-at most 64 nodes.  Per-node machines (C2BNode) share no code with it: they
-decode with the scalar decode_extended and replay the identical schedule
-through the round engine as an independent cross-check on small instances.
+either way.  The core's node sets (open links, adjacency) are (n, n)
+boolean matrices, so it takes any number of nodes.  Per-node machines
+(C2BNode) share no code with it: they decode with the scalar
+decode_extended and replay the identical schedule through the round
+engine as an independent cross-check on small instances.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _bits
 from ._bits import pack_bool_rows, unpack_word_rows, words_for
 from .encoding import decode_extended, decode_extended_rows, encode_extended, id_width
 from .engine import Feedback, NodeAction, NodeProtocol, Trace, TraceDigest
@@ -47,7 +47,6 @@ from .kernel import active as kernel
 from .protocols._common import family_membership, resolve_degree_bound
 from .selectors import DEFAULT_SEED, SelectorFamily, get_avoiding_selector
 
-POPULATION_NODE_LIMIT = 64   # one channel word of node bits
 TRACE_FEED_CHUNK = 512       # live super-rounds that fill a recorded trace block
 AUDIT_BATCH = 512            # live super-rounds that fill an audit batch
 
@@ -366,7 +365,11 @@ class _Auditor:
         self.schedule = schedule
         self.id_word = id_word
         self.msg_words = msg_words
-        self.adj = graph.adj_words[:, 0]
+        self.adj = graph.adjacency
+        # float64 so the products below run through BLAS; their sums stay
+        # below n^2, far inside float64's exact integers
+        self._count = self.adj.astype(np.float64)
+        self._index_sum = self._count * np.arange(1, graph.n + 1)[:, None]
         self.report = HandshakeReport()
         self._metas: list[ScheduleIndex] = []
         self._pending: list[tuple] = []
@@ -394,13 +397,12 @@ class _Auditor:
         self.report.super_rounds += len(metas)
         self.report.decode_events += int(np.count_nonzero(decoded))
         beeping = patterns != 0
-        # beeping neighbors; packed through _bits, since profilers time this
-        # module's own pack_bool_rows binding as trace-feed work
-        near = self.adj & _bits.pack_bool_rows(beeping)[:, :1]
-        cnt = np.bitwise_count(near)
-        # where cnt == 1, near is 2^j for the lone beeping neighbor j
-        partner = np.minimum(np.bitwise_count(near - np.uint64(1)), self.graph.n - 1)
-        sent = np.take_along_axis(patterns, partner.astype(np.intp), axis=1)
+        b = beeping.astype(np.float64)
+        # beeping neighbors, and the sum of their (index + 1): where cnt == 1
+        # that sum less one is the lone beeping neighbor
+        cnt = (b @ self._count).astype(np.int64)
+        partner = np.clip((b @ self._index_sum).astype(np.int64) - 1, 0, self.graph.n - 1)
+        sent = np.take_along_axis(patterns, partner, axis=1)
         valid, value = decode_extended_rows(sent, self.schedule.w)
         lone = cnt == 1
         ids, spot = self.graph.ids, self._spot
@@ -419,8 +421,7 @@ class _Auditor:
                 self.report.violations.append(
                     f"{ids[u]} decoded with no beeping neighbor at {spot(meta)}")
             elif (meta.role == "responding" and meta.part is not None and meta.part >= 1
-                    and len({int(patterns[k, j]) for j in range(self.graph.n)
-                             if int(near[k, u]) >> j & 1}) == 1):
+                    and np.ptp(patterns[k, beeping[k] & self.adj[u]]) == 0):
                 self.report.flagged.append(
                     f"{ids[u]} heard {c} identical responding words "
                     f"(part {meta.part}) at {spot(meta)}")
@@ -491,7 +492,7 @@ class _Handshake:
             self.msg_words[ui, vi] = _message_words(bits, w, m)
             self.msg_len[ui, vi] = len(bits)
 
-        self.unrealized = graph.adj_words[:, 0].copy()
+        self.unrealized = graph.adjacency.copy()
         self.announcing = np.zeros(n, dtype=bool)
         self.responsive = np.full(n, -1, dtype=np.int64)
         self.recv_pat = np.zeros((n, n, m), dtype=np.uint64)
@@ -517,7 +518,7 @@ class _Handshake:
                         if not self.window((plan.index, j + 1, a, b + 1), sub_member[a - 1][b]):
                             self._silence(sched.window_super_rounds)
             self.link_history.append(
-                {self.ids[i]: int(c) for i, c in enumerate(np.bitwise_count(self.unrealized))})
+                {self.ids[i]: int(c) for i, c in enumerate(self.unrealized.sum(axis=1))})
 
     def _silence(self, count: int) -> None:
         self.idle(self.sr, count)
@@ -527,8 +528,7 @@ class _Handshake:
     def _open(self, peer: np.ndarray) -> np.ndarray:
         """Whether each node's link to peer[i] is still open; peer is a node
         index or -1 for none."""
-        shift = np.maximum(peer, 0).astype(np.uint64)
-        return ((self.unrealized >> shift) & np.uint64(1)).astype(bool) & (peer >= 0)
+        return self.unrealized[self.arange, peer] & (peer >= 0)
 
     def _node_index(self, payload: np.ndarray) -> np.ndarray:
         """Index of the node whose ID each payload is, or -1 for none."""
@@ -558,11 +558,11 @@ class _Handshake:
     def announce(self, spot: tuple, k: int, member: np.ndarray) -> bool:
         """Announcers beep their IDs; a clean hearer with that link open
         becomes responsive to the announcer.  False if nobody announces."""
-        announcing = member & (np.bitwise_count(self.unrealized) >= k)
+        announcing = member & (self.unrealized.sum(axis=1) >= k)
         if not announcing.any():
             return False
         self.announcing = announcing
-        eligible = ~announcing & (self.unrealized != np.uint64(0))
+        eligible = ~announcing & self.unrealized.any(axis=1)
         _, _, valid, payload = self._hear(
             spot, "announcing", np.where(announcing, self.id_word, np.uint64(0))[None], eligible)
         heard = np.where(eligible & valid[0], self._node_index(payload[0]), -1)
@@ -612,7 +612,7 @@ class _Handshake:
         ids = self.ids
         for vi, ri in sorted(pairs):
             for i, j in ((vi, ri), (ri, vi)):
-                self.unrealized[i] &= np.uint64(~(1 << j) & 0xFFFFFFFFFFFFFFFF)
+                self.unrealized[i, j] = False
                 self.realization_log.append(RealizationRecord(ids[i], ids[j], *spot))
         if pairs:
             meta = ScheduleIndex(*spot, "confirming", self.schedule.half_parts - 1, self.sr - 1, 0)
@@ -629,9 +629,6 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     the trace feed in one call, without touching the decode machinery.
     The handshake auditor always runs; its report is ``handshake``.
     """
-    if graph.n > POPULATION_NODE_LIMIT:
-        raise ParameterError(
-            f"population route handles up to {POPULATION_NODE_LIMIT} nodes, got {graph.n}")
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     _validate_input(graph, inp)
     sched = build_schedule(graph.n, graph.c, delta_hat, inp.width, seed)
@@ -666,9 +663,9 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
             f"recorded {trace.total_rounds} rounds, schedule says {sched.total_rounds}")
     handshake = core.auditor.finish(core.realization_log)
     unrealized = core.unrealized
-    failed = bool((unrealized != np.uint64(0)).any())
-    residual = {ids[i]: frozenset(ids[j] for j in range(n) if int(unrealized[i]) >> j & 1)
-                for i in range(n) if int(unrealized[i])}
+    failed = bool(unrealized.any())
+    residual = {ids[i]: frozenset(ids[j] for j in np.flatnonzero(unrealized[i]))
+                for i in range(n) if unrealized[i].any()}
 
     received: dict[int, dict[int, tuple[int, ...]]] = {}
     raw_received: dict[int, dict[int, tuple[int, ...]]] = {}

@@ -74,7 +74,10 @@ def _cmd_verify_selector(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    seeds = tuple(int(tok) for tok in args.seeds.split(","))
+    try:
+        seeds = tuple(int(tok) for tok in args.seeds.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"--seeds: {exc}") from exc
     config = ExperimentConfig(
         protocol=args.protocol,
         graph_file=args.graph,

@@ -251,12 +251,12 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
     """Recompute a trace's noise through routes that share no code with the producer.
 
     The full pass rebuilds every block's noise as a dense product of the
-    adjacency matrix, unpacked from graph.adj_words (built from the edge list,
-    not from the CSR the kernel gathers over), with the block's beeps:
+    adjacency matrix, graph.adjacency (built from the edge list, not from
+    the CSR the kernel gathers over), with the block's beeps:
     noise = (adj @ beeps) > 0, exact in float32 for any degree below 2**24.
     A sample of rounds is also replayed through the dict-based step().
     """
-    adj = unpack_word_rows(graph.adj_words, graph.n).astype(np.float32)
+    adj = graph.adjacency.astype(np.float32)
     mismatches: list[str] = []
     full = 0
     for block in trace.blocks:

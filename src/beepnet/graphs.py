@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from beepnet._bits import U64, words_for
-
 
 class ParameterError(ValueError):
     """Invalid model or CLI parameters (exit code 2 territory)."""
@@ -78,18 +76,17 @@ class Graph:
         return max(self.degrees, default=0)
 
     @property
-    def adj_words(self) -> np.ndarray:
-        """(n, W) uint64 adjacency bitsets over node indices."""
-        if "adj_words" not in self._cache:
-            w = words_for(self.n)
-            out = np.zeros((self.n, w), dtype=U64)
+    def adjacency(self) -> np.ndarray:
+        """(n, n) read-only bool adjacency matrix over node indices, built
+        from the edge list."""
+        if "adjacency" not in self._cache:
+            out = np.zeros((self.n, self.n), dtype=bool)
             idx = self.index_of
             for u, v in self.edges:
-                iu, iv = idx[u], idx[v]
-                out[iu, iv >> 6] |= U64(1) << U64(iv & 63)
-                out[iv, iu >> 6] |= U64(1) << U64(iu & 63)
-            self._cache["adj_words"] = out
-        return self._cache["adj_words"]
+                out[idx[u], idx[v]] = out[idx[v], idx[u]] = True
+            out.flags.writeable = False
+            self._cache["adjacency"] = out
+        return self._cache["adjacency"]
 
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:

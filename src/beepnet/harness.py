@@ -439,10 +439,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def load_report(path: str | Path) -> list[Metrics]:
     out = []
-    for line in Path(path).read_text().splitlines():
+    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line or line.startswith("#"):
             continue
-        out.append(metrics_from_record(json.loads(line)))
+        try:
+            out.append(metrics_from_record(json.loads(line)))
+        except (ValueError, TypeError) as exc:   # not JSON, or not a Metrics record
+            raise ParameterError(f"{path} line {ln}: {exc}") from exc
     return out
 
 

@@ -19,14 +19,13 @@ from .._bits import bits_to_int
 from ..encoding import COLLISION, ONE, decode_manchester_block, encode_manchester, id_width
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace, trace_from_beeps
 from ..graphs import Graph, ParameterError
-from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
+from ..selectors import DEFAULT_SEED, SelectorFamily
 from ._common import family_membership, noise_matrix, resolve_degree_bound
+from .broadcast import broadcast_family
 
 
-def learning_family(n: int, c: int, delta_hat: int, seed: int = DEFAULT_SEED) -> SelectorFamily:
-    universe = n**c
-    k = min(delta_hat + 1, universe)
-    return get_strong_selector(universe, k, seed)
+# Discovery walks the same strong family that local broadcast does.
+learning_family = broadcast_family
 
 
 def learning_schedule_length(n: int, c: int, delta_hat: int, seed: int = DEFAULT_SEED) -> int:

@@ -227,10 +227,28 @@ def test_words_past_sixteen_bits_deliver(tmp_path, monkeypatch):
     assert check_handshake_lemmas(res.trace, g, res, inp).ok
 
 
-def test_population_node_limit():
-    g = generate_random_graph(65, 2, seed=1, c=1)
-    with pytest.raises(ParameterError):
-        run_c2b(g, CongestRoundInput({}, 0))
+@pytest.mark.parametrize("n", [96, 128, 256])
+def test_population_runs_past_64_nodes(n):
+    g = generate_random_graph(n, 8, seed=1, c=1)
+    msgs = _directed_messages(g, 2, n)
+    res = run_c2b(g, CongestRoundInput(msgs, 2), record="none")
+    assert not res.failed and not res.residual
+    assert flatten_received(res.received) == msgs
+    assert res.handshake.ok, res.handshake.violations[:3]
+    assert check_epoch_invariant(res.link_history, g.delta)
+
+
+def test_full_trace_past_64_nodes_validates_and_replays():
+    g = generate_random_graph(80, 2, seed=1, c=1)
+    msgs = _directed_messages(g, 1, 80)
+    inp = CongestRoundInput(msgs, 1)
+    res = run_c2b(g, inp, record="full")
+    assert res.rounds == 286_230
+    assert flatten_received(res.received) == msgs
+    assert validate_trace(g, res.trace).ok
+    rep = check_handshake_lemmas(res.trace, g, res, inp)
+    assert rep.ok, rep.violations[:3]
+    assert rep.super_rounds == res.schedule.total_super_rounds
 
 
 # ------------------------------------------------------- machine cross-check
@@ -285,6 +303,10 @@ def test_honest_trace_passes_the_audit():
     assert rep.ok
     assert rep.super_rounds == res.schedule.total_super_rounds
     assert rep.decode_events == len(res.decode_log)
+    # the two leaves answering 3 both beep 3's ID as their second word
+    assert rep.flagged == res.handshake.flagged == [
+        "3 heard 2 identical responding words (part 1) at epoch 1 phase 3 "
+        "subphase 1 window 1 sr 388"]
     # each decode sits at the super-round its role and part name
     sched = res.schedule
     for rec in res.decode_log:
@@ -384,6 +406,28 @@ def test_tampered_noise_of_a_decoding_listener_is_a_violation(fault, want):
     report = validate_trace(STAR, res.trace)
     assert any(m.startswith(f"noise mismatch in block at round {block.start_round},")
                for m in report.mismatches)
+
+
+def test_a_decode_of_distinct_piled_up_words_is_a_violation():
+    inp, res = _star_run()
+    w, hub, sr = res.schedule.w, STAR.index_of[3], 389
+    # part 2 of the window flagged in test_honest_trace_passes_the_audit: two
+    # leaves beep different payload words to 3, so 3 hears their OR
+    pat, noise = _trace_super_round_words(res.trace, res.schedule)
+    a, b = (int(pat[STAR.index_of[u], sr]) for u in (1, 5))
+    assert a != b and int(noise[hub, sr]) == a | b
+    # forge 3's noise into the first leaf's word, which decodes
+    flip = (a | b) ^ a
+    for t in range(2 * w):
+        if flip >> t & 1:
+            r = sr * 2 * w + t
+            block = next(blk for blk in res.trace.blocks if r < blk.start_round + blk.nrounds)
+            word, bit = divmod(r - block.start_round, 64)
+            block.noise[hub, word] ^= np.uint64(1 << bit)
+    rep = check_handshake_lemmas(res.trace, STAR, res, inp)
+    assert ("3 decoded a 2-beeper pile-up at epoch 1 phase 3 subphase 1 window 1 sr 389"
+            in rep.violations)
+    assert len(rep.flagged) == 1
 
 
 @pytest.fixture(scope="module")

@@ -137,6 +137,37 @@ def test_report_rejects_empty_input(tmp_path, capsys):
     assert main(["report", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("seeds", ["1,x", ""])
+def test_run_rejects_a_non_integer_seed(capsys, seeds):
+    assert main(["run", "c2b", "--n", "8", "--delta", "2", "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seeds") and "Traceback" not in err
+
+
+def _truncate(line):
+    return line[:len(line) // 2]
+
+
+def _drop_a_field(line):
+    rec = json.loads(line)
+    del rec["rounds_total"]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _drop_a_field], ids=["truncated", "missing-field"])
+def test_report_rejects_a_corrupt_record(tmp_path, capsys, corrupt):
+    report = tmp_path / "r.jsonl"
+    main(["run", "c2b", "--n", "8", "--delta", "2", "--seeds", "1,2", "--B", "2",
+          "--out", str(report)])
+    lines = report.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("{"))
+    lines[last] = corrupt(lines[last])
+    report.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(report)]) == 2
+    assert f"error: {report} line {last + 1}: " in capsys.readouterr().err
+
+
 def test_unknown_protocol_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "quicksort", "--n", "8", "--delta", "2"])
