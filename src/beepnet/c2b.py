@@ -279,8 +279,9 @@ class _TraceFeed:
 
     Live super-rounds arrive as (S, n) blocks of beeped and noise words and
     are packed into one trace block once TRACE_FEED_CHUNK or more are
-    buffered; silent stretches enter as zero blocks of at most that many.
-    Both sinks take the same blocks.
+    buffered. A silent stretch enters the digest as one append_silent call,
+    which builds no arrays, and a full trace as zero blocks of at most
+    TRACE_FEED_CHUNK super-rounds. Both sinks hash the same canonical stream.
     """
 
     def __init__(self, graph: Graph, mode: str, sr_rounds: int, total_rounds: int):
@@ -322,6 +323,9 @@ class _TraceFeed:
             self._beeps = []
             self._noise = []
             self._live = 0
+        if self.mode == "digest":
+            self.sink.append_silent(self.sr_rounds * silent)
+            return
         for lo in range(0, silent, TRACE_FEED_CHUNK):
             nrounds = self.sr_rounds * min(TRACE_FEED_CHUNK, silent - lo)
             # fresh arrays per block: a kept trace's blocks are mutable

@@ -22,6 +22,7 @@ from beepnet._bits import U64, pack_bool_rows, testbit, unpack_word_rows
 from beepnet.graphs import Graph
 
 TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
+_ZEROS = bytes(1 << 16)   # TraceDigest.append_silent feeds silent rounds from slices of this
 
 
 class NodeAction(IntEnum):
@@ -135,7 +136,10 @@ class Trace:
     def digest(self) -> str:
         stream = TraceDigest(self.graph.n, self.total_rounds)
         for block in self.blocks:
-            stream.append_block(block.patterns, block.nrounds, block.noise)
+            if block.patterns.any() or block.noise.any():
+                stream.append_block(block.patterns, block.nrounds, block.noise)
+            else:
+                stream.append_silent(block.nrounds)
         return stream.hexdigest()
 
 
@@ -144,18 +148,32 @@ class TraceDigest:
 
     The stream is a header line naming n and the round total, then per round
     the beeper bitset and the noise bitset as little-endian uint64 words.
-    hexdigest raises RuntimeError unless the blocks add up to that total.
+    A silent round is 2W zero words (W = ceil(n / 64)), so append_silent
+    hashes a silent stretch straight from a shared zero buffer and builds no
+    arrays. hexdigest raises RuntimeError unless the rounds fed by both
+    methods add up to the header's total.
     """
 
     def __init__(self, n: int, total_rounds: int):
         self.total_rounds = total_rounds
         self.rounds = 0
+        self._round_bytes = 2 * 8 * ((n + 63) // 64)
         self._hash = hashlib.sha256(f"beep-trace n={n} rounds={total_rounds}\n".encode())
 
     def append_block(self, patterns: np.ndarray, nrounds: int, noise: np.ndarray) -> None:
         beeps = kernel.expand_patterns(patterns, nrounds)       # (nrounds, W)
         heard = kernel.expand_patterns(noise, nrounds)
         self._hash.update(np.stack((beeps, heard), axis=1).tobytes())
+        self.rounds += nrounds
+
+    def append_silent(self, nrounds: int) -> None:
+        """Hash nrounds rounds in which no node beeps or hears noise."""
+        zeros = memoryview(_ZEROS)
+        # the stream is all zeros here, so the slices need not align with rounds
+        left = nrounds * self._round_bytes
+        while left > 0:
+            self._hash.update(zeros[:min(left, len(_ZEROS))])
+            left -= len(_ZEROS)
         self.rounds += nrounds
 
     def hexdigest(self) -> str:
@@ -254,12 +272,18 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
     adjacency matrix, graph.adjacency (built from the edge list, not from
     the CSR the kernel gathers over), with the block's beeps:
     noise = (adj @ beeps) > 0, exact in float32 for any degree below 2**24.
-    A sample of rounds is also replayed through the dict-based step().
+    A block whose beep and noise words are all zero is consistent as it
+    stands (no beeper, no noise) and skips the product; its rounds still
+    count as checked. A sample of rounds is also replayed through the
+    dict-based step().
     """
     adj = graph.adjacency.astype(np.float32)
     mismatches: list[str] = []
     full = 0
     for block in trace.blocks:
+        full += block.nrounds
+        if not (block.patterns.any() or block.noise.any()):
+            continue
         beeps = unpack_word_rows(block.patterns, block.nrounds).astype(np.float32)
         want = (adj @ beeps) > 0
         got = unpack_word_rows(block.noise, block.nrounds)
@@ -268,7 +292,6 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
             mismatches.append(
                 f"noise mismatch in block at round {block.start_round}, "
                 f"first at node index {int(bad[0][0])}")
-        full += block.nrounds
 
     total = trace.total_rounds
     sampled = 0

@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ParameterError("h must be at least 1")
         if self.c < 1:
             raise ParameterError("c must be at least 1")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ParameterError("max_rounds must be nonnegative")
 
 
 @dataclass

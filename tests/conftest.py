@@ -1,7 +1,10 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from beepnet.engine import validate_trace
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -13,3 +16,21 @@ def _selector_cache():
         root.mkdir(exist_ok=True)
         os.environ["BEEPNET_CACHE_DIR"] = str(root)
     yield
+
+
+@pytest.fixture(scope="session")
+def flip_noise_bit():
+    """Flip one recorded noise bit, validate the trace in full, restore the bit.
+
+    Returns the flipped block's start round and the report's mismatches.
+    """
+    def flip(graph, trace, node, t):
+        block = next(b for b in trace.blocks if t < b.start_round + b.nrounds)
+        word, bit = divmod(t - block.start_round, 64)
+        block.noise[node, word] ^= np.uint64(1 << bit)
+        try:
+            report = validate_trace(graph, trace, sample_rounds=0)
+        finally:
+            block.noise[node, word] ^= np.uint64(1 << bit)
+        return block.start_round, report.mismatches
+    return flip

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beepnet.kernel
 from beepnet.encoding import id_width
@@ -161,3 +163,20 @@ def test_trace_validates():
     report = validate_trace(g, res.trace)
     assert report.ok
     assert res.trace.total_rounds == res.rounds
+
+
+@pytest.fixture(scope="module")
+def recorded_broadcast():
+    g = generate_random_graph(9, 3, seed=4)
+    return g, run_local_broadcast(g, _inp(g, _random_messages(g, 2, seed=4), 2)).trace
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_flipped_noise_bit_names_its_block(recorded_broadcast, flip_noise_bit, data):
+    graph, trace = recorded_broadcast
+    node = data.draw(st.integers(0, graph.n - 1), label="node")
+    t = data.draw(st.integers(0, trace.total_rounds - 1), label="round")
+    start, mismatches = flip_noise_bit(graph, trace, node, t)
+    assert mismatches == [
+        f"noise mismatch in block at round {start}, first at node index {node}"]

@@ -245,6 +245,7 @@ def test_full_trace_past_64_nodes_validates_and_replays():
     res = run_c2b(g, inp, record="full")
     assert res.rounds == 286_230
     assert flatten_received(res.received) == msgs
+    assert res.trace.digest() == res.digest == run_c2b(g, inp, record="digest").digest
     assert validate_trace(g, res.trace).ok
     rep = check_handshake_lemmas(res.trace, g, res, inp)
     assert rep.ok, rep.violations[:3]
@@ -437,18 +438,27 @@ def star_trace():
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_any_flipped_noise_bit_names_its_block(star_trace, data):
+def test_any_flipped_noise_bit_names_its_block(star_trace, flip_noise_bit, data):
     node = data.draw(st.integers(0, STAR.n - 1), label="node")
     t = data.draw(st.integers(0, star_trace.total_rounds - 1), label="round")
-    block = next(b for b in star_trace.blocks if t < b.start_round + b.nrounds)
-    word, bit = divmod(t - block.start_round, 64)
-    block.noise[node, word] ^= np.uint64(1 << bit)
+    start, mismatches = flip_noise_bit(STAR, star_trace, node, t)
+    assert mismatches == [
+        f"noise mismatch in block at round {start}, first at node index {node}"]
+
+
+def test_a_beep_forged_into_a_silent_block_is_a_mismatch(star_trace):
+    block = star_trace.blocks[0]       # holds super-round 0, which is silent
+    assert not (block.patterns.any() or block.noise.any())
+    report = validate_trace(STAR, star_trace, sample_rounds=0)
+    assert report.ok and report.rounds_checked_full == star_trace.total_rounds
+    block.patterns[0, 0] ^= np.uint64(1)
     try:
         report = validate_trace(STAR, star_trace, sample_rounds=0)
     finally:
-        block.noise[node, word] ^= np.uint64(1 << bit)
+        block.patterns[0, 0] ^= np.uint64(1)
+    first = int(np.flatnonzero(STAR.adjacency[0])[0])     # the beeper's neighbour
     assert report.mismatches == [
-        f"noise mismatch in block at round {block.start_round}, first at node index {node}"]
+        f"noise mismatch in block at round {block.start_round}, first at node index {first}"]
 
 
 def test_replay_words_cost_under_two_bytes_per_node_round():

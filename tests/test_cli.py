@@ -98,6 +98,13 @@ def test_run_budget_breach_exits_one(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_run_rejects_a_negative_round_budget(capsys):
+    code = main(["run", "local-broadcast", "--n", "8", "--delta", "2",
+                 "--seeds", "1", "--max-rounds", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: max_rounds")
+
+
 def test_run_rejects_bad_degree_bound(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     main(["gen-graph", "--n", "10", "--delta", "4", "--seed", "2", "--out", str(graph_file)])

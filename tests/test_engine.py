@@ -1,0 +1,66 @@
+"""The canonical trace stream: silent stretches hash as the block path does."""
+
+import numpy as np
+import pytest
+
+from beepnet import engine
+from beepnet._bits import pack_bool_rows
+from beepnet.engine import TraceDigest
+
+
+def _sizes(n):
+    """Round counts around word edges and around one zero buffer's worth."""
+    per_buffer = len(engine._ZEROS) // (2 * 8 * ((n + 63) // 64))
+    return [0, 1, 63, 64, 65, per_buffer, per_buffer + 1, 3 * per_buffer + 7]
+
+
+def _zeros(n, nrounds):
+    return pack_bool_rows(np.zeros((n, nrounds), dtype=bool))
+
+
+def _random_block(rng, n, nrounds):
+    return (pack_bool_rows(rng.random((n, nrounds)) < 0.3),
+            pack_bool_rows(rng.random((n, nrounds)) < 0.3))
+
+
+NODE_COUNTS = [1, 63, 64, 65, 130]
+
+
+@pytest.mark.parametrize("n", NODE_COUNTS)
+def test_silent_rounds_hash_as_zero_blocks(n):
+    for nrounds in _sizes(n):
+        silent = TraceDigest(n, nrounds)
+        silent.append_silent(nrounds)
+        block = TraceDigest(n, nrounds)
+        block.append_block(_zeros(n, nrounds), nrounds, _zeros(n, nrounds))
+        assert silent.hexdigest() == block.hexdigest(), nrounds
+
+
+@pytest.mark.parametrize("n", NODE_COUNTS)
+def test_mixed_live_and_silent_stream(n):
+    rng = np.random.default_rng(n)
+    stream = []                    # (beeps, noise, nrounds); beeps None for silence
+    for nrounds in _sizes(n):
+        stream.append((*_random_block(rng, n, nrounds), nrounds))
+        stream.append((None, None, nrounds))
+    total = sum(k for _, _, k in stream)
+
+    def digest(total_rounds, blocks):
+        mixed = TraceDigest(n, total_rounds)
+        for beeps, noise, k in blocks:
+            if beeps is None:
+                mixed.append_silent(k)
+            else:
+                mixed.append_block(beeps, k, noise)
+        return mixed.hexdigest()
+
+    reference = TraceDigest(n, total)
+    for beeps, noise, k in stream:
+        if beeps is None:
+            beeps = noise = _zeros(n, k)
+        reference.append_block(beeps, k, noise)
+    assert digest(total, stream) == reference.hexdigest()
+
+    short = stream[:-1] + [(None, None, stream[-1][2] - 1)]
+    with pytest.raises(RuntimeError, match="trace stream got"):
+        digest(total, short)

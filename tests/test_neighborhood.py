@@ -1,6 +1,8 @@
 """Neighborhood discovery: exact adjacency out, nothing imagined in."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beepnet.encoding import id_width
 from beepnet.engine import run, validate_trace
@@ -93,3 +95,20 @@ def test_determinism():
     b = run_learning_neighborhood(g, delta_hat=3)
     assert a.neighborhoods == b.neighborhoods
     assert a.trace.digest() == b.trace.digest()
+
+
+@pytest.fixture(scope="module")
+def recorded_neighborhood():
+    g = generate_random_graph(12, 3, seed=7)
+    return g, run_learning_neighborhood(g, delta_hat=3).trace
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_flipped_noise_bit_names_its_block(recorded_neighborhood, flip_noise_bit, data):
+    graph, trace = recorded_neighborhood
+    node = data.draw(st.integers(0, graph.n - 1), label="node")
+    t = data.draw(st.integers(0, trace.total_rounds - 1), label="round")
+    start, mismatches = flip_noise_bit(graph, trace, node, t)
+    assert mismatches == [
+        f"noise mismatch in block at round {start}, first at node index {node}"]
