@@ -173,8 +173,7 @@ def _check_trace(graph: Graph, trace, failures: list[str]) -> bool:
     return True
 
 
-def _run_local_broadcast(config, graph, seed, rng, failures):
-    dh = config.delta_hat if config.delta_hat is not None else graph.delta
+def _run_local_broadcast(config, graph, dh, seed, rng, failures):
     msgs = {u: _payload(rng, config.B, exact=True) for u in graph.ids}
     res = run_local_broadcast(
         graph, LocalBroadcastInput(msgs, config.B, full_knowledge(graph)), dh
@@ -188,21 +187,16 @@ def _run_local_broadcast(config, graph, seed, rng, failures):
         failures.append(f"rounds {res.rounds} != schedule {sched}")
     checked = _check_trace(graph, res.trace, failures)
     return dict(
-        delta_hat=dh,
         rounds_total=res.rounds,
         schedule_rounds=sched,
-        super_rounds=None,
         beeps_total=res.beeps_total,
         delivered_count=int(delivered),
         expected_count=expected,
-        link_epochs=None,
-        digest=None,
         trace_checked=checked,
     )
 
 
-def _run_learning(config, graph, seed, rng, failures):
-    dh = config.delta_hat if config.delta_hat is not None else graph.n - 1
+def _run_learning(config, graph, dh, seed, rng, failures):
     res = run_learning_neighborhood(graph, delta_hat=dh)
     delivered = sum(
         res.neighborhoods[u] == frozenset(graph.neighbors_of(u)) for u in graph.ids
@@ -213,21 +207,17 @@ def _run_learning(config, graph, seed, rng, failures):
     w = id_width(graph.n, graph.c)
     checked = _check_trace(graph, res.trace, failures)
     return dict(
-        delta_hat=dh,
         rounds_total=res.rounds,
         schedule_rounds=sched,
         super_rounds=res.rounds // (2 * w),
         beeps_total=res.beeps_total,
         delivered_count=int(delivered),
         expected_count=graph.n,
-        link_epochs=None,
-        digest=None,
         trace_checked=checked,
     )
 
 
-def _run_gathering(config, graph, seed, rng, failures):
-    dh = config.delta_hat if config.delta_hat is not None else graph.delta
+def _run_gathering(config, graph, dh, seed, rng, failures):
     nclusters = max(1, graph.n // 8)
     layout = generate_cluster_layout(graph, nclusters, seed)
     data = {u: int(rng.integers(0, 32)) for u in graph.ids}
@@ -247,21 +237,17 @@ def _run_gathering(config, graph, seed, rng, failures):
     for trace in res.traces or []:
         checked = _check_trace(graph, trace, failures) or checked
     return dict(
-        delta_hat=dh,
         rounds_total=res.rounds,
         schedule_rounds=sched,
         super_rounds=res.steps,
         beeps_total=res.beeps_total,
         delivered_count=delivered,
         expected_count=nclusters,
-        link_epochs=None,
-        digest=None,
         trace_checked=checked,
     )
 
 
-def _run_c2b(config, graph, seed, rng, failures):
-    dh = config.delta_hat if config.delta_hat is not None else graph.delta
+def _run_c2b(config, graph, dh, seed, rng, failures):
     msgs = {}
     for u, v in graph.edges:
         msgs[(u, v)] = _payload(rng, config.B, exact=True)
@@ -288,7 +274,6 @@ def _run_c2b(config, graph, seed, rng, failures):
         sorted([int(u), int(k)] for u, k in epoch.items()) for epoch in res.link_history
     ]
     return dict(
-        delta_hat=dh,
         rounds_total=res.rounds,
         schedule_rounds=sched.total_rounds,
         super_rounds=sched.total_super_rounds,
@@ -301,8 +286,7 @@ def _run_c2b(config, graph, seed, rng, failures):
     )
 
 
-def _run_multihop_sim(config, graph, seed, rng, failures):
-    dh = config.delta_hat if config.delta_hat is not None else graph.delta
+def _run_multihop_sim(config, graph, dh, seed, rng, failures):
     msgs = {}
     for s in graph.ids:
         dist = graph.bfs_distances(s, config.h)
@@ -322,21 +306,14 @@ def _run_multihop_sim(config, graph, seed, rng, failures):
     if max(res.payload_peaks, default=0) > res.payload_cap:
         failures.append("payload cap exceeded")
     return dict(
-        delta_hat=dh,
         rounds_total=res.rounds,
-        schedule_rounds=None,
-        super_rounds=None,
         beeps_total=res.beeps_total,
         delivered_count=int(delivered),
         expected_count=len(msgs),
-        link_epochs=None,
-        digest=None,
-        trace_checked=False,
     )
 
 
-def _run_multihop_broadcast(config, graph, seed, rng, failures):
-    dh = config.delta_hat if config.delta_hat is not None else graph.delta
+def _run_multihop_broadcast(config, graph, dh, seed, rng, failures):
     msgs = {u: _payload(rng, config.B) for u in graph.ids}
     res = run_multihop_local_broadcast(graph, config.h, config.B, msgs, delta_hat=dh)
     delivered = 0
@@ -349,16 +326,10 @@ def _run_multihop_broadcast(config, graph, seed, rng, failures):
         if res.delivered[u] - want:
             failures.append(f"node {u} holds pairs from outside its ball")
     return dict(
-        delta_hat=dh,
         rounds_total=res.rounds,
-        schedule_rounds=None,
-        super_rounds=None,
         beeps_total=res.beeps_total,
         delivered_count=delivered,
         expected_count=expected,
-        link_epochs=None,
-        digest=None,
-        trace_checked=False,
     )
 
 
@@ -372,20 +343,27 @@ _RUNNERS = {
 }
 
 
+# Metric fields a runner leaves out because its protocol does not measure them.
+_UNMEASURED = dict(
+    schedule_rounds=None, super_rounds=None, link_epochs=None, digest=None,
+    trace_checked=False,
+)
+# What a run that aborted with an invariant violation reports.
+_ABORTED = dict(rounds_total=0, beeps_total=0, delivered_count=0, expected_count=1)
+
+
 def run_single(config: ExperimentConfig, seed: int) -> Metrics:
     start = time.perf_counter()
     graph = graph_for(config, seed)
     rng = np.random.default_rng(seed)
+    dh = config.delta_hat
+    if dh is None:
+        dh = graph.n - 1 if config.protocol == "learn-neighborhood" else graph.delta
     failures: list[str] = []
     try:
-        payload = _RUNNERS[config.protocol](config, graph, seed, rng, failures)
+        payload = _RUNNERS[config.protocol](config, graph, dh, seed, rng, failures)
     except RuntimeError as exc:
-        payload = dict(
-            delta_hat=config.delta_hat if config.delta_hat is not None else graph.delta,
-            rounds_total=0, schedule_rounds=None, super_rounds=None, beeps_total=0,
-            delivered_count=0, expected_count=1, link_epochs=None, digest=None,
-            trace_checked=False,
-        )
+        payload = _ABORTED
         failures.append(f"aborted: {exc}")
     if config.max_rounds is not None and payload["rounds_total"] > config.max_rounds:
         failures.append(
@@ -397,12 +375,13 @@ def run_single(config: ExperimentConfig, seed: int) -> Metrics:
         n=graph.n,
         c=graph.c,
         delta=graph.delta,
+        delta_hat=dh,
         B=config.B,
         h=config.h,
         w=id_width(graph.n, graph.c),
         failures=failures,
         wall_clock=time.perf_counter() - start,
-        **payload,
+        **{**_UNMEASURED, **payload},
     )
 
 

@@ -14,16 +14,11 @@ def family_membership(graph: Graph, fam: SelectorFamily) -> np.ndarray:
     """(L, n) bool: block i activates node index j.
 
     Selector sets live over the ID space [1, n^c]; IDs not present in the
-    graph simply never beep.
+    graph simply never beep.  Node j's column is the row of the family's
+    element_words view for its ID.
     """
-    idx = graph.index_of
-    member = np.zeros((len(fam.sets), graph.n), dtype=bool)
-    for i, f in enumerate(fam.sets):
-        for e in f:
-            j = idx.get(e)
-            if j is not None:
-                member[i, j] = True
-    return member
+    rows = fam.element_words[np.asarray(graph.ids) - 1]
+    return np.ascontiguousarray(unpack_word_rows(rows, len(fam)).T)
 
 
 def noise_matrix(graph: Graph, beeps: np.ndarray) -> np.ndarray:

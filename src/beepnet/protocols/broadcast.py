@@ -10,8 +10,11 @@ every neighbor gets a block where the receiver itself stays silent.
 run_local_broadcast decodes with array operations over a padded
 neighbor table built from the CSR: it counts each receiver's neighbors
 per block, names the lone one where the count is 1, and reads all those
-(block, receiver) pairs one message bit at a time.  LocalBroadcastNode
-decodes the same schedule one node at a time, as an independent check.
+(block, receiver) pairs one message bit at a time.  It streams: each
+bit's (n, L) slab of beeps makes one neighbor-OR call and one trace
+block, so memory does not grow with the message width.
+LocalBroadcastNode decodes the same schedule one node at a time, as an
+independent check.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import Feedback, NodeAction, NodeProtocol, Trace, trace_from_beeps
+from .. import kernel
+from .._bits import pack_bool_rows, unpack_word_rows
+from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
-from ._common import family_membership, noise_matrix, resolve_degree_bound
+from ._common import family_membership, resolve_degree_bound
 
 Bits = tuple[int, ...]
 
@@ -112,13 +117,6 @@ def run_local_broadcast(
         if m:
             bits[j, : len(m)] = np.array(m, dtype=bool)
 
-    beeps = np.zeros((n, width * length), dtype=bool)
-    for t in range(width):
-        beeps[:, t * length : (t + 1) * length] = member.T & bits[:, t][:, None]
-
-    noise = noise_matrix(graph, beeps)
-    trace = trace_from_beeps(graph, beeps, noise) if record else None
-
     # nbr[r] lists r's neighbor indices in graph.neighbors order, padded
     # with n, a node that belongs to no block.
     indptr, indices = graph.csr
@@ -133,20 +131,30 @@ def run_local_broadcast(
     slots = in_block[blocks, receivers].argmax(axis=1)
     senders = nbr[receivers, slots]
 
+    # One message bit at a time: its L rounds go over the wire as one
+    # (n, L) slab, are decoded, and enter the trace as one block.
+    trace = Trace(graph) if record else None
+    beeps_total = 0
     got = np.zeros(nbr.shape + (width,), dtype=np.uint8)
     heard_any = np.zeros(got.shape, dtype=bool)
     ids = graph.ids
     for t in range(width):
-        rnd = t * length + blocks
-        listening = ~beeps[receivers, rnd]  # own beep that round, nothing heard
-        heard = noise[receivers, rnd]
-        bad = np.flatnonzero(listening & (heard != beeps[senders, rnd]))
+        beeps = member.T & bits[:, t][:, None]
+        patterns = pack_bool_rows(beeps)
+        noise_words = kernel.or_neighbor_patterns(indptr, indices, patterns)
+        if trace is not None:
+            trace.append_block(patterns, length, noise_words)
+        beeps_total += int(np.count_nonzero(beeps))
+        noise = unpack_word_rows(noise_words, length)
+        listening = ~beeps[receivers, blocks]  # own beep that round, nothing heard
+        heard = noise[receivers, blocks]
+        bad = np.flatnonzero(listening & (heard != beeps[senders, blocks]))
         if bad.size:
             k = bad[0]
             raise RuntimeError(
                 f"receiver {ids[receivers[k]]} heard {int(heard[k])} from its lone beeping "
-                f"neighbor {ids[senders[k]]} in round {rnd[k]}, which does not match what "
-                f"{ids[senders[k]]} sent")
+                f"neighbor {ids[senders[k]]} in round {t * length + blocks[k]}, which does "
+                f"not match what {ids[senders[k]]} sent")
         r, slot = receivers[listening], slots[listening]
         got[r, slot, t] = heard[listening]
         heard_any[r, slot, t] = True
@@ -166,9 +174,7 @@ def run_local_broadcast(
             raw_output[u][v] = full
             output[u][v] = full[: lengths.get(graph.index_of[v], 0)]
 
-    return LocalBroadcastResult(
-        output, raw_output, width * length, fam, trace, int(beeps.sum())
-    )
+    return LocalBroadcastResult(output, raw_output, width * length, fam, trace, beeps_total)
 
 
 class LocalBroadcastNode(NodeProtocol):

@@ -10,9 +10,14 @@ isolated, or more than l of them do.  Avoiding sets are not size-capped.
 
 Construction is seeded and deterministic.  Small parameter ranges run a
 greedy cover over all isolation demands; k >= n degenerates to the
-singleton family; everything else draws seeded random sets.  Families
-are verified exhaustively when the subset count permits, otherwise by
-stratified sampling, and the achieved tier is recorded on the family.
+singleton family; everything else draws seeded random sets.  The greedy
+cover keeps its own one-word element masks (it runs only for n <= 64).
+
+verify_family checks every subset of size <= k when the subset count
+permits, otherwise a stratified sample, and the achieved tier is recorded
+on the family.  Verification shares no code with construction: it reads
+the family's element_words view (for each element, the sets holding it,
+packed into uint64 words) and works the same way at every n.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ._bits import U64, popcount
+from ._bits import U64, pack_bool_rows, popcount
 from .graphs import ParameterError
 
 DEFAULT_SEED = 1
@@ -66,7 +72,6 @@ class SelectorFamily:
     seed: int
     method: str  # "greedy", "random", or "singleton"
     verified: str = "none"  # "exhaustive", "sampled", or "none"
-    _masks: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("strong", "avoiding"):
@@ -87,29 +92,21 @@ class SelectorFamily:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def masks(self) -> np.ndarray:
-        """Sets as uint64 bitmasks, element e at bit e - 1.  Needs n <= 64."""
-        if self.n > 64:
-            raise ParameterError("bitmask view needs a universe of at most 64")
-        if self._masks is None:
-            vals = [sum(1 << (e - 1) for e in f) for f in self.sets]
-            self._masks = np.array(vals, dtype=U64)
-        return self._masks
-
-    def member_matrix(self) -> np.ndarray:
-        """Sets as a (len, n) boolean membership matrix."""
-        mat = np.zeros((len(self.sets), self.n), dtype=bool)
-        for i, f in enumerate(self.sets):
-            for e in f:
-                mat[i, e - 1] = True
-        return mat
+    @cached_property
+    def element_words(self) -> np.ndarray:
+        """(n, ceil(len / 64)) uint64: row e - 1 has bit i set when set i holds e."""
+        sizes = [len(f) for f in self.sets]
+        members = np.fromiter(itertools.chain.from_iterable(self.sets), np.int64, sum(sizes))
+        held = np.zeros((self.n, len(self.sets)), dtype=bool)
+        held[members - 1, np.repeat(np.arange(len(self.sets)), sizes)] = True
+        return pack_bool_rows(held)
 
 
 # ---------------------------------------------------------------------------
 # subset enumeration and sampling
 
 
-def _iter_subset_cols(n: int, sizes, chunk: int = 200_000):
+def _iter_subset_cols(n: int, sizes, chunk: int = 50_000):
     """Yield (s, cols) with cols an (m, s) int64 array of 0-based members."""
     for s in sizes:
         if s > n:
@@ -142,56 +139,51 @@ def _sample_subset_cols(n: int, s: int, count: int, rng) -> np.ndarray:
     return cols
 
 
-def _cols_to_masks(cols: np.ndarray) -> np.ndarray:
-    return np.bitwise_or.reduce(np.uint64(1) << cols.astype(np.uint64), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # verification
 
-def _isolation_counts_masked(set_masks: np.ndarray, smasks: np.ndarray) -> np.ndarray:
-    """Per subset, how many of its elements some set isolates.  n <= 64 path."""
-    iso = np.zeros(smasks.shape, dtype=U64)
-    for f in set_masks:
-        x = smasks & f
-        hit = popcount(x) == 1
-        if hit.any():
-            iso[hit] |= x[hit]
-    return popcount(iso).astype(np.int64)
+def _isolation_counts(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per subset, how many of its elements some set isolates.
+
+    words is a family's element_words view and cols an (m, s) array of
+    0-based subset members.  A set isolates e in S when e is the only
+    member of S it holds, i.e. when it is among the sets holding exactly
+    one member of S.  Members are gathered one column at a time, so the
+    working arrays stay (m, W).
+    """
+    once = np.zeros((cols.shape[0], words.shape[1]), dtype=U64)
+    twice = np.zeros_like(once)
+    for col in cols.T:
+        x = words[col]
+        twice |= once & x
+        once |= x
+    lone = once & ~twice
+    iso = np.zeros(cols.shape[0], dtype=np.int64)
+    for col in cols.T:
+        iso += (words[col] & lone).any(axis=1)
+    return iso
 
 
-def _isolation_counts_matrix(member: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Same as above for arbitrary n, from a boolean membership matrix."""
-    m, s = cols.shape
-    iso = np.zeros((m, s), dtype=bool)
-    for row in member:
-        x = row[cols]
-        hit = x.sum(axis=1) == 1
-        if hit.any():
-            iso[hit] |= x[hit]
-    return iso.sum(axis=1).astype(np.int64)
-
-
-def _isolation_counts(fam: SelectorFamily, cols: np.ndarray, member=None) -> np.ndarray:
-    if fam.n <= 64:
-        return _isolation_counts_masked(fam.masks(), _cols_to_masks(cols))
-    if member is None:
-        member = fam.member_matrix()
-    return _isolation_counts_matrix(member, cols)
-
-
-def _check_counts_strong(iso_count: np.ndarray, s: int) -> bool:
-    return bool(np.all(iso_count == s))
-
-
-def _check_counts_avoiding(iso_count: np.ndarray, s: int, k: int, l: int) -> bool:
-    ok = (iso_count == s) | (iso_count > l)
-    # A subset passing the definition can never leave k - l of its
-    # elements unisolated; that count bound is one-directional, so it is
-    # asserted rather than used as the acceptance test.
-    if np.any(ok & ~(s - iso_count < k - l)):
-        raise AssertionError("definition pass with large unisolated count")
-    return bool(np.all(ok))
+def _all_subsets_pass(fam: SelectorFamily, n: int, k: int, l, exhaustive: bool) -> bool:
+    """Whether every subset of size <= k (or a stratified sample of them)
+    is fully isolated or, when l is given, has more than l isolated."""
+    if n > fam.n:
+        raise ParameterError(f"a family over [1, {fam.n}] cannot be verified over [1, {n}]")
+    if exhaustive:
+        if subset_count(n, k) > VERIFY_SUBSET_LIMIT:
+            raise ParameterError("subset count exceeds the exhaustive verification guard")
+        chunks = _iter_subset_cols(n, range(1, min(k, n) + 1))
+    else:
+        chunks = _sampled_chunks(n, k, fam.seed)
+    words = fam.element_words
+    for s, cols in chunks:
+        iso = _isolation_counts(words, cols)
+        ok = iso == s
+        if l is not None:
+            ok |= iso > l
+        if not ok.all():
+            return False
+    return True
 
 
 def verify_strong_selector(fam: SelectorFamily, n: int, k: int, exhaustive: bool = True) -> bool:
@@ -204,17 +196,7 @@ def verify_strong_selector(fam: SelectorFamily, n: int, k: int, exhaustive: bool
         raise ParameterError("verify_strong_selector needs a strong family")
     if any(len(f) > k for f in fam.sets):
         return False
-    if exhaustive:
-        if subset_count(n, k) > VERIFY_SUBSET_LIMIT:
-            raise ParameterError("subset count exceeds the exhaustive verification guard")
-        chunks = _iter_subset_cols(n, range(1, min(k, n) + 1))
-    else:
-        chunks = _sampled_chunks(n, k, fam.seed)
-    member = fam.member_matrix() if n > 64 else None
-    for s, cols in chunks:
-        if not _check_counts_strong(_isolation_counts(fam, cols, member), s):
-            return False
-    return True
+    return _all_subsets_pass(fam, n, k, None, exhaustive)
 
 
 def verify_avoiding_selector(
@@ -225,17 +207,25 @@ def verify_avoiding_selector(
         raise ParameterError("verify_avoiding_selector needs an avoiding family")
     if not 1 <= l < k <= n:
         raise ParameterError("avoiding verification needs 1 <= l < k <= n")
-    if exhaustive:
-        if subset_count(n, k) > VERIFY_SUBSET_LIMIT:
-            raise ParameterError("subset count exceeds the exhaustive verification guard")
-        chunks = _iter_subset_cols(n, range(1, min(k, n) + 1))
+    return _all_subsets_pass(fam, n, k, l, exhaustive)
+
+
+def verify_family(fam: SelectorFamily) -> str:
+    """Verify a family against its own parameters.
+
+    Returns "exhaustive" or "sampled" for the tier that passed: every
+    subset when the subset count is within VERIFY_SUBSET_LIMIT, a
+    stratified sample otherwise.  Returns "failed" when a checked subset
+    breaks the definition.
+    """
+    exhaustive = subset_count(fam.n, fam.k) <= VERIFY_SUBSET_LIMIT
+    if fam.kind == "strong":
+        ok = verify_strong_selector(fam, fam.n, fam.k, exhaustive=exhaustive)
     else:
-        chunks = _sampled_chunks(n, k, fam.seed)
-    member = fam.member_matrix() if n > 64 else None
-    for s, cols in chunks:
-        if not _check_counts_avoiding(_isolation_counts(fam, cols, member), s, k, l):
-            return False
-    return True
+        ok = verify_avoiding_selector(fam, fam.n, fam.k, fam.l, exhaustive=exhaustive)
+    if not ok:
+        return "failed"
+    return "exhaustive" if exhaustive else "sampled"
 
 
 def _sampled_chunks(n: int, k: int, seed: int):
@@ -267,6 +257,10 @@ def _random_sets(n: int, kind: str, k: int, count: int, rng) -> list[tuple[int, 
             ids = np.nonzero(rng.random(n) < 1.0 / k)[0] + 1
         out.append(tuple(sorted(int(e) for e in ids)))
     return out
+
+
+def _cols_to_masks(cols: np.ndarray) -> np.ndarray:
+    return np.bitwise_or.reduce(np.uint64(1) << cols.astype(np.uint64), axis=1)
 
 
 def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tuple[int, ...]]:
@@ -351,7 +345,7 @@ def _build(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily:
         target = avoiding_length(n, k, l)
     if k >= n:
         fam = _singleton_family(n, kind, k, l, seed)
-        fam.verified = _verify_tier(fam, n, k, l)
+        fam.verified = verify_family(fam)
         if fam.verified == "failed":
             raise RuntimeError("singleton family failed verification")
         return fam
@@ -367,24 +361,13 @@ def _build(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily:
             sets = _random_sets(n, kind, k, length, rng)
             method = "random"
         fam = SelectorFamily(n, kind, k, l, tuple(sets), seed, method)
-        tier = _verify_tier(fam, n, k, l)
+        tier = verify_family(fam)
         if tier != "failed":
             fam.verified = tier
             return fam
         if greedy_ok:
             raise RuntimeError("greedy family failed verification")
     raise RuntimeError(f"selector construction failed for ({n}, {kind}, {k}, {l})")
-
-
-def _verify_tier(fam: SelectorFamily, n: int, k: int, l) -> str:
-    exhaustive = subset_count(n, k) <= VERIFY_SUBSET_LIMIT
-    if fam.kind == "strong":
-        ok = verify_strong_selector(fam, n, k, exhaustive=exhaustive)
-    else:
-        ok = verify_avoiding_selector(fam, n, k, l, exhaustive=exhaustive)
-    if not ok:
-        return "failed"
-    return "exhaustive" if exhaustive else "sampled"
 
 
 def build_strong_selector(n: int, k: int, seed: int = DEFAULT_SEED) -> SelectorFamily:

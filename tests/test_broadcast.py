@@ -142,6 +142,32 @@ def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
         run_local_broadcast(g, _inp(g, msgs, 2))
 
 
+@pytest.mark.parametrize("record", [False, True])
+def test_each_wire_call_carries_one_message_bit(monkeypatch, record):
+    # The runner streams: no neighbor-OR call may span more than one bit's
+    # L rounds, i.e. ceil(L / 64) words per node.
+    g = generate_random_graph(12, 3, seed=2)
+    width = 5
+    msgs = _random_messages(g, width, seed=1)
+    real = beepnet.kernel.or_neighbor_patterns
+    words = []
+
+    def spy(indptr, indices, patterns):
+        words.append(patterns.shape[1])
+        return real(indptr, indices, patterns)
+
+    monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
+    res = run_local_broadcast(g, _inp(g, msgs, width), record=record)
+    one_bit = math.ceil(len(res.family) / 64)
+    assert math.ceil(res.rounds / 64) > one_bit
+    assert words and max(words) <= one_bit
+    for u in g.ids:
+        assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
+    if record:
+        assert res.trace.total_rounds == res.rounds
+        assert validate_trace(g, res.trace).ok
+
+
 def test_incomplete_knowledge_rejected():
     g = graph_from_edges([(1, 2), (2, 3)])
     know = full_knowledge(g)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,12 @@ import beepnet
 from beepnet.cli import main
 from beepnet.graphs import load_graph
 from beepnet.multihop import load_layer_annotations
-from beepnet.selectors import load_family
+from beepnet.selectors import (
+    load_family,
+    save_family,
+    verify_avoiding_selector,
+    verify_family,
+)
 
 
 def test_gen_graph_writes_a_loadable_graph(tmp_path, capsys):
@@ -54,6 +60,30 @@ def test_verify_selector_flags_a_damaged_family(tmp_path):
     head[3] = "1"
     fam_file.write_text("\n".join([" ".join(head), lines[1]]) + "\n")
     assert main(["verify-selector", str(fam_file)]) == 1
+
+
+REPO_CACHE = Path(__file__).resolve().parent.parent / ".selector-cache"
+
+
+@pytest.mark.parametrize("name", ["80-avoiding-3-2-s1.txt", "128-avoiding-9-8-s1.txt"])
+def test_verify_selector_flags_a_dropped_element_past_64(tmp_path, capsys, name):
+    # Element 1 taken out of every set of a tracked family is never
+    # isolated, so the subset {1} alone breaks it.
+    fam = load_family(REPO_CACHE / name)
+    cut = replace(fam, sets=tuple(tuple(e for e in f if e != 1) for f in fam.sets))
+    assert verify_family(cut) == "failed"
+    assert not verify_avoiding_selector(cut, cut.n, cut.k, cut.l, exhaustive=False)
+    cut_file = tmp_path / name
+    save_family(cut, cut_file)
+    capsys.readouterr()
+    assert main(["verify-selector", str(cut_file)]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("-> failed")
+
+
+def test_verify_selector_passes_a_tracked_sampled_family(capsys):
+    # Past the exhaustive guard the CLI samples instead of refusing the file.
+    assert main(["verify-selector", str(REPO_CACHE / "128-avoiding-9-8-s1.txt")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("-> sampled")
 
 
 def test_verify_selector_rejects_a_non_integer_member(tmp_path, capsys):

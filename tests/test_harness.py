@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from beepnet import harness
 from beepnet.graphs import ParameterError, graph_from_edges
 from beepnet.harness import (
     ExperimentConfig,
@@ -80,6 +81,22 @@ def test_learning_metrics_exact():
     assert m.ok
     assert m.delivered_count == 10
     assert m.rounds_total == m.schedule_rounds == m.super_rounds * 2 * m.w
+
+
+def test_an_aborted_seed_reports_the_bound_it_ran_with(monkeypatch):
+    # The default degree bound is n - 1 for learn-neighborhood, aborted or not.
+    cfg = ExperimentConfig(protocol="learn-neighborhood", n=10, delta=3, seeds=(4,))
+    assert run_single(cfg, 4).delta_hat == 9
+
+    def abort(graph, delta_hat):
+        raise RuntimeError("channel fault")
+
+    monkeypatch.setattr(harness, "run_learning_neighborhood", abort)
+    m = run_single(cfg, 4)
+    assert m.failures == ["aborted: channel fault"] and not m.ok
+    assert m.delta_hat == 9
+    assert (m.rounds_total, m.schedule_rounds, m.super_rounds, m.digest, m.trace_checked) == (
+        0, None, None, None, False)
 
 
 def test_c2b_metrics_carry_link_history_and_digest():

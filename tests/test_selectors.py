@@ -1,8 +1,7 @@
 import itertools
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beepnet.graphs import ParameterError
@@ -18,6 +17,7 @@ from beepnet.selectors import (
     strong_length,
     subset_count,
     verify_avoiding_selector,
+    verify_family,
     verify_strong_selector,
 )
 
@@ -266,11 +266,55 @@ def test_a_non_integer_cache_token_rebuilds_the_family(tmp_path, monkeypatch):
     clear_memory_cache()
 
 
-def test_masks_match_sets():
+def test_element_words_match_sets():
     fam = build_strong_selector(8, 3, seed=2)
-    masks = fam.masks()
-    for f, m in zip(fam.sets, masks):
-        assert sum(1 << (e - 1) for e in f) == int(m)
-    mat = fam.member_matrix()
-    assert mat.shape == (len(fam), 8)
-    assert np.array_equal(mat.sum(axis=1), np.array([len(f) for f in fam.sets]))
+    words = fam.element_words
+    assert words.shape == (8, (len(fam) + 63) // 64)
+    for e in range(1, 9):
+        held = {i for i in range(len(fam)) if int(words[e - 1, i // 64]) >> (i % 64) & 1}
+        assert held == {i for i, f in enumerate(fam.sets) if e in f}
+
+
+# Around one uint64 word of elements (n = 63, 64, 65, 70) and with one to
+# two words of sets (60-70 of them).  The base is the cycle {e, e+1} over
+# [1, n], which passes both definitions at k = 2: each element sits in two
+# sets with different partners.  Dropping a cycle set breaks that for two
+# subsets unless an appended set mends it, so both verdicts occur; the
+# examples pin one of each.
+
+def _cycle_sets(n):
+    return [tuple(sorted((e, e % n + 1))) for e in range(1, n + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([63, 64, 65, 70]),
+    drop=st.sets(st.integers(0, 69), max_size=3),
+    extra=st.lists(st.frozensets(st.integers(1, 63), min_size=1, max_size=2), max_size=8),
+)
+@example(n=64, drop=set(), extra=[])
+@example(n=65, drop={64}, extra=[])
+def test_verifiers_match_oracles_around_a_word(n, drop, extra):
+    kept = [f for i, f in enumerate(_cycle_sets(n)) if i not in drop]
+    sets = (kept + [tuple(sorted(f)) for f in extra])[:70]
+    assert 60 <= len(sets) <= 70
+    strong = _fam(n, "strong", 2, None, sets)
+    assert verify_strong_selector(strong, n, 2) == oracle_strong(strong.sets, n, 2)
+    avoiding = _fam(n, "avoiding", 2, 1, sets)
+    assert verify_avoiding_selector(avoiding, n, 2, 1) == oracle_avoiding(avoiding.sets, n, 2, 1)
+
+
+def test_cycle_family_verdicts_around_a_word():
+    for n in (63, 64, 65, 70):
+        sets = _cycle_sets(n)
+        assert verify_strong_selector(_fam(n, "strong", 2, None, sets), n, 2)
+        assert verify_avoiding_selector(_fam(n, "avoiding", 2, 1, sets), n, 2, 1)
+        assert not verify_strong_selector(_fam(n, "strong", 2, None, sets[1:]), n, 2)
+        assert not verify_avoiding_selector(_fam(n, "avoiding", 2, 1, sets[1:]), n, 2, 1)
+
+
+def test_verify_family_reports_its_tier():
+    assert verify_family(build_strong_selector(8, 3, seed=2)) == "exhaustive"
+    assert verify_family(build_strong_selector(24, 24, seed=1)) == "sampled"
+    gutted = _fam(8, "avoiding", 4, 2, [])
+    assert verify_family(gutted) == "failed"
