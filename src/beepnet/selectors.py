@@ -11,13 +11,18 @@ isolated, or more than l of them do.  Avoiding sets are not size-capped.
 Construction is seeded and deterministic.  Small parameter ranges run a
 greedy cover over all isolation demands; k >= n degenerates to the
 singleton family; everything else draws seeded random sets.  The greedy
-cover keeps its own one-word element masks (it runs only for n <= 64).
+cover keeps its own one-word element masks (it runs only for n <= 64, and
+uses the narrowest unsigned type that holds n bits), one row per subset,
+and drops the satisfied rows every round.
 
-verify_family checks every subset of size <= k when the subset count
-permits, otherwise a stratified sample, and the achieved tier is recorded
-on the family.  Verification shares no code with construction: it reads
-the family's element_words view (for each element, the sets holding it,
-packed into uint64 words) and works the same way at every n.
+Both sides enumerate subsets with _iter_subset_cols, which yields numpy
+blocks in itertools.combinations order; greedy's choices depend on that
+order.  verify_family checks every subset of size <= k when the subset
+count permits, otherwise a stratified sample, and the achieved tier is
+recorded on the family.  Verification shares no isolation counting with
+construction: it reads the family's element_words view (for each
+element, the sets holding it, packed into uint64 words) and works the
+same way at every n.
 """
 
 from __future__ import annotations
@@ -107,16 +112,62 @@ class SelectorFamily:
 
 
 def _iter_subset_cols(n: int, sizes, chunk: int = 50_000):
-    """Yield (s, cols) with cols an (m, s) int64 array of 0-based members."""
+    """Yield (s, cols) with cols an (m, s) int64 array of 0-based members.
+
+    Rows follow itertools.combinations(range(n), s) order, at most chunk
+    rows a block.  The s-subsets that start with f are f followed by the
+    (s - 1)-subsets whose first element exceeds f: a suffix of the
+    lexicographic (s - 1) table, found by searchsorted.  Past s = n / 2
+    the (n - s) table is the smaller one: lexicographic order on
+    s-subsets is the reverse of it on their complements.  Only the one
+    table is held in full.
+    """
+    table = None
     for s in sizes:
         if s > n:
             continue
-        it = itertools.combinations(range(n), s)
-        while True:
-            block = list(itertools.islice(it, chunk))
-            if not block:
-                break
-            yield s, np.array(block, dtype=np.int64)
+        if s == 1:
+            for lo in range(0, n, chunk):
+                yield 1, np.arange(lo, min(n, lo + chunk), dtype=np.int64)[:, None]
+        elif 2 * s > n:
+            table = _subset_table(n, n - s, table)
+            for hi in range(len(table), 0, -chunk):
+                part = table[max(hi - chunk, 0):hi][::-1]
+                held = np.ones((len(part), n), dtype=bool)
+                held[np.arange(len(part))[:, None], part] = False
+                yield s, np.nonzero(held)[1].reshape(-1, s)
+        else:
+            table = _subset_table(n, s - 1, table)
+            for f, tail in _suffixes(table):
+                for lo in range(0, len(tail), chunk):
+                    part = tail[lo:lo + chunk]
+                    cols = np.empty((len(part), s), dtype=np.int64)
+                    cols[:, 0] = f
+                    cols[:, 1:] = part
+                    yield s, cols
+
+
+def _subset_table(n: int, t: int, table: np.ndarray | None) -> np.ndarray:
+    """Every t-subset of range(n) in lexicographic order, one row each, in
+    the narrowest dtype that holds n - 1.  Grows table when it is not wider."""
+    dtype = np.min_scalar_type(n - 1)
+    if t == 0:
+        return np.zeros((1, 0), dtype=dtype)
+    if table is None or not 0 < table.shape[1] <= t:
+        table = np.arange(n, dtype=dtype)[:, None]
+    while table.shape[1] < t:
+        table = np.concatenate([
+            np.column_stack((np.full(len(tail), f, dtype=dtype), tail))
+            for f, tail in _suffixes(table)
+        ])
+    return table
+
+
+def _suffixes(table: np.ndarray):
+    """(f, the rows of table whose first element exceeds f), for each f that has any."""
+    starts = np.searchsorted(table[:, 0], np.arange(int(table[-1, 0])), side="right")
+    for f, start in enumerate(starts.tolist()):
+        yield f, table[start:]
 
 
 def _sample_subset_cols(n: int, s: int, count: int, rng) -> np.ndarray:
@@ -266,58 +317,54 @@ def _cols_to_masks(cols: np.ndarray) -> np.ndarray:
 def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tuple[int, ...]]:
     """Cover all isolation demands greedily, then pad to the declared length.
 
-    State is one row per subset of size <= k: its member mask, the mask of
-    members isolated so far, and the subset size.  Rows satisfied under the
-    family definition are dropped as they accumulate.
+    State is one row per subset of size <= k, in itertools.combinations
+    order: its member mask, the mask of members isolated so far, and the
+    subset size.  A row satisfied under the family definition stays
+    satisfied, so every round drops the satisfied rows before scoring;
+    the boolean compaction keeps the order of the rest.  A candidate scores
+    one point per open row that it meets in exactly one member, when that
+    member is still pending (not yet isolated).
     """
+    word = np.min_scalar_type((1 << n) - 1)  # the narrowest unsigned type holding n bits
     smask_parts = []
     size_parts = []
     for s, cols in _iter_subset_cols(n, range(1, min(k, n) + 1)):
-        smask_parts.append(_cols_to_masks(cols))
-        size_parts.append(np.full(cols.shape[0], s, dtype=np.int64))
+        smask_parts.append(_cols_to_masks(cols).astype(word))
+        size_parts.append(np.full(cols.shape[0], s, dtype=np.uint8))
     smask = np.concatenate(smask_parts)
     size = np.concatenate(size_parts)
-    iso = np.zeros(smask.shape, dtype=U64)
-
-    def satisfied() -> np.ndarray:
-        cnt = popcount(iso).astype(np.int64)
-        if kind == "strong":
-            return cnt == size
-        return (cnt == size) | (cnt > l)
+    iso = np.zeros_like(smask)
 
     chosen: list[int] = []
-    rounds_since_compact = 0
     while True:
-        sat = satisfied()
-        if sat.all():
-            break
-        if rounds_since_compact >= 8:
+        cnt = popcount(iso)
+        sat = cnt == size
+        if kind == "avoiding":
+            sat |= cnt > l
+        if sat.any():
             keep = ~sat
             smask, size, iso = smask[keep], size[keep], iso[keep]
-            sat = np.zeros(smask.shape, dtype=bool)
-            rounds_since_compact = 0
+        if not smask.size:
+            break
+        pending = smask & ~iso
         candidates = [
             _mask_of(ids) for ids in _random_sets(n, kind, k, _CANDIDATES_PER_ROUND, rng)
         ]
-        open_rows = np.nonzero(~sat)[0]
-        for row in open_rows[:_TARGETED_PER_ROUND]:
-            pending = int(smask[row] & ~iso[row])
-            if pending:
-                candidates.append(1 << _lowest_bit(pending))
+        # Every open row has a pending member: iso stays inside smask.
+        for p in pending[:_TARGETED_PER_ROUND].tolist():
+            candidates.append(1 << _lowest_bit(p))
         best_mask, best_score = 0, -1
         for f in candidates:
-            x = smask & np.uint64(f)
-            gain = (popcount(x) == 1) & ((x & ~iso) != 0) & ~sat
-            score = int(gain.sum())
+            fw = word.type(f)
+            score = int(np.count_nonzero((popcount(smask & fw) == 1) & ((pending & fw) != 0)))
             if score > best_score:
                 best_mask, best_score = f, score
         if best_score <= 0:
             raise RuntimeError("greedy selector construction stalled")
-        x = smask & np.uint64(best_mask)
+        x = smask & word.type(best_mask)
         upd = popcount(x) == 1
         iso[upd] |= x[upd]
         chosen.append(best_mask)
-        rounds_since_compact += 1
 
     pad = target_len - len(chosen)
     sets = [_ids_of(m) for m in chosen]

@@ -1,5 +1,7 @@
 import itertools
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from beepnet.graphs import ParameterError
 from beepnet.selectors import (
     SelectorFamily,
+    _iter_subset_cols,
     avoiding_length,
     build_avoiding_selector,
     build_strong_selector,
@@ -318,3 +321,46 @@ def test_verify_family_reports_its_tier():
     assert verify_family(build_strong_selector(24, 24, seed=1)) == "sampled"
     gutted = _fam(8, "avoiding", 4, 2, [])
     assert verify_family(gutted) == "failed"
+
+
+# The subset generator drives both greedy construction (whose row order
+# decides which sets get picked) and exhaustive verification, so it must
+# reproduce itertools.combinations row for row, across split blocks and
+# the complement path past s = n / 2.
+
+@pytest.mark.parametrize(
+    "n, s, chunk",
+    [(5, 5, 50_000), (9, 1, 50_000), (12, 3, 50_000), (32, 5, 50_000), (40, 4, 50_000),
+     (70, 3, 50_000), (40, 4, 1_000), (70, 3, 7), (9, 1, 4), (23, 12, 5_000), (24, 22, 100)],
+)
+def test_subset_generator_matches_itertools(n, s, chunk):
+    blocks = list(_iter_subset_cols(n, [s], chunk))
+    assert all(size == s and cols.dtype == np.int64 for size, cols in blocks)
+    assert max(len(cols) for _, cols in blocks) <= chunk
+    got = np.concatenate([cols for _, cols in blocks])
+    assert np.array_equal(got, np.array(list(itertools.combinations(range(n), s))))
+
+
+def test_subset_generator_over_several_sizes():
+    sizes = [1, 2, 3, 4, 5, 6, 7, 8, 9, 3, 2, 6]
+    blocks = list(_iter_subset_cols(8, sizes, chunk=9))
+    got = [(s, tuple(row)) for s, cols in blocks for row in cols.tolist()]
+    want = [(s, c) for s in sizes for c in itertools.combinations(range(8), s)]
+    assert got == want                       # size 9 > n yields nothing
+    assert list(_iter_subset_cols(4, [5, 6])) == []
+
+
+# Tracked cache copies the current builder reproduces byte for byte.  The
+# benchmark's golden hashes pin greedy order too, but only for n = 32.
+@pytest.mark.parametrize(
+    "n, k, l",
+    [(32, 2, 1), (32, 4, 2), (10, 6, 3), (64, 3, 2), (16, 4, None), (23, 5, None), (10, 10, None)],
+)
+def test_construction_reproduces_tracked_family_bytes(n, k, l, tmp_path):
+    if l is None:
+        fam, name = build_strong_selector(n, k), f"{n}-strong-{k}-0-s1.txt"
+    else:
+        fam, name = build_avoiding_selector(n, k, l), f"{n}-avoiding-{k}-{l}-s1.txt"
+    tracked = Path(__file__).resolve().parent.parent / ".selector-cache" / name
+    save_family(fam, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == tracked.read_bytes()
