@@ -254,6 +254,31 @@ class C2BResult:
     beeps_total: int
 
 
+def _extended_word_rows(bits: np.ndarray) -> np.ndarray:
+    """Extended words of payloads given as bits, (..., w) -> (...) uint64.
+
+    bits[..., r] is the r-th payload bit sent (the most significant comes
+    first): it lands in pattern bit r and its complement in bit w + r.
+    """
+    w = bits.shape[-1]
+    first = np.bitwise_or.reduce(bits.astype(np.uint64) << np.arange(w, dtype=np.uint64),
+                                 axis=-1)
+    return first | (first ^ np.uint64((1 << w) - 1)) << np.uint64(w)
+
+
+def _payload_words(payloads: np.ndarray, w: int) -> np.ndarray:
+    """Extended words of an int64 array of w-bit payloads."""
+    return _extended_word_rows(payloads[..., None] >> np.arange(w - 1, -1, -1) & 1)
+
+
+def _message_word_rows(messages: list[tuple[int, ...]], w: int, nwords: int) -> np.ndarray:
+    """(len(messages), nwords) extended words, each message zero-padded to nwords * w bits."""
+    bits = np.zeros((len(messages), nwords * w), dtype=np.uint8)
+    for row, message in zip(bits, messages):
+        row[:len(message)] = message
+    return _extended_word_rows(bits.reshape(len(messages), nwords, w))
+
+
 def _message_words(bits: tuple[int, ...], w: int, nwords: int) -> list[int]:
     padded = tuple(bits) + (0,) * (nwords * w - len(bits))
     out = []
@@ -487,14 +512,16 @@ class _Handshake:
         self.ids = graph.ids
         self.ids_arr = np.array(graph.ids, dtype=np.int64)   # sorted
         self.arange = np.arange(n)
-        self.id_word = np.array([encode_extended(u, w) for u in graph.ids], dtype=np.uint64)
+        self.id_word = _payload_words(self.ids_arr, w)
         self.msg_words = np.empty((n, n, m), dtype=np.uint64)
-        self.msg_words[:, :] = _message_words((), w, m)
+        self.msg_words[:, :] = _message_word_rows([()], w, m)[0]
         self.msg_len = np.zeros((n, n), dtype=np.int64)
-        for (u, v), bits in inp.messages.items():
-            ui, vi = graph.index_of[u], graph.index_of[v]
-            self.msg_words[ui, vi] = _message_words(bits, w, m)
-            self.msg_len[ui, vi] = len(bits)
+        if inp.messages:
+            ui, vi = np.array([(graph.index_of[u], graph.index_of[v])
+                               for u, v in inp.messages]).T
+            messages = list(inp.messages.values())
+            self.msg_words[ui, vi] = _message_word_rows(messages, w, m)
+            self.msg_len[ui, vi] = [len(bits) for bits in messages]
 
         self.unrealized = graph.adjacency.copy()
         self.announcing = np.zeros(n, dtype=bool)

@@ -198,7 +198,7 @@ def trace_from_beeps(graph: Graph, beeps: np.ndarray, noise: np.ndarray) -> Trac
 class RunResult:
     status: str                 # "ok" or "budget-exceeded"
     rounds: int
-    trace: Trace | None
+    trace: Trace
     outputs: dict[int, object]
 
     @property
@@ -206,8 +206,7 @@ class RunResult:
         return self.status == "ok"
 
 
-def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int,
-        record: bool = True) -> RunResult:
+def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int) -> RunResult:
     """Drive per-node machines until all finish or the budget runs out.
 
     protocols maps node ID to its machine. Rounds are executed one at a time
@@ -216,7 +215,7 @@ def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int,
     """
     if set(protocols) != set(graph.ids):
         raise ValueError("protocols must cover exactly the node set")
-    trace = Trace(graph) if record else None
+    trace = Trace(graph)
     chunk_actions: list[dict[int, NodeAction]] = []
     rounds = 0
     status = "ok"
@@ -234,13 +233,12 @@ def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int,
         feedback = step(graph, actions)
         for u in graph.ids:
             protocols[u].observe(rounds, feedback[u])
-        if record:
-            chunk_actions.append(actions)
-            if len(chunk_actions) == 64:
-                _flush(trace, chunk_actions)
-                chunk_actions = []
+        chunk_actions.append(actions)
+        if len(chunk_actions) == 64:
+            _flush(trace, chunk_actions)
+            chunk_actions = []
         rounds += 1
-    if record and chunk_actions:
+    if chunk_actions:
         _flush(trace, chunk_actions)
     outputs = {u: protocols[u].output() for u in graph.ids}
     return RunResult(status=status, rounds=rounds, trace=trace, outputs=outputs)

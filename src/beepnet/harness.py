@@ -36,7 +36,6 @@ from .multihop import (
 )
 from .protocols.broadcast import (
     LocalBroadcastInput,
-    full_knowledge,
     local_broadcast_schedule_length,
     run_local_broadcast,
 )
@@ -175,9 +174,7 @@ def _check_trace(graph: Graph, trace, failures: list[str]) -> bool:
 
 def _run_local_broadcast(config, graph, dh, seed, rng, failures):
     msgs = {u: _payload(rng, config.B, exact=True) for u in graph.ids}
-    res = run_local_broadcast(
-        graph, LocalBroadcastInput(msgs, config.B, full_knowledge(graph)), dh
-    )
+    res = run_local_broadcast(graph, LocalBroadcastInput(msgs, config.B), dh)
     delivered = sum(
         res.output[v][u] == msgs[u] for v in graph.ids for u in graph.neighbors_of(v)
     )

@@ -23,7 +23,7 @@ from .c2b import CongestRoundInput, run_c2b
 from .encoding import id_width
 from .graphs import Graph, ParameterError, graph_from_edges
 from .protocols._common import resolve_degree_bound
-from .protocols.broadcast import LocalBroadcastInput, full_knowledge, run_local_broadcast
+from .protocols.broadcast import LocalBroadcastInput, run_local_broadcast
 from .selectors import DEFAULT_SEED
 
 Bits = tuple[int, ...]
@@ -87,7 +87,6 @@ def run_id_dissemination(
         return DisseminationResult(tables, 0, (0,) * h)
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     w = id_width(graph.n, graph.c)
-    knowledge = full_knowledge(graph)
     fresh: dict[int, list[int]] = {u: [u] for u in graph.ids}
     epoch_rounds: list[int] = []
     beeps = 0
@@ -108,7 +107,7 @@ def run_id_dissemination(
             messages[u] = tuple(bits)
         res = run_local_broadcast(
             graph,
-            LocalBroadcastInput(messages, width, knowledge),
+            LocalBroadcastInput(messages, width),
             delta_hat=delta_hat,
             seed=seed,
             record=False,
@@ -309,7 +308,6 @@ def run_multihop_local_broadcast(
     w = id_width(graph.n, graph.c)
     lenbits = max(1, B.bit_length())
     countbits = max(1, graph.n.bit_length())
-    knowledge = full_knowledge(graph)
     repetition_rounds: list[int] = []
     beeps = 0
     for j in range(1, h + 1):
@@ -332,7 +330,7 @@ def run_multihop_local_broadcast(
             msgs[u] = tuple(bits)
         res = run_local_broadcast(
             graph,
-            LocalBroadcastInput(msgs, width, knowledge),
+            LocalBroadcastInput(msgs, width),
             delta_hat=delta_hat,
             seed=seed,
             record=False,

@@ -5,17 +5,14 @@ from .broadcast import (
     LocalBroadcastNode,
     LocalBroadcastResult,
     broadcast_family,
-    full_knowledge,
     local_broadcast_schedule_length,
     run_local_broadcast,
 )
-from .decomposition import PhaseState, decomposition_primitives, payload_cap
 from .gathering import (
     AggregationSpec,
     ClusterLayout,
     GatheringResult,
     LayoutError,
-    LeaderBroadcastResult,
     gathering_schedule_length,
     generate_cluster_layout,
     load_layout,
@@ -38,7 +35,6 @@ __all__ = [
     "LocalBroadcastNode",
     "LocalBroadcastResult",
     "broadcast_family",
-    "full_knowledge",
     "local_broadcast_schedule_length",
     "run_local_broadcast",
     "LearningResult",
@@ -50,7 +46,6 @@ __all__ = [
     "ClusterLayout",
     "GatheringResult",
     "LayoutError",
-    "LeaderBroadcastResult",
     "gathering_schedule_length",
     "generate_cluster_layout",
     "load_layout",
@@ -59,7 +54,4 @@ __all__ = [
     "save_layout",
     "sum_aggregation",
     "validate_layout",
-    "PhaseState",
-    "decomposition_primitives",
-    "payload_cap",
 ]

@@ -37,7 +37,6 @@ Bits = tuple[int, ...]
 class LocalBroadcastInput:
     messages: dict[int, Bits]  # node id -> bit string, length <= width
     width: int
-    known_neighborhoods: dict[int, frozenset[int]]
 
     def __post_init__(self) -> None:
         if self.width < 0:
@@ -80,14 +79,6 @@ def _validate_input(graph: Graph, inp: LocalBroadcastInput) -> None:
     for u in inp.messages:
         if u not in graph.index_of:
             raise ParameterError(f"message for unknown node {u}")
-    for u in graph.ids:
-        claimed = inp.known_neighborhoods.get(u)
-        if claimed is None or set(claimed) != set(graph.neighbors_of(u)):
-            raise ParameterError(f"node {u} lacks exact neighborhood knowledge")
-
-
-def full_knowledge(graph: Graph) -> dict[int, frozenset[int]]:
-    return {u: frozenset(graph.neighbors_of(u)) for u in graph.ids}
 
 
 def run_local_broadcast(

@@ -30,7 +30,7 @@ from .._bits import bits_to_int, int_to_bits
 from ..engine import Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED
-from .broadcast import LocalBroadcastInput, broadcast_family, full_knowledge, run_local_broadcast
+from .broadcast import LocalBroadcastInput, broadcast_family, run_local_broadcast
 
 OVERLAP_FLAG_FACTOR = 4
 
@@ -51,12 +51,6 @@ class ClusterLayout:
 
     def tree_nodes(self, i: int) -> frozenset[int]:
         return frozenset(self.parents[i]) | {self.leaders[i]}
-
-    def cluster_of(self, node: int) -> int:
-        for i, cl in enumerate(self.clusters):
-            if node in cl:
-                return i
-        raise KeyError(node)
 
 
 def tree_depths(layout: ClusterLayout, i: int) -> dict[int, int]:
@@ -80,6 +74,10 @@ def tree_depths(layout: ClusterLayout, i: int) -> dict[int, int]:
         for j, u in enumerate(reversed(path)):
             depth[u] = base + j + 1
     return depth
+
+
+def _max_depth(layout: ClusterLayout) -> int:
+    return max(max(tree_depths(layout, i).values()) for i in range(len(layout.clusters)))
 
 
 def validate_layout(graph: Graph, layout: ClusterLayout) -> list[str]:
@@ -164,7 +162,7 @@ def _tree_bits(ntrees: int) -> int:
 
 def gathering_schedule_length(graph: Graph, layout: ClusterLayout, value_bits: int,
                               delta_hat: int | None = None, seed: int = DEFAULT_SEED) -> int:
-    steps = max(max(tree_depths(layout, i).values()) for i in range(len(layout.clusters)))
+    steps = _max_depth(layout)
     if steps == 0:
         return 0
     _, slots = _slot_assignment(layout)
@@ -175,6 +173,9 @@ def gathering_schedule_length(graph: Graph, layout: ClusterLayout, value_bits: i
 
 @dataclass
 class GatheringResult:
+    """values maps each leader to its cluster's fold (gathering) or each
+    member to its leader's message (leader broadcast)."""
+
     values: dict[int, int]
     rounds: int
     steps: int
@@ -184,57 +185,58 @@ class GatheringResult:
     beeps_total: int = 0
 
 
-def _slotted_exchange(
+def _run_tree_steps(
     graph: Graph,
     layout: ClusterLayout,
     outgoing: list[dict[int, int]],
     value_bits: int,
+    fold: Callable[[dict[tuple[int, int], list[tuple[int, int]]]], list[dict[int, int]]],
     delta_hat: int | None,
     seed: int,
     record: bool,
-    traces: list[Trace] | None,
-):
-    """One step: broadcast every queued (tree, value) message in its slot.
+) -> tuple[int, int, int, list[Trace] | None, int]:
+    """Run max-depth slotted steps, starting from the queued outgoing values.
 
-    Returns {(tree, receiver): [(sender, value), ...]} with senders in ID
-    order, total rounds spent, and total beeps.
+    Each step broadcasts every queued (tree, value) message in its slot and
+    hands fold the heard map {(tree, receiver): [(sender, value), ...]},
+    senders in ID order; fold returns the next step's outgoing values.
+    Returns steps, slots, rounds, traces and beeps.
     """
-    slots_of, nslots = _slot_assignment(layout)
+    steps = _max_depth(layout)
+    slots_of, nslots = _slot_assignment(layout) if steps else ({}, 0)
     tbits = _tree_bits(len(layout.clusters))
     width = tbits + value_bits
-    know = full_knowledge(graph)
-    heard: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    traces: list[Trace] | None = [] if record else None
     rounds = 0
     beeps = 0
-    for r in range(nslots):
-        messages: dict[int, tuple[int, ...]] = {}
-        for v, ts in slots_of.items():
-            if r >= len(ts):
-                continue
-            t = ts[r]
-            if v in outgoing[t]:
-                messages[v] = int_to_bits(t, tbits) + int_to_bits(outgoing[t][v], value_bits)
-        res = run_local_broadcast(
-            graph,
-            LocalBroadcastInput(messages, width, know),
-            delta_hat=delta_hat,
-            seed=seed,
-            record=record,
-        )
-        rounds += res.rounds
-        beeps += res.beeps_total
-        if record and traces is not None and res.trace is not None:
-            traces.append(res.trace)
-        for v in graph.ids:
-            for u, bits in res.output[v].items():
-                if len(bits) != width:
-                    continue  # no message queued in this slot
-                t = bits_to_int(bits[:tbits])
-                value = bits_to_int(bits[tbits:])
-                heard.setdefault((t, v), []).append((u, value))
-    for entry in heard.values():
-        entry.sort()
-    return heard, rounds, beeps
+    for _ in range(steps):
+        heard: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for r in range(nslots):
+            messages: dict[int, tuple[int, ...]] = {}
+            for v, ts in slots_of.items():
+                if r >= len(ts):
+                    continue
+                t = ts[r]
+                if v in outgoing[t]:
+                    messages[v] = int_to_bits(t, tbits) + int_to_bits(outgoing[t][v], value_bits)
+            res = run_local_broadcast(
+                graph, LocalBroadcastInput(messages, width),
+                delta_hat=delta_hat, seed=seed, record=record,
+            )
+            rounds += res.rounds
+            beeps += res.beeps_total
+            if traces is not None:
+                traces.append(res.trace)
+            for v in graph.ids:
+                for u, bits in res.output[v].items():
+                    if len(bits) != width:
+                        continue  # no message queued in this slot
+                    t = bits_to_int(bits[:tbits])
+                    heard.setdefault((t, v), []).append((u, bits_to_int(bits[tbits:])))
+        for entry in heard.values():
+            entry.sort()
+        outgoing = fold(heard)
+    return steps, nslots, rounds, traces, beeps
 
 
 def run_cluster_gathering(
@@ -255,9 +257,6 @@ def run_cluster_gathering(
             raise ParameterError(f"datum {value} of node {v} overflows {agg.value_bits} bits")
 
     k = len(layout.clusters)
-    depths = [tree_depths(layout, i) for i in range(k)]
-    steps = max(max(d.values()) for d in depths)
-    members = [layout.clusters[i] for i in range(k)]
     children: list[dict[int, list[int]]] = []
     for i in range(k):
         ch: dict[int, list[int]] = {}
@@ -275,21 +274,11 @@ def run_cluster_gathering(
         for v in layout.tree_nodes(i):
             if v == layout.leaders[i]:
                 continue
-            out[v] = data[v] if v in members[i] else agg.identity
+            out[v] = data[v] if v in layout.clusters[i] else agg.identity
         outgoing.append(out)
         result[layout.leaders[i]] = data[layout.leaders[i]]
 
-    traces: list[Trace] | None = [] if record else None
-    rounds = 0
-    beeps = 0
-    _, nslots = _slot_assignment(layout) if steps else (None, 0)
-    for _ in range(steps):
-        heard, r_spent, b_spent = _slotted_exchange(
-            graph, layout, outgoing, agg.value_bits, delta_hat, seed,
-            record, traces,
-        )
-        rounds += r_spent
-        beeps += b_spent
+    def fold(heard):
         nxt: list[dict[int, int]] = [dict() for _ in range(k)]
         for (t, v), arrivals in heard.items():
             mine = children[t].get(v, ())
@@ -304,20 +293,11 @@ def run_cluster_gathering(
                 result[v] = agg.fold(result[v], acc)
             else:
                 nxt[t][v] = acc
-        outgoing = nxt
+        return nxt
 
-    return GatheringResult(result, rounds, steps, nslots, warnings, traces, beeps)
-
-
-@dataclass
-class LeaderBroadcastResult:
-    values: dict[int, int]
-    rounds: int
-    steps: int
-    slots: int
-    warnings: list[str]
-    traces: list[Trace] | None
-    beeps_total: int = 0
+    steps, slots, rounds, traces, beeps = _run_tree_steps(
+        graph, layout, outgoing, agg.value_bits, fold, delta_hat, seed, record)
+    return GatheringResult(result, rounds, steps, slots, warnings, traces, beeps)
 
 
 def run_leader_broadcast(
@@ -328,7 +308,12 @@ def run_leader_broadcast(
     delta_hat: int | None = None,
     seed: int = DEFAULT_SEED,
     record: bool = False,
-) -> LeaderBroadcastResult:
+) -> GatheringResult:
+    """Every member of cluster i ends up with its leader's message.
+
+    Runs the gathering steps downward: a node relays its tree's value in
+    the step right after it first hears it from its parent.
+    """
     warnings = validate_layout(graph, layout)
     if set(messages) != set(layout.leaders):
         raise ParameterError("need exactly one message per leader")
@@ -339,26 +324,11 @@ def run_leader_broadcast(
             raise ParameterError(f"message {v} of leader {l} overflows {value_bits} bits")
 
     k = len(layout.clusters)
-    depths = [tree_depths(layout, i) for i in range(k)]
-    steps = max(max(d.values()) for d in depths)
-
     received: list[dict[int, int]] = [
         {layout.leaders[i]: messages[layout.leaders[i]]} for i in range(k)
     ]
-    # A node relays in the step right after it first hears its tree's value.
-    outgoing: list[dict[int, int]] = [dict(received[i]) for i in range(k)]
 
-    traces: list[Trace] | None = [] if record else None
-    rounds = 0
-    beeps = 0
-    _, nslots = _slot_assignment(layout) if steps else (None, 0)
-    for _ in range(steps):
-        heard, r_spent, b_spent = _slotted_exchange(
-            graph, layout, outgoing, value_bits, delta_hat, seed,
-            record, traces,
-        )
-        rounds += r_spent
-        beeps += b_spent
+    def fold(heard):
         nxt: list[dict[int, int]] = [dict() for _ in range(k)]
         for (t, v), arrivals in heard.items():
             parent = layout.parents[t].get(v)
@@ -366,7 +336,11 @@ def run_leader_broadcast(
                 if u == parent and v not in received[t]:
                     received[t][v] = value
                     nxt[t][v] = value
-        outgoing = nxt
+        return nxt
+
+    steps, slots, rounds, traces, beeps = _run_tree_steps(
+        graph, layout, [dict(r) for r in received], value_bits, fold,
+        delta_hat, seed, record)
 
     values: dict[int, int] = {}
     for i in range(k):
@@ -374,7 +348,7 @@ def run_leader_broadcast(
             if v not in received[i]:
                 raise RuntimeError(f"member {v} of cluster {i} never heard its leader")
             values[v] = received[i][v]
-    return LeaderBroadcastResult(values, rounds, steps, nslots, warnings, traces, beeps)
+    return GatheringResult(values, rounds, steps, slots, warnings, traces, beeps)
 
 
 def generate_cluster_layout(graph: Graph, nclusters: int, seed: int) -> ClusterLayout:
@@ -409,8 +383,7 @@ def generate_cluster_layout(graph: Graph, nclusters: int, seed: int) -> ClusterL
         tuple(frozenset(c) for c in clusters), tuple(roots),
         tuple(parents), depth_bound=0,
     )
-    depth = max(max(tree_depths(layout, i).values()) for i in range(nclusters))
-    return ClusterLayout(layout.clusters, layout.leaders, layout.parents, depth)
+    return ClusterLayout(layout.clusters, layout.leaders, layout.parents, _max_depth(layout))
 
 
 def save_layout(layout: ClusterLayout, path) -> None:

@@ -493,13 +493,13 @@ def clear_memory_cache() -> None:
     _memory_cache.clear()
 
 
-def _cached(n: int, kind: str, k: int, l, seed: int, use_cache: bool) -> SelectorFamily:
+def _cached(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily:
     key = (n, kind, k, l, seed)
-    if use_cache and key in _memory_cache:
+    if key in _memory_cache:
         return _memory_cache[key]
     path = cache_dir() / f"{n}-{kind}-{k}-{l or 0}-s{seed}.txt"
     fam = None
-    if use_cache and path.exists():
+    if path.exists():
         try:
             fam = load_family(path)
         except ParameterError:
@@ -508,23 +508,19 @@ def _cached(n: int, kind: str, k: int, l, seed: int, use_cache: bool) -> Selecto
             fam = None
     if fam is None:
         fam = _build(n, kind, k, l, seed)
-        if use_cache:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_family(fam, path)
-    if use_cache:
-        _memory_cache[key] = fam
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_family(fam, path)
+    _memory_cache[key] = fam
     return fam
 
 
-def get_strong_selector(n: int, k: int, seed: int = DEFAULT_SEED, use_cache: bool = True) -> SelectorFamily:
+def get_strong_selector(n: int, k: int, seed: int = DEFAULT_SEED) -> SelectorFamily:
     if not 1 <= k <= n:
         raise ParameterError("strong selector needs 1 <= k <= n")
-    return _cached(n, "strong", k, None, seed, use_cache)
+    return _cached(n, "strong", k, None, seed)
 
 
-def get_avoiding_selector(
-    n: int, k: int, l: int, seed: int = DEFAULT_SEED, use_cache: bool = True
-) -> SelectorFamily:
+def get_avoiding_selector(n: int, k: int, l: int, seed: int = DEFAULT_SEED) -> SelectorFamily:
     if not 1 <= l < k <= n:
         raise ParameterError("avoiding selector needs 1 <= l < k <= n")
-    return _cached(n, "avoiding", k, l, seed, use_cache)
+    return _cached(n, "avoiding", k, l, seed)

@@ -13,7 +13,6 @@ from beepnet.protocols import (
     LocalBroadcastInput,
     LocalBroadcastNode,
     broadcast_family,
-    full_knowledge,
     local_broadcast_schedule_length,
     run_local_broadcast,
 )
@@ -28,13 +27,9 @@ def _random_messages(graph, width, seed):
     }
 
 
-def _inp(graph, messages, width):
-    return LocalBroadcastInput(messages, width, full_knowledge(graph))
-
-
 def test_single_edge():
     g = graph_from_edges([(1, 2)])
-    res = run_local_broadcast(g, _inp(g, {1: (1,), 2: (0,)}, 1))
+    res = run_local_broadcast(g, LocalBroadcastInput({1: (1,), 2: (0,)}, 1))
     assert res.output[1][2] == (0,)
     assert res.output[2][1] == (1,)
 
@@ -42,7 +37,7 @@ def test_single_edge():
 def test_star_two_bit_messages():
     g = graph_from_edges([(1, 2), (1, 3), (1, 4), (1, 5)])
     msgs = {1: (1, 0), 2: (0, 0), 3: (0, 1), 4: (1, 0), 5: (1, 1)}
-    res = run_local_broadcast(g, _inp(g, msgs, 2))
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, 2))
     for leaf in (2, 3, 4, 5):
         assert res.output[1][leaf] == msgs[leaf]
         assert res.output[leaf][1] == msgs[1]
@@ -51,7 +46,7 @@ def test_star_two_bit_messages():
 def test_short_messages_zero_padded_roundtrip():
     g = generate_random_graph(12, 3, seed=5)
     msgs = {u: tuple([1] * (u % 3)) for u in g.ids}  # lengths 0..2, width 3
-    res = run_local_broadcast(g, _inp(g, msgs, 3))
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, 3))
     for u in g.ids:
         for v in g.neighbors_of(u):
             assert res.output[u][v] == msgs[v]
@@ -66,7 +61,7 @@ def test_schedule_length_formula():
     assert local_broadcast_schedule_length(8, 1, 3, 3) == 3 * len(fam)
     g = generate_random_graph(8, 3, seed=1)
     msgs = _random_messages(g, 3, seed=2)
-    res = run_local_broadcast(g, _inp(g, msgs, 3), delta_hat=3)
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, 3), delta_hat=3)
     assert res.rounds == local_broadcast_schedule_length(8, 1, 3, 3)
 
 
@@ -78,7 +73,7 @@ def test_delivery_on_random_graphs():
         width = int(rng.integers(1, 4))
         g = generate_random_graph(n, delta, seed=1000 + trial)
         msgs = _random_messages(g, width, seed=trial)
-        res = run_local_broadcast(g, _inp(g, msgs, width), delta_hat=delta)
+        res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), delta_hat=delta)
         for u in g.ids:
             for v in g.neighbors_of(u):
                 assert res.output[u][v] == msgs[v]
@@ -116,7 +111,7 @@ SPARSE = Graph(n=6, c=2, ids=(3, 8, 17, 22, 30, 35),
 def test_machine_route_matches_population(graph, width, delta_hat, messages):
     g = graph
     msgs = messages(g, width, seed=3)
-    res = run_local_broadcast(g, _inp(g, msgs, width), delta_hat=delta_hat)
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), delta_hat=delta_hat)
     fam = res.family
     nodes = {
         u: LocalBroadcastNode(u, g.neighbors_of(u), msgs[u], width, fam)
@@ -139,7 +134,7 @@ def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns",
                         lambda indptr, indices, patterns: np.zeros_like(patterns))
     with pytest.raises(RuntimeError, match=r"receiver \d+ heard 0 .* neighbor \d+ in round \d+"):
-        run_local_broadcast(g, _inp(g, msgs, 2))
+        run_local_broadcast(g, LocalBroadcastInput(msgs, 2))
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -157,7 +152,7 @@ def test_each_wire_call_carries_one_message_bit(monkeypatch, record):
         return real(indptr, indices, patterns)
 
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
-    res = run_local_broadcast(g, _inp(g, msgs, width), record=record)
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), record=record)
     one_bit = math.ceil(len(res.family) / 64)
     assert math.ceil(res.rounds / 64) > one_bit
     assert words and max(words) <= one_bit
@@ -168,24 +163,16 @@ def test_each_wire_call_carries_one_message_bit(monkeypatch, record):
         assert validate_trace(g, res.trace).ok
 
 
-def test_incomplete_knowledge_rejected():
-    g = graph_from_edges([(1, 2), (2, 3)])
-    know = full_knowledge(g)
-    know[2] = frozenset({1})
-    with pytest.raises(ParameterError):
-        run_local_broadcast(g, LocalBroadcastInput({u: (1,) for u in g.ids}, 1, know))
-
-
 def test_low_degree_bound_rejected():
     g = graph_from_edges([(1, 2), (1, 3), (1, 4)])
     with pytest.raises(ParameterError):
-        run_local_broadcast(g, _inp(g, {u: (1,) for u in g.ids}, 1), delta_hat=2)
+        run_local_broadcast(g, LocalBroadcastInput({u: (1,) for u in g.ids}, 1), delta_hat=2)
 
 
 def test_trace_validates():
     g = generate_random_graph(9, 3, seed=4)
     msgs = _random_messages(g, 2, seed=4)
-    res = run_local_broadcast(g, _inp(g, msgs, 2))
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, 2))
     report = validate_trace(g, res.trace)
     assert report.ok
     assert res.trace.total_rounds == res.rounds
@@ -194,7 +181,7 @@ def test_trace_validates():
 @pytest.fixture(scope="module")
 def recorded_broadcast():
     g = generate_random_graph(9, 3, seed=4)
-    return g, run_local_broadcast(g, _inp(g, _random_messages(g, 2, seed=4), 2)).trace
+    return g, run_local_broadcast(g, LocalBroadcastInput(_random_messages(g, 2, seed=4), 2)).trace
 
 
 @settings(max_examples=50, deadline=None)

@@ -21,11 +21,14 @@ from beepnet.c2b import (
     epoch_count,
     run_c2b,
     subphase_parameters,
+    _message_word_rows,
+    _message_words,
+    _payload_words,
     _trace_super_round_words,
     _TraceFeed,
 )
 from beepnet.cli import main
-from beepnet.encoding import encode_extended
+from beepnet.encoding import MAX_WIDTH, encode_extended
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 
@@ -225,6 +228,21 @@ def test_words_past_sixteen_bits_deliver(tmp_path, monkeypatch):
     assert flatten_received(res.received) == msgs
     assert res.handshake.ok
     assert check_handshake_lemmas(res.trace, g, res, inp).ok
+
+
+@pytest.mark.parametrize("w", [1, 2, 7, 16, 17, 31, MAX_WIDTH])
+def test_array_words_equal_the_scalar_words(w):
+    # The core builds its ID and message words with array operations;
+    # C2BNode builds the same words one at a time.
+    rng = np.random.default_rng(w)
+    m = 3
+    messages = [tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, m * w + 1))))
+                for _ in range(40)] + [(), (1,) * (m * w)]
+    rows = _message_word_rows(messages, w, m)
+    assert rows.dtype == np.uint64
+    assert rows.tolist() == [_message_words(bits, w, m) for bits in messages]
+    payloads = np.append(rng.integers(0, 1 << w, size=40), [0, (1 << w) - 1])
+    assert _payload_words(payloads, w).tolist() == [encode_extended(int(p), w) for p in payloads]
 
 
 @pytest.mark.parametrize("n", [96, 128, 256])

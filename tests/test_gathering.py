@@ -1,4 +1,4 @@
-"""Cluster gathering, leader broadcast, and the five phase primitives."""
+"""Cluster gathering and leader broadcast."""
 
 from functools import reduce
 
@@ -9,8 +9,6 @@ from beepnet.protocols import (
     AggregationSpec,
     ClusterLayout,
     LayoutError,
-    PhaseState,
-    decomposition_primitives,
     gathering_schedule_length,
     generate_cluster_layout,
     load_layout,
@@ -211,6 +209,8 @@ def test_random_leader_broadcast_flood_oracle():
         for i, cl in enumerate(layout.clusters):
             for v in cl:
                 assert res.values[v] == msgs[layout.leaders[i]]
+        value_bits = max(m.bit_length() for m in msgs.values())
+        assert res.rounds == gathering_schedule_length(g, layout, value_bits, delta_hat=4)
 
 
 def test_layout_file_roundtrip(tmp_path):
@@ -228,77 +228,3 @@ def test_layout_file_rejects_garbage(tmp_path):
     with pytest.raises(ParameterError):
         load_layout(path)
 
-
-# --- the five phase primitives ---------------------------------------------
-
-
-def _phase_state(g, layout, **kw):
-    base = dict(
-        layout=layout,
-        cluster_ids={v: layout.cluster_of(v) for v in g.ids},
-        levels={v: 0 for v in g.ids},
-        proposals={},
-        proposal_counts={},
-        responses={},
-        stalls={},
-    )
-    base.update(kw)
-    return PhaseState(**base)
-
-
-def test_cluster_info_reaches_all_neighbors():
-    g = generate_random_graph(14, 4, seed=3)
-    layout = generate_cluster_layout(g, 3, seed=1)
-    levels = {v: v % 4 for v in g.ids}
-    state = decomposition_primitives(g, _phase_state(g, layout, levels=levels), delta_hat=4)
-    for v in g.ids:
-        expect = {u: (layout.cluster_of(u), levels[u]) for u in g.neighbors_of(v)}
-        assert state.heard_cluster_info[v] == expect
-    assert state.rounds > 0
-
-
-def test_one_bit_responses_reach_all_neighbors():
-    g = generate_random_graph(10, 3, seed=6)
-    layout = generate_cluster_layout(g, 2, seed=1)
-    responses = {v: v % 2 for v in g.ids}
-    state = decomposition_primitives(g, _phase_state(g, layout, responses=responses))
-    for v in g.ids:
-        assert state.heard_responses[v] == {u: u % 2 for u in g.neighbors_of(v)}
-
-
-def test_star_tree_sums_five_proposals():
-    g = graph_from_edges([(6, v) for v in range(1, 6)])
-    layout = ClusterLayout(
-        (frozenset(range(1, 7)),), (6,), ({v: 6 for v in range(1, 6)},), 1)
-    counts = {v: 1 for v in range(1, 6)}
-    state = decomposition_primitives(g, _phase_state(g, layout, proposal_counts=counts))
-    assert state.gathered_counts == {6: 5}
-
-
-def test_silent_nodes_stay_out_of_heard_maps():
-    g = graph_from_edges([(1, 2), (2, 3)])
-    layout = generate_cluster_layout(g, 1, seed=0)
-    proposals = {1: 3}
-    stalls = {2: 1}
-    state = decomposition_primitives(g, _phase_state(g, layout, proposals=proposals, stalls=stalls))
-    assert state.heard_proposals[2] == {1: 3}
-    assert state.heard_proposals[1] == {} and state.heard_proposals[3] == {}
-    assert state.heard_stalls[1] == {2: 1} and state.heard_stalls[3] == {2: 1}
-    assert state.heard_stalls[2] == {}
-
-
-def test_payload_cap_enforced():
-    g = graph_from_edges([(1, 2), (2, 3)])
-    layout = generate_cluster_layout(g, 1, seed=0)
-    fat = {v: 1 << 40 for v in g.ids}
-    with pytest.raises(ParameterError):
-        decomposition_primitives(g, _phase_state(g, layout, cluster_ids=fat))
-    with pytest.raises(ParameterError):
-        decomposition_primitives(g, _phase_state(g, layout, proposals={1: 1 << 40}))
-
-
-def test_bad_bits_rejected():
-    g = graph_from_edges([(1, 2)])
-    layout = generate_cluster_layout(g, 1, seed=0)
-    with pytest.raises(ParameterError):
-        decomposition_primitives(g, _phase_state(g, layout, responses={1: 2}))

@@ -10,7 +10,6 @@ from beepnet.kernel import expand_patterns, or_neighbor_patterns
 from beepnet.protocols import (
     LocalBroadcastInput,
     LocalBroadcastNode,
-    full_knowledge,
     run_local_broadcast,
 )
 
@@ -58,7 +57,7 @@ def _broadcast_setup(n=10, delta=3, width=2, seed=9):
     g = generate_random_graph(n, delta, seed=seed)
     rng = np.random.default_rng(seed)
     msgs = {u: tuple(int(b) for b in rng.integers(0, 2, size=width)) for u in g.ids}
-    return g, msgs, LocalBroadcastInput(msgs, width, full_knowledge(g))
+    return g, msgs, LocalBroadcastInput(msgs, width)
 
 
 def test_validation_catches_a_forged_kernel(monkeypatch):

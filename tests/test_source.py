@@ -1,10 +1,18 @@
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "beepnet"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_package_has_no_assert_statements():
@@ -23,11 +31,45 @@ def test_package_has_no_assert_statements():
 def test_benchmark_span_targets_resolve():
     # perfbench/spans.py wraps package functions by name from outside; a
     # rename in the package must not silently drop a span.
-    spec = importlib.util.spec_from_file_location("_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_spans()
     for module, attr, _ in spans.TARGETS:
         owner, name = spans._resolve(module, attr)
         assert callable(getattr(owner, name, None)), f"{module}.{attr}"
     for module, name in spans.BINDING_SPANS:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names, attribute names and imported names that tree mentions."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_top_level_definition_has_a_user():
+    # A function or class in src/beepnet must be named somewhere other than
+    # its own body: in package code, in a test, or as a benchmark span
+    # target. Matching is by name, like a grep, so it can miss dead code
+    # whose name is reused elsewhere, but it never flags live code.
+    spans = _load_spans()
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))}
+    used: Counter = Counter()
+    for tree in trees.values():
+        used.update(_references(tree))
+    used.update(part for _, attr, _ in spans.TARGETS for part in attr.split("."))
+    unused = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(PACKAGE):
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if used[node.name] - _references(node)[node.name] <= 0:
+                    unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
+    assert not unused, f"definitions nobody uses: {unused}"
