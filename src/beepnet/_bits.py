@@ -25,10 +25,6 @@ def popcount(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a)
 
 
-def testbit(words: np.ndarray, i: int) -> bool:
-    return bool((int(words[i >> 6]) >> (i & 63)) & 1)
-
-
 def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
     """(n, nbits) bool -> (n, words) uint64, bit i little-endian."""
     n, nbits = rows.shape

@@ -18,7 +18,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from beepnet import kernel
-from beepnet._bits import U64, pack_bool_rows, testbit, unpack_word_rows
+from beepnet._bits import U64, pack_bool_rows, unpack_word_rows
 from beepnet.graphs import Graph
 
 TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
@@ -34,6 +34,13 @@ class Feedback(Enum):
     SILENCE = "S"
     NOISE = "N"
     NOT_LISTENING = "B"
+
+
+# validate_trace turns recorded bits into actions and feedback by indexing these:
+# a beep bit picks the action, and 2 * beep + noise picks the feedback.
+_ACTION_OF_BIT = (NodeAction.LISTEN, NodeAction.BEEP)
+_FEEDBACK_OF_CODE = (Feedback.SILENCE, Feedback.NOISE,
+                     Feedback.NOT_LISTENING, Feedback.NOT_LISTENING)
 
 
 class NodeProtocol:
@@ -62,19 +69,19 @@ class NodeProtocol:
 def step(graph: Graph, actions: dict[int, NodeAction]) -> dict[int, Feedback]:
     """One synchronous round, straight from the channel definition.
 
-    Kept deliberately naive (set logic, no arrays): the fast paths are checked
+    Kept deliberately naive: set logic over the edge-list neighbour tuples
+    (graph.neighbors_of), no arrays and no kernel. The noisy set is the union
+    of the beepers' neighbours, so a round costs O(sum of the beepers'
+    degrees) plus one membership test per node. The fast paths are checked
     against this in validate_trace and the unit tests.
     """
     beepers = {u for u, a in actions.items() if a == NodeAction.BEEP}
-    out = {}
-    for u in graph.ids:
-        if u in beepers:
-            out[u] = Feedback.NOT_LISTENING
-        elif any(v in beepers for v in graph.neighbors_of(u)):
-            out[u] = Feedback.NOISE
-        else:
-            out[u] = Feedback.SILENCE
-    return out
+    noisy = set()
+    for u in beepers:
+        noisy.update(graph.neighbors_of(u))
+    return {u: Feedback.NOT_LISTENING if u in beepers
+            else Feedback.NOISE if u in noisy else Feedback.SILENCE
+            for u in graph.ids}
 
 
 @dataclass
@@ -105,33 +112,6 @@ class Trace:
         block = TraceBlock(self.total_rounds, nrounds, patterns, noise)
         self.blocks.append(block)
         return block
-
-    def actions_at(self, round_no: int) -> dict[int, NodeAction]:
-        block = self._block_at(round_no)
-        t = round_no - block.start_round
-        return {u: NodeAction(int(testbit(block.patterns[i], t)))
-                for i, u in enumerate(self.graph.ids)}
-
-    def feedback_at(self, round_no: int) -> dict[int, Feedback]:
-        block = self._block_at(round_no)
-        t = round_no - block.start_round
-        out = {}
-        for i, u in enumerate(self.graph.ids):
-            if testbit(block.patterns[i], t):
-                out[u] = Feedback.NOT_LISTENING
-            elif testbit(block.noise[i], t):
-                out[u] = Feedback.NOISE
-            else:
-                out[u] = Feedback.SILENCE
-        return out
-
-    def _block_at(self, round_no: int) -> TraceBlock:
-        if not 0 <= round_no < self.total_rounds:
-            raise IndexError(f"round {round_no} outside trace")
-        for block in self.blocks:
-            if round_no < block.start_round + block.nrounds:
-                return block
-        raise AssertionError("unreachable")
 
     def digest(self) -> str:
         stream = TraceDigest(self.graph.n, self.total_rounds)
@@ -272,9 +252,23 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
     noise = (adj @ beeps) > 0, exact in float32 for any degree below 2**24.
     A block whose beep and noise words are all zero is consistent as it
     stands (no beeper, no noise) and skips the product; its rounds still
-    count as checked. A sample of rounds is also replayed through the
-    dict-based step().
+    count as checked.
+
+    The sampled pass replays min(sample_rounds, total) distinct rounds,
+    drawn with numpy's default_rng(seed), through step(): the recorded
+    beepers go in, and the feedback that comes out (B, N or S per node) must
+    equal the recorded one. It walks the sorted picks and the blocks
+    together and reads each picked round's beep and noise column once.
+
+    Raises ValueError when the trace's blocks do not have one row per node
+    of graph.
     """
+    for block in trace.blocks:
+        for rows in (block.patterns.shape[0], block.noise.shape[0]):
+            if rows != graph.n:
+                raise ValueError(
+                    f"graph has {graph.n} nodes but the trace block at round "
+                    f"{block.start_round} has {rows} rows")
     adj = graph.adjacency.astype(np.float32)
     mismatches: list[str] = []
     full = 0
@@ -297,10 +291,20 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
         rng = np.random.default_rng(seed)
         count = min(sample_rounds, total)
         picks = sorted(int(x) for x in rng.choice(total, count, replace=False))
+        ids = graph.ids
+        blocks = iter(trace.blocks)
+        block = next(blocks)
         for t in picks:
-            want_fb = step(graph, trace.actions_at(t))
-            got_fb = trace.feedback_at(t)
-            if want_fb != got_fb:
+            while t >= block.start_round + block.nrounds:
+                block = next(blocks)
+            word, bit = divmod(t - block.start_round, 64)
+            shift = U64(bit)
+            beeps = (block.patterns[:, word] >> shift) & U64(1)
+            heard = (block.noise[:, word] >> shift) & U64(1)
+            actions = dict(zip(ids, map(_ACTION_OF_BIT.__getitem__, beeps.tolist())))
+            got_fb = dict(zip(ids, map(_FEEDBACK_OF_CODE.__getitem__,
+                                       ((beeps << U64(1)) | heard).tolist())))
+            if step(graph, actions) != got_fb:
                 mismatches.append(f"feedback mismatch at round {t}")
             sampled += 1
     return ValidationReport(ok=not mismatches, rounds_checked_full=full,

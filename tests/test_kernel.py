@@ -1,11 +1,15 @@
-"""The round kernel against set logic, and trace revalidation against forgery."""
+"""The round kernel and step() against set logic, and trace revalidation
+against forgery."""
 
 import numpy as np
 import pytest
 
+import beepnet.engine
 import beepnet.kernel
-from beepnet.engine import run, validate_trace
-from beepnet.graphs import Graph, generate_random_graph
+from beepnet._bits import unpack_word_rows
+from beepnet.c2b import CongestRoundInput, run_c2b
+from beepnet.engine import Feedback, NodeAction, Trace, run, step, validate_trace
+from beepnet.graphs import Graph, generate_random_graph, graph_from_edges
 from beepnet.kernel import expand_patterns, or_neighbor_patterns
 from beepnet.protocols import (
     LocalBroadcastInput,
@@ -97,3 +101,143 @@ def test_validation_names_the_block_with_a_flipped_noise_bit():
     assert report.mismatches == [
         f"noise mismatch in block at round {block.start_round}, first at node index {node}"
     ]
+
+
+def _definition_feedback(graph, beepers):
+    """The channel definition per listener, over neighbours read off the edge list."""
+    nbrs = {u: [] for u in graph.ids}
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return {u: Feedback.NOT_LISTENING if u in beepers
+            else Feedback.NOISE if any(v in beepers for v in nbrs[u])
+            else Feedback.SILENCE
+            for u in graph.ids}
+
+
+def _beeper_sets(graph, rng):
+    yield set()
+    yield set(graph.ids)
+    for u in graph.ids:
+        yield {u}
+    for p in (0.05, 0.3, 0.7):
+        for _ in range(5):
+            yield {u for u in graph.ids if rng.random() < p}
+
+
+@pytest.mark.parametrize("graph", [
+    *(pytest.param(g, id=name) for name, g in _graphs()),
+    pytest.param(Graph(n=4, c=1, ids=(1, 2, 3, 4), edges=()), id="edgeless"),
+])
+def test_step_matches_the_channel_definition(graph):
+    rng = np.random.default_rng(graph.n)
+    for beepers in _beeper_sets(graph, rng):
+        actions = {u: NodeAction.BEEP if u in beepers else NodeAction.LISTEN
+                   for u in graph.ids}
+        assert step(graph, actions) == _definition_feedback(graph, beepers), sorted(beepers)
+
+
+def _flip(block, kind, node, col):
+    words = getattr(block, kind)
+    words[node, col >> 6] ^= np.uint64(1) << np.uint64(col & 63)
+
+
+def _forgeable_bit(graph, block):
+    """(node index, column) in block: a node that listens and hears silence
+    in that round, next to another such node."""
+    beeps = unpack_word_rows(block.patterns, block.nrounds)
+    noise = unpack_word_rows(block.noise, block.nrounds)
+    for col in range(block.nrounds):
+        for i, nbrs in enumerate(graph.neighbors):
+            if beeps[i, col] or noise[i, col]:
+                continue
+            for v in nbrs:
+                j = graph.index_of[v]
+                if not (beeps[j, col] or noise[j, col]):
+                    return i, col
+    raise AssertionError("no forgeable bit in the block")
+
+
+@pytest.mark.parametrize("extra", [0, 7])
+@pytest.mark.parametrize("kind", ["noise", "patterns"])
+def test_sampled_replay_names_the_forged_round(kind, extra):
+    g, _, inp = _broadcast_setup(n=16, delta=4, width=3, seed=5)
+    trace = run_local_broadcast(g, inp).trace
+    total = trace.total_rounds
+    block = trace.blocks[len(trace.blocks) // 2]
+    node, col = _forgeable_bit(g, block)
+    if kind == "noise":
+        first = node       # the node now claims noise no neighbour made
+    else:
+        # the node now beeps, so its silent neighbours should hear noise
+        noise = unpack_word_rows(block.noise, block.nrounds)
+        first = min(g.index_of[v] for v in g.neighbors[node]
+                    if not noise[g.index_of[v], col])
+    _flip(block, kind, node, col)
+    sample_rounds = total + extra
+    report = validate_trace(g, trace, sample_rounds=sample_rounds)
+    assert report.rounds_checked_sampled == min(sample_rounds, total)
+    assert report.mismatches == [
+        f"noise mismatch in block at round {block.start_round}, first at node index {first}",
+        f"feedback mismatch at round {block.start_round + col}",
+    ]
+
+
+def _recorded_traces():
+    g, _, inp = _broadcast_setup(n=16, delta=4, width=3, seed=5)
+    yield g, run_local_broadcast(g, inp).trace
+    star = graph_from_edges([(1, 3), (2, 3), (3, 4), (3, 5)])
+    rng = np.random.default_rng(31)
+    msgs = {(a, b): tuple(int(x) for x in rng.integers(0, 2, size=2))
+            for u, v in star.edges for a, b in ((u, v), (v, u))}
+    yield star, run_c2b(star, CongestRoundInput(msgs, 2), delta_hat=4, record="full").trace
+
+
+def test_validation_calls_no_kernel_code(monkeypatch):
+    traces = list(_recorded_traces())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("revalidation reached the kernel")
+
+    for module in (beepnet.kernel, beepnet.kernel.fallback):
+        for name in ("or_neighbor_patterns", "expand_patterns"):
+            monkeypatch.setattr(module, name, refuse)
+    for g, trace in traces:
+        report = validate_trace(g, trace)
+        assert report.ok, report.mismatches
+        assert report.rounds_checked_full == trace.total_rounds
+        assert report.rounds_checked_sampled == min(64, trace.total_rounds)
+
+
+def test_validation_steps_once_per_sampled_round(monkeypatch):
+    calls = []
+    real = beepnet.engine.step
+
+    def counted(graph, actions):
+        calls.append(1)
+        return real(graph, actions)
+
+    monkeypatch.setattr(beepnet.engine, "step", counted)
+    for g, trace in _recorded_traces():
+        total = trace.total_rounds
+        for sample_rounds in (0, 1, 64, total, total + 3):
+            calls.clear()
+            assert validate_trace(g, trace, sample_rounds=sample_rounds).ok
+            assert len(calls) == min(sample_rounds, total), sample_rounds
+    calls.clear()
+    assert validate_trace(g, Trace(g)).rounds_checked_sampled == 0
+    assert not calls
+
+
+def test_a_trace_of_another_graph_is_rejected():
+    g, _, inp = _broadcast_setup(n=16, delta=4, width=3, seed=5)
+    other, _, _ = _broadcast_setup(n=10, delta=3, width=2, seed=9)
+    live = run_local_broadcast(g, inp).trace
+    silent = Trace(g)
+    silent.append_block(np.zeros((g.n, 1), dtype=np.uint64), 64,
+                        np.zeros((g.n, 1), dtype=np.uint64))
+    for trace in (silent, live):
+        with pytest.raises(ValueError, match="graph has 10 nodes .* has 16"):
+            validate_trace(other, trace)
+        with pytest.raises(ValueError, match="graph has 10 nodes .* has 16"):
+            validate_trace(other, trace, sample_rounds=0)
