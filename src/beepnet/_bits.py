@@ -20,10 +20,6 @@ U64 = np.uint64
 def words_for(nbits: int) -> int:
     return (nbits + 63) // 64 if nbits > 0 else 1
 
-def popcount(a: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array."""
-    return np.bitwise_count(a)
-
 
 def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
     """(n, nbits) bool -> (n, words) uint64, bit i little-endian."""

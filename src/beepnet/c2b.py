@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -101,7 +102,7 @@ def subphase_parameters(k_i: int, delta_hat: int, epoch: int) -> list[tuple[int,
     return out
 
 
-def build_epochs(n: int, c: int, delta_hat: int, seed: int = DEFAULT_SEED) -> tuple[EpochPlan, ...]:
+def build_epochs(n: int, c: int, delta_hat: int) -> tuple[EpochPlan, ...]:
     universe = n ** c
     if delta_hat < 1:
         raise ParameterError("degree bound must be at least 1")
@@ -110,9 +111,10 @@ def build_epochs(n: int, c: int, delta_hat: int, seed: int = DEFAULT_SEED) -> tu
     plans = []
     for i in range(1, epoch_count(delta_hat) + 1):
         k_i = math.ceil(delta_hat / 2 ** i)
-        announce = get_avoiding_selector(universe, delta_hat + 1, delta_hat + 1 - k_i, seed)
+        announce = get_avoiding_selector(
+            universe, delta_hat + 1, delta_hat + 1 - k_i, DEFAULT_SEED)
         subs = tuple(
-            SubPhasePlan(kp, lp, get_avoiding_selector(universe, kp, lp, seed))
+            SubPhasePlan(kp, lp, get_avoiding_selector(universe, kp, lp, DEFAULT_SEED))
             for kp, lp in subphase_parameters(k_i, delta_hat, i)
         )
         plans.append(EpochPlan(i, k_i, announce, subs))
@@ -125,7 +127,6 @@ class C2BSchedule:
     c: int
     delta_hat: int
     width: int               # max payload bits per directed message
-    seed: int
     w: int                   # bits per extended word
     words_per_message: int
     epochs: tuple[EpochPlan, ...]
@@ -141,31 +142,39 @@ class C2BSchedule:
     def phase_super_rounds(self, epoch: EpochPlan) -> int:
         return 1 + sum(len(s.family) for s in epoch.subphases) * self.window_super_rounds
 
+    @cached_property
+    def _epoch_spans(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Per epoch, in super-rounds: the whole epoch, one phase, each sub-phase."""
+        spans = []
+        for e in self.epochs:
+            phase = self.phase_super_rounds(e)
+            spans.append((len(e.announce) * phase, phase,
+                          tuple(len(s.family) * self.window_super_rounds for s in e.subphases)))
+        return tuple(spans)
+
     @property
     def total_super_rounds(self) -> int:
-        return sum(len(e.announce) * self.phase_super_rounds(e) for e in self.epochs)
+        return sum(epoch_span for epoch_span, _, _ in self._epoch_spans)
 
     @property
     def total_rounds(self) -> int:
         return self.total_super_rounds * 2 * self.w
 
     def describe(self, round_index: int) -> ScheduleIndex:
-        if not 0 <= round_index < self.total_rounds:
+        if round_index < 0:
             raise ParameterError(f"round {round_index} outside the schedule")
         sr, offset = divmod(round_index, 2 * self.w)
         left = sr
-        for epoch in self.epochs:
-            span = self.phase_super_rounds(epoch)
-            if left >= len(epoch.announce) * span:
-                left -= len(epoch.announce) * span
+        for epoch, (epoch_span, span, sub_spans) in zip(self.epochs, self._epoch_spans):
+            if left >= epoch_span:
+                left -= epoch_span
                 continue
             phase, inside = divmod(left, span)
             if inside == 0:
                 return ScheduleIndex(epoch.index, phase + 1, None, None,
                                      "announcing", None, sr, offset)
             inside -= 1
-            for a, sub in enumerate(epoch.subphases, 1):
-                span_a = len(sub.family) * self.window_super_rounds
+            for a, span_a in enumerate(sub_spans, 1):
                 if inside >= span_a:
                     inside -= span_a
                     continue
@@ -173,18 +182,17 @@ class C2BSchedule:
                 role = "responding" if pos < self.half_parts else "confirming"
                 return ScheduleIndex(epoch.index, phase + 1, a, window + 1,
                                      role, pos % self.half_parts, sr, offset)
-        raise AssertionError("unreachable: spans covered the index")
+        raise ParameterError(f"round {round_index} outside the schedule")
 
 
-def build_schedule(n: int, c: int, delta_hat: int, width: int = 0,
-                   seed: int = DEFAULT_SEED) -> C2BSchedule:
+def build_schedule(n: int, c: int, delta_hat: int, width: int = 0) -> C2BSchedule:
     if width < 0:
         raise ParameterError("message width must be nonnegative")
     w = id_width(n, c)
     return C2BSchedule(
-        n, c, delta_hat, width, seed, w,
+        n, c, delta_hat, width, w,
         max(1, math.ceil(width / w)),
-        build_epochs(n, c, delta_hat, seed),
+        build_epochs(n, c, delta_hat),
     )
 
 
@@ -651,7 +659,7 @@ class _Handshake:
 
 
 def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
-            seed: int = DEFAULT_SEED, record: str = "digest") -> C2BResult:
+            record: str = "digest") -> C2BResult:
     """Deliver every directed per-edge message through beeped handshakes.
 
     The whole population advances one block at a time: an announcing
@@ -662,7 +670,7 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     """
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     _validate_input(graph, inp)
-    sched = build_schedule(graph.n, graph.c, delta_hat, inp.width, seed)
+    sched = build_schedule(graph.n, graph.c, delta_hat, inp.width)
     core = _Handshake(graph, sched, inp)
 
     n, w, m = graph.n, sched.w, sched.words_per_message
@@ -762,7 +770,8 @@ class C2BNode(NodeProtocol):
         self._resp_heard = [0] * schedule.half_parts
         self._conf_heard = [0] * schedule.half_parts
         self._idx: ScheduleIndex | None = None
-        self._done = schedule.total_rounds == 0
+        self._last_round = schedule.total_rounds - 1
+        self._done = self._last_round < 0
 
         self.raw_received: dict[int, tuple[int, ...]] = {}
         self.realizations: list[RealizationRecord] = []
@@ -817,7 +826,7 @@ class C2BNode(NodeProtocol):
         idx = self._idx
         if feedback == Feedback.NOISE:
             self._heard |= 1 << idx.offset
-        if round_index == self.schedule.total_rounds - 1:
+        if round_index == self._last_round:
             self._done = True
         if idx.offset != 2 * self.schedule.w - 1:
             return

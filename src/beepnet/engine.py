@@ -242,8 +242,7 @@ class ValidationReport:
     mismatches: list[str]
 
 
-def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
-                   seed: int = 0) -> ValidationReport:
+def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> ValidationReport:
     """Recompute a trace's noise through routes that share no code with the producer.
 
     The full pass rebuilds every block's noise as a dense product of the
@@ -255,7 +254,7 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
     count as checked.
 
     The sampled pass replays min(sample_rounds, total) distinct rounds,
-    drawn with numpy's default_rng(seed), through step(): the recorded
+    drawn with numpy's default_rng(0), through step(): the recorded
     beepers go in, and the feedback that comes out (B, N or S per node) must
     equal the recorded one. It walks the sorted picks and the blocks
     together and reads each picked round's beep and noise column once.
@@ -288,7 +287,7 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64,
     total = trace.total_rounds
     sampled = 0
     if total:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         count = min(sample_rounds, total)
         picks = sorted(int(x) for x in rng.choice(total, count, replace=False))
         ids = graph.ids

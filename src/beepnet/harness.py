@@ -219,7 +219,7 @@ def _run_gathering(config, graph, dh, seed, rng, failures):
     layout = generate_cluster_layout(graph, nclusters, seed)
     data = {u: int(rng.integers(0, 32)) for u in graph.ids}
     agg = sum_aggregation(32 * graph.n)
-    res = run_cluster_gathering(graph, layout, data, agg, delta_hat=dh, record=True)
+    res = run_cluster_gathering(graph, layout, data, agg, delta_hat=dh)
     if res.warnings:
         failures.append(f"layout: {res.warnings[0]}")
     delivered = 0
@@ -231,7 +231,7 @@ def _run_gathering(config, graph, dh, seed, rng, failures):
     if res.rounds != sched:
         failures.append(f"rounds {res.rounds} != schedule {sched}")
     checked = False
-    for trace in res.traces or []:
+    for trace in res.traces:
         checked = _check_trace(graph, trace, failures) or checked
     return dict(
         rounds_total=res.rounds,

@@ -24,7 +24,6 @@ from .encoding import id_width
 from .graphs import Graph, ParameterError, graph_from_edges
 from .protocols._common import resolve_degree_bound
 from .protocols.broadcast import LocalBroadcastInput, run_local_broadcast
-from .selectors import DEFAULT_SEED
 
 Bits = tuple[int, ...]
 
@@ -71,7 +70,6 @@ def run_id_dissemination(
     graph: Graph,
     h: int,
     delta_hat: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> DisseminationResult:
     """Learn every ID within h hops, plus a next hop toward each.
 
@@ -109,7 +107,6 @@ def run_id_dissemination(
             graph,
             LocalBroadcastInput(messages, width),
             delta_hat=delta_hat,
-            seed=seed,
             record=False,
         )
         epoch_rounds.append(res.rounds)
@@ -176,7 +173,6 @@ def run_multihop_simulation(
     graph: Graph,
     inp: MultihopInput,
     delta_hat: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> MultihopResult:
     """Deliver every payload addressed at most h hops away.
 
@@ -195,7 +191,7 @@ def run_multihop_simulation(
                 raise ParameterError(f"message endpoint {end} not in the graph")
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     w = id_width(graph.n, graph.c)
-    diss = run_id_dissemination(graph, inp.h, delta_hat, seed)
+    diss = run_id_dissemination(graph, inp.h, delta_hat)
     cap = (inp.B + w) * delta_hat**inp.h
     lenbits = max(1, inp.B.bit_length())
     delivered: dict[int, set[tuple[int, Bits]]] = {u: set() for u in graph.ids}
@@ -229,7 +225,6 @@ def run_multihop_simulation(
             graph,
             CongestRoundInput(payloads, cap),
             delta_hat=delta_hat,
-            seed=seed,
             record="none",
         )
         if cres.failed:
@@ -278,7 +273,6 @@ def run_multihop_local_broadcast(
     B: int,
     messages: dict[int, Bits],
     delta_hat: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> FloodingResult:
     """Flood (source, message) pairs for h local-broadcast repetitions.
 
@@ -332,7 +326,6 @@ def run_multihop_local_broadcast(
             graph,
             LocalBroadcastInput(msgs, width),
             delta_hat=delta_hat,
-            seed=seed,
             record=False,
         )
         repetition_rounds.append(res.rounds)

@@ -48,21 +48,19 @@ class LocalBroadcastInput:
                 raise ParameterError(f"message of node {u} is not a bit string")
 
 
-def broadcast_family(n: int, c: int, delta_hat: int, seed: int = DEFAULT_SEED) -> SelectorFamily:
+def broadcast_family(n: int, c: int, delta_hat: int) -> SelectorFamily:
     """The strong family shared by every node for these public parameters."""
     universe = n**c
     k = min(delta_hat + 1, universe)
-    return get_strong_selector(universe, k, seed)
+    return get_strong_selector(universe, k, DEFAULT_SEED)
 
 
-def local_broadcast_schedule_length(
-    n: int, c: int, delta_hat: int, width: int, seed: int = DEFAULT_SEED
-) -> int:
+def local_broadcast_schedule_length(n: int, c: int, delta_hat: int, width: int) -> int:
     if n < 1 or c < 1 or delta_hat < 0 or width < 0:
         raise ParameterError("schedule length needs nonnegative parameters, n and c positive")
     if width == 0:
         return 0
-    return width * len(broadcast_family(n, c, delta_hat, seed))
+    return width * len(broadcast_family(n, c, delta_hat))
 
 
 @dataclass
@@ -85,7 +83,6 @@ def run_local_broadcast(
     graph: Graph,
     inp: LocalBroadcastInput,
     delta_hat: int | None = None,
-    seed: int = DEFAULT_SEED,
     record: bool = True,
 ) -> LocalBroadcastResult:
     _validate_input(graph, inp)
@@ -95,7 +92,7 @@ def run_local_broadcast(
         empty = {u: {v: () for v in graph.neighbors_of(u)} for u in graph.ids}
         return LocalBroadcastResult(empty, empty, 0, None, Trace(graph) if record else None)
 
-    fam = broadcast_family(graph.n, graph.c, delta_hat, seed)
+    fam = broadcast_family(graph.n, graph.c, delta_hat)
     length = len(fam)
     n = graph.n
     member = family_membership(graph, fam)

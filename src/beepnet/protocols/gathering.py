@@ -29,7 +29,7 @@ import numpy as np
 from .._bits import bits_to_int, int_to_bits
 from ..engine import Trace
 from ..graphs import Graph, ParameterError
-from ..selectors import DEFAULT_SEED
+from ._common import resolve_degree_bound
 from .broadcast import LocalBroadcastInput, broadcast_family, run_local_broadcast
 
 OVERLAP_FLAG_FACTOR = 4
@@ -161,13 +161,14 @@ def _tree_bits(ntrees: int) -> int:
 
 
 def gathering_schedule_length(graph: Graph, layout: ClusterLayout, value_bits: int,
-                              delta_hat: int | None = None, seed: int = DEFAULT_SEED) -> int:
+                              delta_hat: int | None = None) -> int:
+    delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     steps = _max_depth(layout)
     if steps == 0:
         return 0
     _, slots = _slot_assignment(layout)
     width = _tree_bits(len(layout.clusters)) + value_bits
-    fam = broadcast_family(graph.n, graph.c, graph.delta if delta_hat is None else delta_hat, seed)
+    fam = broadcast_family(graph.n, graph.c, delta_hat)
     return steps * slots * width * len(fam)
 
 
@@ -181,7 +182,7 @@ class GatheringResult:
     steps: int
     slots: int
     warnings: list[str]
-    traces: list[Trace] | None
+    traces: list[Trace]
     beeps_total: int = 0
 
 
@@ -192,9 +193,7 @@ def _run_tree_steps(
     value_bits: int,
     fold: Callable[[dict[tuple[int, int], list[tuple[int, int]]]], list[dict[int, int]]],
     delta_hat: int | None,
-    seed: int,
-    record: bool,
-) -> tuple[int, int, int, list[Trace] | None, int]:
+) -> tuple[int, int, int, list[Trace], int]:
     """Run max-depth slotted steps, starting from the queued outgoing values.
 
     Each step broadcasts every queued (tree, value) message in its slot and
@@ -202,11 +201,12 @@ def _run_tree_steps(
     senders in ID order; fold returns the next step's outgoing values.
     Returns steps, slots, rounds, traces and beeps.
     """
+    delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     steps = _max_depth(layout)
     slots_of, nslots = _slot_assignment(layout) if steps else ({}, 0)
     tbits = _tree_bits(len(layout.clusters))
     width = tbits + value_bits
-    traces: list[Trace] | None = [] if record else None
+    traces: list[Trace] = []
     rounds = 0
     beeps = 0
     for _ in range(steps):
@@ -219,14 +219,10 @@ def _run_tree_steps(
                 t = ts[r]
                 if v in outgoing[t]:
                     messages[v] = int_to_bits(t, tbits) + int_to_bits(outgoing[t][v], value_bits)
-            res = run_local_broadcast(
-                graph, LocalBroadcastInput(messages, width),
-                delta_hat=delta_hat, seed=seed, record=record,
-            )
+            res = run_local_broadcast(graph, LocalBroadcastInput(messages, width), delta_hat)
             rounds += res.rounds
             beeps += res.beeps_total
-            if traces is not None:
-                traces.append(res.trace)
+            traces.append(res.trace)
             for v in graph.ids:
                 for u, bits in res.output[v].items():
                     if len(bits) != width:
@@ -245,8 +241,6 @@ def run_cluster_gathering(
     data: dict[int, int],
     agg: AggregationSpec,
     delta_hat: int | None = None,
-    seed: int = DEFAULT_SEED,
-    record: bool = False,
 ) -> GatheringResult:
     warnings = validate_layout(graph, layout)
     missing = set(graph.ids) - set(data)
@@ -296,7 +290,7 @@ def run_cluster_gathering(
         return nxt
 
     steps, slots, rounds, traces, beeps = _run_tree_steps(
-        graph, layout, outgoing, agg.value_bits, fold, delta_hat, seed, record)
+        graph, layout, outgoing, agg.value_bits, fold, delta_hat)
     return GatheringResult(result, rounds, steps, slots, warnings, traces, beeps)
 
 
@@ -306,8 +300,6 @@ def run_leader_broadcast(
     messages: dict[int, int],
     value_bits: int | None = None,
     delta_hat: int | None = None,
-    seed: int = DEFAULT_SEED,
-    record: bool = False,
 ) -> GatheringResult:
     """Every member of cluster i ends up with its leader's message.
 
@@ -339,8 +331,7 @@ def run_leader_broadcast(
         return nxt
 
     steps, slots, rounds, traces, beeps = _run_tree_steps(
-        graph, layout, [dict(r) for r in received], value_bits, fold,
-        delta_hat, seed, record)
+        graph, layout, [dict(r) for r in received], value_bits, fold, delta_hat)
 
     values: dict[int, int] = {}
     for i in range(k):

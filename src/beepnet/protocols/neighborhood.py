@@ -19,7 +19,7 @@ from .._bits import bits_to_int
 from ..encoding import COLLISION, ONE, decode_manchester_block, encode_manchester, id_width
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace, trace_from_beeps
 from ..graphs import Graph, ParameterError
-from ..selectors import DEFAULT_SEED, SelectorFamily
+from ..selectors import SelectorFamily
 from ._common import family_membership, noise_matrix, resolve_degree_bound
 from .broadcast import broadcast_family
 
@@ -28,10 +28,10 @@ from .broadcast import broadcast_family
 learning_family = broadcast_family
 
 
-def learning_schedule_length(n: int, c: int, delta_hat: int, seed: int = DEFAULT_SEED) -> int:
+def learning_schedule_length(n: int, c: int, delta_hat: int) -> int:
     if n < 1 or c < 1 or delta_hat < 0:
         raise ParameterError("schedule length needs positive n, c and nonnegative bound")
-    return len(learning_family(n, c, delta_hat, seed)) * 2 * id_width(n, c)
+    return len(learning_family(n, c, delta_hat)) * 2 * id_width(n, c)
 
 
 @dataclass
@@ -39,19 +39,14 @@ class LearningResult:
     neighborhoods: dict[int, frozenset[int]]
     rounds: int
     family: SelectorFamily
-    trace: Trace | None
+    trace: Trace
     collision_events: int = 0
     beeps_total: int = 0
 
 
-def run_learning_neighborhood(
-    graph: Graph,
-    delta_hat: int | None = None,
-    seed: int = DEFAULT_SEED,
-    record: bool = True,
-) -> LearningResult:
+def run_learning_neighborhood(graph: Graph, delta_hat: int | None = None) -> LearningResult:
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.n - 1)
-    fam = learning_family(graph.n, graph.c, delta_hat, seed)
+    fam = learning_family(graph.n, graph.c, delta_hat)
     w = id_width(graph.n, graph.c)
     length = len(fam)
     n = graph.n
@@ -68,7 +63,6 @@ def run_learning_neighborhood(
         beeps[:, i * 2 * w : (i + 1) * 2 * w] = member[i][:, None] & word
 
     noise = noise_matrix(graph, beeps)
-    trace = trace_from_beeps(graph, beeps, noise) if record else None
 
     found: dict[int, set[int]] = {u: set() for u in graph.ids}
     collisions = 0
@@ -89,7 +83,7 @@ def run_learning_neighborhood(
         neighborhoods,
         length * 2 * w,
         fam,
-        trace,
+        trace_from_beeps(graph, beeps, noise),
         collisions,
         int(beeps.sum()),
     )

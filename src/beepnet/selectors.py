@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._bits import U64, pack_bool_rows, popcount
+from ._bits import U64, pack_bool_rows
 from .graphs import ParameterError
 
 DEFAULT_SEED = 1
@@ -337,7 +337,7 @@ def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tup
 
     chosen: list[int] = []
     while True:
-        cnt = popcount(iso)
+        cnt = np.bitwise_count(iso)
         sat = cnt == size
         if kind == "avoiding":
             sat |= cnt > l
@@ -356,13 +356,14 @@ def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tup
         best_mask, best_score = 0, -1
         for f in candidates:
             fw = word.type(f)
-            score = int(np.count_nonzero((popcount(smask & fw) == 1) & ((pending & fw) != 0)))
+            lone = np.bitwise_count(smask & fw) == 1
+            score = int(np.count_nonzero(lone & ((pending & fw) != 0)))
             if score > best_score:
                 best_mask, best_score = f, score
         if best_score <= 0:
             raise RuntimeError("greedy selector construction stalled")
         x = smask & word.type(best_mask)
-        upd = popcount(x) == 1
+        upd = np.bitwise_count(x) == 1
         iso[upd] |= x[upd]
         chosen.append(best_mask)
 

@@ -2,8 +2,10 @@
 
 from functools import reduce
 
+import numpy as np
 import pytest
 
+from beepnet.engine import validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 from beepnet.protocols import (
     AggregationSpec,
@@ -211,6 +213,43 @@ def test_random_leader_broadcast_flood_oracle():
                 assert res.values[v] == msgs[layout.leaders[i]]
         value_bits = max(m.bit_length() for m in msgs.values())
         assert res.rounds == gathering_schedule_length(g, layout, value_bits, delta_hat=4)
+
+
+def test_schedule_length_rejects_a_bound_below_the_true_degree():
+    g = generate_random_graph(16, 4, seed=3)
+    assert g.delta > 2
+    layout = generate_cluster_layout(g, 3, seed=1)
+    data = {v: 1 for v in g.ids}
+    with pytest.raises(ParameterError, match="below the true maximum degree"):
+        gathering_schedule_length(g, layout, SUM16.value_bits, delta_hat=2)
+    with pytest.raises(ParameterError, match="below the true maximum degree"):
+        run_cluster_gathering(g, layout, data, SUM16, delta_hat=2)
+
+
+def _check_traces(g, res):
+    assert len(res.traces) == res.steps * res.slots > 0
+    beeps = sum(int(np.bitwise_count(b.patterns).sum()) for t in res.traces for b in t.blocks)
+    assert beeps == res.beeps_total > 0
+    for trace in res.traces:
+        report = validate_trace(g, trace)
+        assert report.ok, report.mismatches
+        assert report.rounds_checked_full == trace.total_rounds
+    assert sum(t.total_rounds for t in res.traces) == res.rounds
+
+
+def test_gathering_traces_validate_and_cover_every_round():
+    g = generate_random_graph(20, 4, seed=41)
+    layout = generate_cluster_layout(g, 4, seed=1)
+    res = run_cluster_gathering(g, layout, {v: v % 7 for v in g.ids}, SUM16, delta_hat=4)
+    _check_traces(g, res)
+
+
+def test_leader_broadcast_traces_validate_and_cover_every_round():
+    g = generate_random_graph(20, 4, seed=41)
+    layout = generate_cluster_layout(g, 4, seed=1)
+    msgs = {l: 100 + i for i, l in enumerate(layout.leaders)}
+    res = run_leader_broadcast(g, layout, msgs, delta_hat=4)
+    _check_traces(g, res)
 
 
 def test_layout_file_roundtrip(tmp_path):

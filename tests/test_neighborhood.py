@@ -62,7 +62,7 @@ def test_random_graphs_match_adjacency():
         n = 8 + 5 * trial
         delta = 2 + trial % 4
         g = generate_random_graph(n, delta, seed=500 + trial)
-        res = run_learning_neighborhood(g, delta_hat=delta, record=False)
+        res = run_learning_neighborhood(g, delta_hat=delta)
         _exact(g, res)
         assert res.beeps_total > 0
 

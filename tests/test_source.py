@@ -73,3 +73,22 @@ def test_every_top_level_definition_has_a_user():
                 if used[node.name] - _references(node)[node.name] <= 0:
                     unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
     assert not unused, f"definitions nobody uses: {unused}"
+
+
+def test_protocol_schedules_take_no_seed():
+    # Every node derives a protocol's schedule from public parameters alone,
+    # so the protocol layer always fetches the DEFAULT_SEED selector families.
+    # generate_cluster_layout is the one exception: its seed draws a layout.
+    paths = [PACKAGE / "c2b.py", PACKAGE / "multihop.py",
+             *sorted((PACKAGE / "protocols").glob("*.py"))]
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "seed" in names and node.name != "generate_cluster_layout":
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
+    assert not found, f"protocol functions taking a seed: {found}"
