@@ -41,7 +41,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._bits import pack_bool_rows, unpack_word_rows, words_for
-from .encoding import decode_extended, decode_extended_rows, encode_extended, id_width
+from .encoding import (
+    decode_extended,
+    decode_extended_rows,
+    encode_extended,
+    encode_extended_rows,
+    id_width,
+)
 from .engine import Feedback, NodeAction, NodeProtocol, Trace, TraceDigest
 from .graphs import Graph, ParameterError
 from .kernel import active as kernel
@@ -262,29 +268,13 @@ class C2BResult:
     beeps_total: int
 
 
-def _extended_word_rows(bits: np.ndarray) -> np.ndarray:
-    """Extended words of payloads given as bits, (..., w) -> (...) uint64.
-
-    bits[..., r] is the r-th payload bit sent (the most significant comes
-    first): it lands in pattern bit r and its complement in bit w + r.
-    """
-    w = bits.shape[-1]
-    first = np.bitwise_or.reduce(bits.astype(np.uint64) << np.arange(w, dtype=np.uint64),
-                                 axis=-1)
-    return first | (first ^ np.uint64((1 << w) - 1)) << np.uint64(w)
-
-
-def _payload_words(payloads: np.ndarray, w: int) -> np.ndarray:
-    """Extended words of an int64 array of w-bit payloads."""
-    return _extended_word_rows(payloads[..., None] >> np.arange(w - 1, -1, -1) & 1)
-
-
 def _message_word_rows(messages: list[tuple[int, ...]], w: int, nwords: int) -> np.ndarray:
     """(len(messages), nwords) extended words, each message zero-padded to nwords * w bits."""
     bits = np.zeros((len(messages), nwords * w), dtype=np.uint8)
     for row, message in zip(bits, messages):
         row[:len(message)] = message
-    return _extended_word_rows(bits.reshape(len(messages), nwords, w))
+    payloads = bits.reshape(len(messages), nwords, w) @ (1 << np.arange(w - 1, -1, -1))
+    return encode_extended_rows(payloads, w)
 
 
 def _message_words(bits: tuple[int, ...], w: int, nwords: int) -> list[int]:
@@ -520,7 +510,7 @@ class _Handshake:
         self.ids = graph.ids
         self.ids_arr = np.array(graph.ids, dtype=np.int64)   # sorted
         self.arange = np.arange(n)
-        self.id_word = _payload_words(self.ids_arr, w)
+        self.id_word = encode_extended_rows(self.ids_arr, w)
         self.msg_words = np.empty((n, n, m), dtype=np.uint64)
         self.msg_words[:, :] = _message_word_rows([()], w, m)[0]
         self.msg_len = np.zeros((n, n), dtype=np.int64)

@@ -1,20 +1,15 @@
-"""Bit-level codings used on the beep channel.
+"""The extended word code used on the beep channel.
 
-Two layers live here:
-
-* Extended words: a w-bit payload sent as 2w beep rounds, payload bits
-  (big-endian) followed by their complement. Exactly w beeps per valid word,
-  so the OR of two or more distinct valid words always decodes as invalid.
-
-* Manchester pairs: each bit occupies two rounds, 1 -> (listen, beep) and
-  0 -> (beep, listen). A silent transmitter plus listening receiver can tell
-  apart "nobody sent" (all silent pairs), "exactly one sent" (every pair has
-  one beep round) and "several sent" (some pair with both rounds noisy).
+A w-bit payload is sent as 2w beep rounds: the payload bits (big-endian),
+then their complement.  Every valid word has exactly w beeps, so the OR of
+two or more distinct valid words never decodes, and an all-silent word
+means nobody sent.
 
 Patterns are ints with bit r = round r of the word. Payloads are ints read
 big-endian: the first transmitted bit is the payload's most significant bit.
-decode_extended reads one such int; decode_extended_rows reads a whole uint64
-array of channel words at once under the same rules.
+The code has four entry points: encode_extended and decode_extended take one
+word, encode_extended_rows and decode_extended_rows a whole array of them
+under the same rules.
 """
 
 from __future__ import annotations
@@ -35,6 +30,18 @@ def id_width(n: int, c: int) -> int:
 def _check_width(w: int) -> None:
     if not 1 <= w <= MAX_WIDTH:
         raise ValueError(f"word width {w} outside [1, {MAX_WIDTH}]")
+
+
+def _reversed_bits(values: np.ndarray, w: int) -> np.ndarray:
+    """int64 array of w-bit values with the order of their w bits reversed.
+
+    Reverses the bytes and the bits inside each, then drops the padding the
+    reversal moved into the low bits.
+    """
+    out = _BYTE_REVERSED[values & 0xFF]
+    for k in range(1, (w + 7) // 8):
+        out = out << 8 | _BYTE_REVERSED[values >> 8 * k & 0xFF]
+    return out >> -w % 8
 
 
 def encode_extended(payload: int, w: int) -> int:
@@ -65,6 +72,16 @@ def decode_extended(pattern: int, w: int) -> int | None:
     return payload
 
 
+def encode_extended_rows(payloads: np.ndarray, w: int) -> np.ndarray:
+    """encode_extended over an integer array: uint64 words of its shape."""
+    _check_width(w)
+    payloads = np.asarray(payloads, dtype=np.int64)
+    if payloads.size and (payloads.min() < 0 or payloads.max() >> w):
+        raise ValueError(f"payloads do not fit {w} bits")
+    first = _reversed_bits(payloads, w).view(np.uint64)
+    return first | (first ^ np.uint64((1 << w) - 1)) << np.uint64(w)
+
+
 def decode_extended_rows(words: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """decode_extended over a uint64 array: (valid, payload) of its shape.
 
@@ -77,55 +94,6 @@ def decode_extended_rows(words: np.ndarray, w: int) -> tuple[np.ndarray, np.ndar
     rest = (words >> np.uint64(w)).view(np.int64)
     # equal only if bits w..2w-1 complement the first half and none lies above
     valid = rest == first ^ ((1 << w) - 1)
-    # reverse the payload's bytes and the bits inside each, then drop the
-    # padding the reversal moved into the low bits
-    payload = _BYTE_REVERSED[first & 0xFF]
-    for k in range(1, (w + 7) // 8):
-        payload = payload << 8 | _BYTE_REVERSED[first >> 8 * k & 0xFF]
-    payload >>= -w % 8
+    payload = _reversed_bits(first, w)
     payload *= valid
     return valid, payload
-
-
-def encode_manchester(payload: int, w: int) -> int:
-    """2w-round beep pattern for a w-bit payload, one pair per bit."""
-    _check_width(w)
-    if not 0 <= payload < (1 << w):
-        raise ValueError(f"payload {payload} does not fit {w} bits")
-    pattern = 0
-    for t in range(w):
-        bit = payload >> (w - 1 - t) & 1
-        pattern |= 1 << (2 * t + (1 if bit else 0))
-    return pattern
-
-
-EMPTY = "empty"
-ONE = "one"
-COLLISION = "collision"
-
-
-def decode_manchester_block(heard: int, w: int) -> tuple[str, int | None]:
-    """Classify the OR of zero or more Manchester words.
-
-    heard has bit r set when round r was noisy. Returns (EMPTY, None),
-    (ONE, payload) or (COLLISION, None).
-    """
-    _check_width(w)
-    payload = 0
-    saw_empty = False
-    saw_bit = False
-    for t in range(w):
-        lo = heard >> (2 * t) & 1
-        hi = heard >> (2 * t + 1) & 1
-        if lo and hi:
-            return (COLLISION, None)
-        if not lo and not hi:
-            saw_empty = True
-        else:
-            saw_bit = True
-            payload |= hi << (w - 1 - t)
-    if saw_empty and saw_bit:
-        return (COLLISION, None)
-    if saw_empty:
-        return (EMPTY, None)
-    return (ONE, payload)

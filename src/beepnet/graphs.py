@@ -1,8 +1,9 @@
 """Undirected network graphs with IDs drawn from [1, n^c].
 
 The on-disk format is a header line "n m c" followed by m lines "u v" with
-1 <= u < v <= n^c. Node set is the set of endpoint IDs (for m == 0 it is
-1..n, which forces c-compatible sequential IDs).
+1 <= u < v <= n^c; only blank lines may follow them. Node set is the set
+of endpoint IDs (for m == 0 it is 1..n, which forces c-compatible
+sequential IDs).
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def load_graph(path) -> Graph:
                 edges.append((u, v))
         except ValueError as exc:
             raise ParameterError(f"{path} line {ln}: {exc}") from exc
+        for ln, line in enumerate(fh, start=m + 2):
+            if line.strip():
+                raise ParameterError(f"{path} line {ln}: more edge lines than the header's m={m}")
     if m == 0:
         ids = tuple(range(1, n + 1))
     else:
@@ -176,6 +180,8 @@ def generate_random_graph(n: int, delta: int, seed: int, c: int = 1) -> Graph:
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     if delta < 1 and n > 1:
         raise ParameterError("delta must be >= 1 for n > 1")
     if n > 2 and delta < 2:

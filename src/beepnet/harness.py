@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ParameterError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ParameterError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ParameterError("seeds must be nonnegative")
         if self.B < 0:
             raise ParameterError("B must be nonnegative")
         if self.h < 1:

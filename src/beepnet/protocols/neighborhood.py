@@ -1,12 +1,19 @@
 """Neighborhood discovery from nothing but the public parameters.
 
 The schedule walks a strong selector family; in block i every member of
-set i transmits its own ID as a Manchester word over 2w rounds.  A node
-outside the block listens the whole word: a clean decode names exactly
-one beeping neighbor (superpositions of two or more distinct words are
-always flagged as collisions), so block by block each node collects its
-neighbor set.  With the family built for subsets one larger than the
-degree bound, every neighbor is eventually heard alone.
+set i transmits its own ID as an extended word over 2w rounds.  A node
+outside the block listens the whole word: a valid word names exactly one
+beeping neighbor, an invalid non-zero word is a collision (the OR of two
+or more distinct words never decodes), and a silent word means no
+neighbor sent.  Block by block each node collects its neighbor set; with
+the family built for subsets one larger than the degree bound, every
+neighbor is eventually heard alone.
+
+The population runner builds every ID word in one encode_extended_rows
+call and decodes the (n, L) block words each node heard, L the family's
+length, in one decode_extended_rows call.  The per-node machine
+(LearnNeighborhoodNode) encodes and decodes one word at a time with the
+scalar encode_extended and decode_extended.
 """
 
 from __future__ import annotations
@@ -15,8 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._bits import bits_to_int
-from ..encoding import COLLISION, ONE, decode_manchester_block, encode_manchester, id_width
+from .._bits import bits_to_int, pack_bool_rows, unpack_word_rows
+from ..encoding import (
+    decode_extended,
+    decode_extended_rows,
+    encode_extended,
+    encode_extended_rows,
+    id_width,
+)
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace, trace_from_beeps
 from ..graphs import Graph, ParameterError
 from ..selectors import SelectorFamily
@@ -52,33 +65,18 @@ def run_learning_neighborhood(graph: Graph, delta_hat: int | None = None) -> Lea
     n = graph.n
     member = family_membership(graph, fam)
 
-    word = np.zeros((n, 2 * w), dtype=bool)
-    for j, u in enumerate(graph.ids):
-        pattern = encode_manchester(u, w)
-        for r in range(2 * w):
-            word[j, r] = pattern >> r & 1
-
-    beeps = np.zeros((n, length * 2 * w), dtype=bool)
-    for i in range(length):
-        beeps[:, i * 2 * w : (i + 1) * 2 * w] = member[i][:, None] & word
-
+    word = unpack_word_rows(encode_extended_rows(graph.ids, w)[:, None], 2 * w)
+    beeps = (member.T[:, :, None] & word[:, None, :]).reshape(n, length * 2 * w)
     noise = noise_matrix(graph, beeps)
 
-    found: dict[int, set[int]] = {u: set() for u in graph.ids}
-    collisions = 0
-    for i in range(length):
-        lo = i * 2 * w
-        for j, u in enumerate(graph.ids):
-            if member[i, j]:
-                continue  # transmitting (or would be); not a full-block listener
-            heard = bits_to_int(noise[j, lo : lo + 2 * w])
-            tag, payload = decode_manchester_block(heard, w)
-            if tag == ONE:
-                found[u].add(payload)
-            elif tag == COLLISION:
-                collisions += 1
-
-    neighborhoods = {u: frozenset(s) for u, s in found.items()}
+    # heard[j, i]: the word node j heard in block i
+    heard = pack_bool_rows(noise.reshape(n * length, 2 * w)).reshape(n, length)
+    valid, payload = decode_extended_rows(heard, w)
+    listener = ~member.T
+    learned = listener & valid
+    collisions = int((listener & ~valid & (heard != 0)).sum())
+    neighborhoods = {u: frozenset(payload[j, learned[j]].tolist())
+                     for j, u in enumerate(graph.ids)}
     return LearningResult(
         neighborhoods,
         length * 2 * w,
@@ -97,7 +95,7 @@ class LearnNeighborhoodNode(NodeProtocol):
         self.w = id_width(n, c)
         self.fam = fam
         self.mine = [node_id in f for f in fam.sets]
-        self.pattern = encode_manchester(node_id, self.w)
+        self.pattern = encode_extended(node_id, self.w)
         self.block_feedback: list[Feedback] = []
         self.found: set[int] = set()
         self.collisions = 0
@@ -117,10 +115,10 @@ class LearnNeighborhoodNode(NodeProtocol):
                 heard = bits_to_int(
                     [1 if fb == Feedback.NOISE else 0 for fb in self.block_feedback]
                 )
-                tag, payload = decode_manchester_block(heard, self.w)
-                if tag == ONE:
+                payload = decode_extended(heard, self.w)
+                if payload is not None:
                     self.found.add(payload)
-                elif tag == COLLISION:
+                elif heard:
                     self.collisions += 1
                 self.block_feedback = []
         self._rounds_seen = round_index + 1

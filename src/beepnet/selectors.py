@@ -10,7 +10,8 @@ isolated, or more than l of them do.  Avoiding sets are not size-capped.
 
 Construction is seeded and deterministic.  Small parameter ranges run a
 greedy cover over all isolation demands; k >= n degenerates to the
-singleton family; everything else draws seeded random sets.  The greedy
+singleton family; everything else draws seeded random families of
+growing length until one verifies (at most BUILD_ATTEMPTS).  The greedy
 cover keeps its own one-word element masks (it runs only for n <= 64, and
 uses the narrowest unsigned type that holds n bits), one row per subset,
 and drops the satisfied rows every round.
@@ -46,6 +47,9 @@ GREEDY_STATE_LIMIT = 1_000_000
 # Exhaustive verification walks every subset of size <= k.
 VERIFY_SUBSET_LIMIT = 10_000_000
 SAMPLES_PER_SIZE = 4_000
+# Random construction draws this many families, each 1.5 times longer than
+# the last, before it gives up.
+BUILD_ATTEMPTS = 10
 
 _CANDIDATES_PER_ROUND = 16
 _TARGETED_PER_ROUND = 4
@@ -387,6 +391,8 @@ def _lowest_bit(mask: int) -> int:
 
 
 def _build(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily:
+    if seed < 0:
+        raise ParameterError(f"selector seed must be nonnegative, got {seed}")
     if kind == "strong":
         target = strong_length(n, k)
     else:
@@ -399,7 +405,7 @@ def _build(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily:
         return fam
 
     greedy_ok = n <= 64 and subset_count(n, k) <= GREEDY_STATE_LIMIT
-    for attempt in range(4):
+    for attempt in range(BUILD_ATTEMPTS):
         rng = np.random.default_rng([seed, n, k, l or 0, _KIND_TAG[kind], attempt])
         length = math.ceil(target * 1.5**attempt)
         if greedy_ok:

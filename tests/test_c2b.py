@@ -23,12 +23,11 @@ from beepnet.c2b import (
     subphase_parameters,
     _message_word_rows,
     _message_words,
-    _payload_words,
     _trace_super_round_words,
     _TraceFeed,
 )
 from beepnet.cli import main
-from beepnet.encoding import MAX_WIDTH, encode_extended
+from beepnet.encoding import MAX_WIDTH, encode_extended, encode_extended_rows
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 
@@ -242,7 +241,7 @@ def test_array_words_equal_the_scalar_words(w):
     assert rows.dtype == np.uint64
     assert rows.tolist() == [_message_words(bits, w, m) for bits in messages]
     payloads = np.append(rng.integers(0, 1 << w, size=40), [0, (1 << w) - 1])
-    assert _payload_words(payloads, w).tolist() == [encode_extended(int(p), w) for p in payloads]
+    assert encode_extended_rows(payloads, w).tolist() == [encode_extended(int(p), w) for p in payloads]
 
 
 @pytest.mark.parametrize("n", [96, 128, 256])

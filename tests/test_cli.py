@@ -155,6 +155,28 @@ def test_run_rejects_a_malformed_graph_file(tmp_path, capsys, body):
     assert f"{graph_file} line 3" in capsys.readouterr().err
 
 
+def test_run_rejects_edge_lines_past_the_header_count(tmp_path, capsys):
+    graph_file = tmp_path / "long.graph"
+    graph_file.write_text("3 2 1\n1 2\n2 3\n1 3\n")
+    assert main(["run", "learn-neighborhood", "--graph", str(graph_file), "--delta", "2"]) == 2
+    assert f"{graph_file} line 4" in capsys.readouterr().err
+    graph_file.write_text("3 2 1\n1 2\n2 3\n\n \n")   # trailing blank lines are fine
+    assert load_graph(graph_file).edges == ((1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-graph", "--n", "6", "--delta", "3", "--seed=-3", "--out", "g.txt"],
+    ["build-selector", "--n", "8", "--k", "3", "--seed=-2", "--out", "f.txt"],
+    ["run", "c2b", "--n", "8", "--delta", "2", "--seeds=-1"],
+], ids=["gen-graph", "build-selector", "run"])
+def test_a_negative_seed_is_a_parameter_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nonnegative" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_table_over_saved_runs(tmp_path, capsys):
     r1 = tmp_path / "a.jsonl"
     r2 = tmp_path / "b.jsonl"

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from beepnet.encoding import MAX_WIDTH, decode_extended, decode_extended_rows, encode_extended
+from beepnet.encoding import (
+    MAX_WIDTH,
+    decode_extended,
+    decode_extended_rows,
+    encode_extended,
+    encode_extended_rows,
+)
 
 
 def _scalar(words, w):
@@ -45,3 +51,11 @@ def test_rows_reject_a_width_the_scalar_decoder_rejects():
     for w in (0, MAX_WIDTH + 1):
         with pytest.raises(ValueError):
             decode_extended_rows(np.zeros(1, dtype=np.uint64), w)
+
+
+@pytest.mark.parametrize("w, payload", [(0, 0), (MAX_WIDTH + 1, 0), (5, -1), (5, 32), (MAX_WIDTH, 1 << MAX_WIDTH)])
+def test_rows_encoder_rejects_what_the_scalar_encoder_rejects(w, payload):
+    with pytest.raises(ValueError):
+        encode_extended(payload, w)
+    with pytest.raises(ValueError):
+        encode_extended_rows(np.array([0, payload]), w)

@@ -1,10 +1,11 @@
 """Neighborhood discovery: exact adjacency out, nothing imagined in."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beepnet.encoding import id_width
+from beepnet.encoding import decode_extended, encode_extended, id_width
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import ParameterError, generate_random_graph, graph_from_edges
 from beepnet.protocols import (
@@ -81,6 +82,54 @@ def test_machine_route_matches_population():
     assert engine_res.trace.digest() == res.trace.digest()
     report = validate_trace(g, engine_res.trace)
     assert report.ok
+
+
+def _noise_bits(trace):
+    """(n, rounds) 0/1 array of the noise the trace recorded."""
+    return np.concatenate([
+        np.unpackbits(b.noise.view(np.uint8), axis=1, bitorder="little")[:, :b.nrounds]
+        for b in trace.blocks], axis=1)
+
+
+@pytest.mark.parametrize("graph, delta_hat", [
+    (graph_from_edges([(3, 17), (3, 9), (3, 21), (3, 14)], c=2), 4),
+    (generate_random_graph(14, 4, seed=33), 4),
+], ids=["c2-star", "random"])
+def test_decode_follows_the_beeping_neighbour_count(graph, delta_hat):
+    # For every listener and block, the count of the listener's neighbours
+    # in the block alone fixes what it must hear and decode: silence for
+    # none, that neighbour's ID for one, a collision for two or more.
+    res = run_learning_neighborhood(graph, delta_hat=delta_hat)
+    w = id_width(graph.n, graph.c)
+    noise = _noise_bits(res.trace)
+    learned = {u: set() for u in graph.ids}
+    collisions = 0
+    counts = set()
+    for i, block in enumerate(res.family.sets):
+        lo = i * 2 * w
+        for j, u in enumerate(graph.ids):
+            if u in block:
+                continue
+            senders = [v for v in graph.neighbors_of(u) if v in block]
+            heard = sum(int(b) << r for r, b in enumerate(noise[j, lo:lo + 2 * w]))
+            expected = 0
+            for v in senders:
+                expected |= encode_extended(v, w)
+            assert heard == expected, (u, i)
+            payload = decode_extended(heard, w)
+            counts.add(min(len(senders), 2))
+            if not senders:
+                assert heard == 0 and payload is None
+            elif len(senders) == 1:
+                assert payload == senders[0]
+                learned[u].add(payload)
+            else:
+                assert heard != 0 and payload is None
+                collisions += 1
+    assert counts == {0, 1, 2}
+    assert res.collision_events == collisions
+    assert res.neighborhoods == {u: frozenset(s) for u, s in learned.items()}
+    _exact(graph, res)
 
 
 def test_low_degree_bound_rejected():

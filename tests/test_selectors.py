@@ -1,4 +1,5 @@
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -364,3 +365,16 @@ def test_construction_reproduces_tracked_family_bytes(n, k, l, tmp_path):
     tracked = Path(__file__).resolve().parent.parent / ".selector-cache" / name
     save_family(fam, tmp_path / name)
     assert (tmp_path / name).read_bytes() == tracked.read_bytes()
+
+
+def test_random_construction_draws_past_four_lengths(tmp_path, monkeypatch):
+    # No draw up to 1.5^3 times the declared length of (100, strong, 3)
+    # verifies; the build keeps growing the length until one does.
+    monkeypatch.setenv("BEEPNET_CACHE_DIR", str(tmp_path))
+    clear_memory_cache()
+    fam = get_strong_selector(100, 3)
+    assert fam.method == "random"
+    assert len(fam) > math.ceil(strong_length(100, 3) * 1.5**3)
+    assert fam.verified == "exhaustive"
+    assert verify_family(load_family(tmp_path / "100-strong-3-0-s1.txt")) == "exhaustive"
+    clear_memory_cache()
