@@ -12,9 +12,12 @@ Construction is seeded and deterministic.  Small parameter ranges run a
 greedy cover over all isolation demands; k >= n degenerates to the
 singleton family; everything else draws seeded random families of
 growing length until one verifies (at most BUILD_ATTEMPTS).  The greedy
-cover keeps its own one-word element masks (it runs only for n <= 64, and
-uses the narrowest unsigned type that holds n bits), one row per subset,
-and drops the satisfied rows every round.
+cover (n <= 64) keeps one row per subset: its member mask and the mask of
+members isolated so far, in the narrowest unsigned type that holds n bits.
+It scores candidates over per-element bit-planes across those rows (the
+rows that hold an element, the rows where it is still to be isolated),
+touches only the rows a chosen set changes, and compacts the planes once
+few rows stay open.
 
 Both sides enumerate subsets with _iter_subset_cols, which yields numpy
 blocks in itertools.combinations order; greedy's choices depend on that
@@ -37,12 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._bits import U64, pack_bool_rows
+from ._bits import U64, pack_bool_rows, unpack_word_rows, words_for
 from .graphs import ParameterError
 
 DEFAULT_SEED = 1
 
-# Greedy tracks one state row per subset; keep that under a million rows.
+# Greedy holds per subset row two n-bit masks and two bits per element on its
+# row bit-planes: 32 bytes a row at n = 64, so at most about 32 MB.
 GREEDY_STATE_LIMIT = 1_000_000
 # Exhaustive verification walks every subset of size <= k.
 VERIFY_SUBSET_LIMIT = 10_000_000
@@ -301,89 +305,158 @@ def _singleton_family(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily
     return SelectorFamily(n, kind, k, l, sets, seed, "singleton")
 
 
-def _random_sets(n: int, kind: str, k: int, count: int, rng) -> list[tuple[int, ...]]:
+def _random_members(n: int, kind: str, k: int, count: int, rng) -> list[np.ndarray]:
+    """count seeded random sets, each an ascending array of 0-based members."""
     # aim for density 1/k; a strong family additionally keeps sets at size <= k
-    size = min(k, max(1, round(n / k)))
+    if kind == "strong":
+        size = min(k, max(1, round(n / k)))
+        return [np.sort(rng.choice(n, size=size, replace=False)) for _ in range(count)]
+    # A (rows, n) draw takes the same doubles as that many rng.random(n)
+    # calls; blocks of about a million keep a long random family's draw small.
+    step = max(1, (1 << 20) // n)
     out = []
-    for _ in range(count):
-        if kind == "strong":
-            ids = rng.choice(n, size=size, replace=False) + 1
-        else:
-            ids = np.nonzero(rng.random(n) < 1.0 / k)[0] + 1
-        out.append(tuple(sorted(int(e) for e in ids)))
+    for lo in range(0, count, step):
+        hits = rng.random((min(step, count - lo), n)) < 1.0 / k
+        out.extend(np.flatnonzero(row) for row in hits)
     return out
+
+
+def _as_sets(members) -> list[tuple[int, ...]]:
+    return [tuple((f + 1).tolist()) for f in members]
 
 
 def _cols_to_masks(cols: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(np.uint64(1) << cols.astype(np.uint64), axis=1)
 
 
+def _bit_planes(masks: np.ndarray, n: int) -> np.ndarray:
+    """(n, W) uint64 bitsets over rows: bit r of row e is bit e of masks[r]."""
+    planes = np.zeros((n, words_for(len(masks))), dtype=U64)
+    as_bytes = planes.view(np.uint8)
+    mask_bytes = masks.view(np.uint8).reshape(len(masks), -1)
+    for e in range(n):
+        if e % 8 == 0:
+            column = np.ascontiguousarray(mask_bytes[:, e // 8])
+        packed = np.packbits(column & (1 << e % 8), bitorder="little")  # nonzero packs as 1
+        as_bytes[e, :len(packed)] = packed
+    return planes
+
+
+class _Cover:
+    """The isolation demands of a greedy cover, as per-element row bit-planes.
+
+    A row is a subset of [1, n]: masks holds its members and iso the members
+    isolated so far, bit e for element e + 1, in the narrowest unsigned type
+    that holds n bits.  Bitsets of uint64 words run over the rows in order:
+    member[e] marks the rows that hold e, pending[e] the rows in which e is
+    still to be isolated, and open the rows still open.  A row closes once
+    all its members are isolated or, with an avoidance threshold l, more
+    than l of them are.  A candidate set f gains the open rows it meets in
+    exactly one member where that member is pending: the OR of pending[f],
+    less the rows that hold two or more members of f.  It scores their
+    count.  Closed rows are dropped, keeping the order of the rest, once
+    fewer than a quarter of the rows are open.
+    """
+
+    def __init__(self, masks: np.ndarray, n: int, l):
+        self.n, self.l = n, l
+        self.masks, self.iso = masks, np.zeros_like(masks)
+        self._build_planes()
+
+    def _build_planes(self) -> None:
+        self.member = _bit_planes(self.masks, self.n)
+        self.pending = _bit_planes(self.masks & ~self.iso, self.n)
+        self.open = _bit_planes(np.ones(len(self.masks), dtype=np.uint8), 1)[0]
+        self.open_rows = len(self.masks)
+
+    def targets(self, count: int) -> list[int]:
+        """The lowest pending member of each of the first count open rows."""
+        words = np.flatnonzero(self.open)[:count]
+        at = np.flatnonzero(unpack_word_rows(self.open[words, None], 64))[:count]
+        rows = words[at >> 6] * 64 + (at & 63)
+        return [_lowest_bit(p) for p in (self.masks[rows] & ~self.iso[rows]).tolist()]
+
+    def scores(self, members: list[np.ndarray]) -> np.ndarray:
+        """The number of rows each candidate gains."""
+        scores = np.zeros(len(members), dtype=np.int64)
+        multi = sorted((i for i, f in enumerate(members) if len(f) > 1),
+                       key=lambda i: -len(members[i]))
+        if multi:
+            scores[multi] = np.bitwise_count(self._gains([members[i] for i in multi])).sum(axis=1)
+        # A singleton {e} gains exactly the open rows where e is pending.
+        single = [i for i, f in enumerate(members) if len(f) == 1]
+        pending = self.pending[[members[i][0] for i in single]] & self.open
+        scores[single] = np.bitwise_count(pending).sum(axis=1)
+        return scores
+
+    def _gains(self, members: list[np.ndarray]) -> np.ndarray:
+        """(len(members), W): the rows each candidate gains.  Candidates run
+        from largest to smallest, so those with a j-th member are a prefix."""
+        cols = np.zeros((len(members), len(members[0])), dtype=np.intp)
+        for i, f in enumerate(members):
+            cols[i, :len(f)] = f
+        sizes = np.array([len(f) for f in members])
+        once = self.member[cols[:, 0]]
+        twice = np.zeros_like(once)
+        gain = self.pending[cols[:, 0]]
+        for j in range(1, cols.shape[1]):
+            m = int(np.count_nonzero(sizes > j))
+            x = self.member[cols[:m, j]]
+            twice[:m] |= once[:m] & x
+            once[:m] |= x
+            gain[:m] |= self.pending[cols[:m, j]]
+        gain &= ~twice
+        gain &= self.open
+        return gain
+
+    def isolate(self, f: np.ndarray) -> None:
+        """Add f to the family: isolate the member it meets in each gained row."""
+        gain = self._gains([f])[0]
+        self.pending[f] &= ~gain
+        words = np.flatnonzero(gain)
+        held = unpack_word_rows(gain[words, None], 64)
+        at = np.flatnonzero(held)
+        rows = words[at >> 6] * 64 + (at & 63)
+        masks = self.masks[rows]
+        iso = self.iso[rows] | (masks & _cols_to_masks(f[None, :]).astype(masks.dtype))
+        self.iso[rows] = iso
+        closed = iso == masks
+        if self.l is not None:
+            closed |= np.bitwise_count(iso) > self.l
+        shut = np.zeros_like(held)
+        shut.ravel()[at[closed]] = True
+        self.open[words] &= ~np.packbits(shut, axis=1, bitorder="little").view(U64)[:, 0]
+        self.open_rows -= int(np.count_nonzero(closed))
+        if 0 < 4 * self.open_rows < len(self.masks):
+            keep = unpack_word_rows(self.open[None, :], len(self.masks))[0]
+            self.masks, self.iso = self.masks[keep], self.iso[keep]
+            self._build_planes()
+
+
 def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tuple[int, ...]]:
     """Cover all isolation demands greedily, then pad to the declared length.
 
-    State is one row per subset of size <= k, in itertools.combinations
-    order: its member mask, the mask of members isolated so far, and the
-    subset size.  A row satisfied under the family definition stays
-    satisfied, so every round drops the satisfied rows before scoring;
-    the boolean compaction keeps the order of the rest.  A candidate scores
-    one point per open row that it meets in exactly one member, when that
-    member is still pending (not yet isolated).
+    The demands are the subsets of size <= k in itertools.combinations
+    order.  Each round scores _CANDIDATES_PER_ROUND random sets, then the
+    singleton of the lowest pending member of each of the first
+    _TARGETED_PER_ROUND open rows, and adds the first that scores highest.
     """
     word = np.min_scalar_type((1 << n) - 1)  # the narrowest unsigned type holding n bits
-    smask_parts = []
-    size_parts = []
-    for s, cols in _iter_subset_cols(n, range(1, min(k, n) + 1)):
-        smask_parts.append(_cols_to_masks(cols).astype(word))
-        size_parts.append(np.full(cols.shape[0], s, dtype=np.uint8))
-    smask = np.concatenate(smask_parts)
-    size = np.concatenate(size_parts)
-    iso = np.zeros_like(smask)
-
-    chosen: list[int] = []
-    while True:
-        cnt = np.bitwise_count(iso)
-        sat = cnt == size
-        if kind == "avoiding":
-            sat |= cnt > l
-        if sat.any():
-            keep = ~sat
-            smask, size, iso = smask[keep], size[keep], iso[keep]
-        if not smask.size:
-            break
-        pending = smask & ~iso
-        candidates = [
-            _mask_of(ids) for ids in _random_sets(n, kind, k, _CANDIDATES_PER_ROUND, rng)
-        ]
-        # Every open row has a pending member: iso stays inside smask.
-        for p in pending[:_TARGETED_PER_ROUND].tolist():
-            candidates.append(1 << _lowest_bit(p))
-        best_mask, best_score = 0, -1
-        for f in candidates:
-            fw = word.type(f)
-            lone = np.bitwise_count(smask & fw) == 1
-            score = int(np.count_nonzero(lone & ((pending & fw) != 0)))
-            if score > best_score:
-                best_mask, best_score = f, score
-        if best_score <= 0:
+    masks = np.concatenate([_cols_to_masks(cols).astype(word)
+                            for _, cols in _iter_subset_cols(n, range(1, min(k, n) + 1))])
+    cover = _Cover(masks, n, l if kind == "avoiding" else None)
+    chosen: list[np.ndarray] = []
+    while cover.open_rows:
+        members = _random_members(n, kind, k, _CANDIDATES_PER_ROUND, rng)
+        members += [np.array([e]) for e in cover.targets(_TARGETED_PER_ROUND)]
+        scores = cover.scores(members)
+        best = int(np.argmax(scores))  # the first of the highest
+        if scores[best] <= 0:
             raise RuntimeError("greedy selector construction stalled")
-        x = smask & word.type(best_mask)
-        upd = np.bitwise_count(x) == 1
-        iso[upd] |= x[upd]
-        chosen.append(best_mask)
-
-    pad = target_len - len(chosen)
-    sets = [_ids_of(m) for m in chosen]
-    if pad > 0:
-        sets.extend(_random_sets(n, kind, k, pad, rng))
-    return sets
-
-
-def _mask_of(ids) -> int:
-    return sum(1 << (e - 1) for e in ids)
-
-
-def _ids_of(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+        cover.isolate(members[best])
+        chosen.append(members[best])
+    pad = max(0, target_len - len(chosen))
+    return _as_sets(chosen + _random_members(n, kind, k, pad, rng))
 
 
 def _lowest_bit(mask: int) -> int:
@@ -412,7 +485,7 @@ def _build(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily:
             sets = _greedy_sets(n, kind, k, l, rng, target)
             method = "greedy"
         else:
-            sets = _random_sets(n, kind, k, length, rng)
+            sets = _as_sets(_random_members(n, kind, k, length, rng))
             method = "random"
         fam = SelectorFamily(n, kind, k, l, tuple(sets), seed, method)
         tier = verify_family(fam)
@@ -480,9 +553,15 @@ def load_family(path) -> SelectorFamily:
     sets = []
     for ln, line in enumerate(body, 2):
         try:
-            sets.append(tuple(int(tok) for tok in line.split()))
+            f = tuple(map(int, line.split()))
         except ValueError as exc:
             raise ParameterError(f"{path} line {ln}: {exc}") from exc
+        if len(set(f)) < len(f) or f and not (1 <= min(f) and max(f) <= n):
+            out = [e for e in f if not 1 <= e <= n]
+            fault = (f"set member {out[0]} outside [1, {n}]" if out
+                     else f"set member {next(e for e in f if f.count(e) > 1)} repeated")
+            raise ParameterError(f"{path} line {ln}: {fault}")
+        sets.append(f)
     return SelectorFamily(n, kind, k, l, tuple(sets), seed, method)
 
 

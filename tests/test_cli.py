@@ -96,6 +96,18 @@ def test_verify_selector_rejects_a_non_integer_member(tmp_path, capsys):
     assert f"{fam_file} line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, fault", [
+    ("0 3", "set member 0 outside [1, 4]"),
+    ("3 9", "set member 9 outside [1, 4]"),
+    ("4 4", "set member 4 repeated"),
+])
+def test_verify_selector_names_the_line_of_a_bad_member(tmp_path, capsys, line, fault):
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text(f"4 strong 2 3 1 greedy\n1 2\n{line}\n3\n")
+    assert main(["verify-selector", str(fam_file)]) == 2
+    assert f"{fam_file} line 3: {fault}" in capsys.readouterr().err
+
+
 def test_run_writes_report_and_succeeds(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     main(["gen-graph", "--n", "10", "--delta", "3", "--seed", "2", "--out", str(graph_file)])

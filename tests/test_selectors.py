@@ -7,10 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beepnet._bits import pack_bool_rows, unpack_word_rows
 from beepnet.graphs import ParameterError
 from beepnet.selectors import (
     SelectorFamily,
+    _Cover,
     _iter_subset_cols,
+    _random_members,
     avoiding_length,
     build_avoiding_selector,
     build_strong_selector,
@@ -355,7 +358,8 @@ def test_subset_generator_over_several_sizes():
 # benchmark's golden hashes pin greedy order too, but only for n = 32.
 @pytest.mark.parametrize(
     "n, k, l",
-    [(32, 2, 1), (32, 4, 2), (10, 6, 3), (64, 3, 2), (16, 4, None), (23, 5, None), (10, 10, None)],
+    [(32, 2, 1), (32, 4, 2), (32, 5, 4), (10, 6, 3), (20, 9, 8), (64, 3, 2), (64, 4, 2),
+     (16, 4, None), (23, 5, None), (10, 10, None)],
 )
 def test_construction_reproduces_tracked_family_bytes(n, k, l, tmp_path):
     if l is None:
@@ -378,3 +382,95 @@ def test_random_construction_draws_past_four_lengths(tmp_path, monkeypatch):
     assert fam.verified == "exhaustive"
     assert verify_family(load_family(tmp_path / "100-strong-3-0-s1.txt")) == "exhaustive"
     clear_memory_cache()
+
+
+def test_avoiding_candidates_draw_the_per_set_stream():
+    # One (rows, n) draw per block yields the doubles of one rng.random(n)
+    # call per set; 300 sets of 4096 elements span two blocks.
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    got = _random_members(4096, "avoiding", 5, 300, ours)
+    want = [np.flatnonzero(theirs.random(4096) < 1 / 5) for _ in range(300)]
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert ours.random() == theirs.random()
+
+
+# The greedy cover keeps its demands as per-element row bit-planes.  The
+# reference is the per-row formula it replaced: a candidate f scores the
+# open rows it meets in exactly one member, when that member is still
+# pending; taking f isolates that member in every such row, and a row
+# closes once all its members, or more than l of them, are isolated.
+
+def _mask(members, word):
+    return word.type(sum(1 << int(e) for e in members))
+
+
+def _reference_score(masks, iso, f):
+    fw = _mask(f, masks.dtype)
+    lone = np.bitwise_count(masks & fw) == 1
+    return int(np.count_nonzero(lone & ((masks & ~iso & fw) != 0)))
+
+
+def _reference_isolate(masks, iso, l, f):
+    x = masks & _mask(f, masks.dtype)
+    upd = np.bitwise_count(x) == 1
+    iso = iso.copy()
+    iso[upd] |= x[upd]
+    cnt = np.bitwise_count(iso)
+    keep = cnt < np.bitwise_count(masks)
+    if l is not None:
+        keep &= cnt <= l
+    killed = int(np.count_nonzero((cnt > l) & (iso != masks))) if l is not None else 0
+    return keep, iso, killed
+
+
+def _bits(values, n):
+    """(n, len(values)) bool: bit e of each value."""
+    return np.array([[(int(v) >> e) & 1 for v in values] for e in range(n)], dtype=bool)
+
+
+@pytest.mark.parametrize("n, rows, k, l, seed", [
+    (8, 150, 3, None, 1),        # uint8 masks
+    (64, 300, 4, 2, 2),          # uint64 masks
+    (20, 400, 5, 1, 3),          # rows killed at more than one isolated
+    (33, 700, 4, None, 4),
+])
+def test_cover_matches_the_per_row_formula(n, rows, k, l, seed):
+    rng = np.random.default_rng(seed)
+    word = np.min_scalar_type((1 << n) - 1)
+    masks = np.array([_mask(rng.choice(n, s, replace=False), word)
+                      for s in rng.integers(1, k + 1, rows)], dtype=word)
+    cover = _Cover(masks, n, l)
+    ref_masks, ref_iso = masks, np.zeros_like(masks)
+    killed = crossings = 0
+    while len(ref_masks):
+        held = unpack_word_rows(cover.open[None, :], len(cover.masks))[0]
+        at = np.flatnonzero(held)
+        # state: open rows in order, their isolated members, and the planes
+        assert np.array_equal(cover.masks[held], ref_masks)
+        assert np.array_equal(cover.iso[held], ref_iso)
+        assert cover.open_rows == len(ref_masks)
+        assert np.array_equal(cover.member, pack_bool_rows(_bits(cover.masks, n)))
+        pending = unpack_word_rows(cover.pending, len(cover.masks))[:, held]
+        assert np.array_equal(pending, _bits(ref_masks & ~ref_iso, n))
+        assert not unpack_word_rows(cover.open[None, :], 64 * cover.open.size)[0, len(held):].any()
+
+        first = [(int(p) & -int(p)).bit_length() - 1 for p in (ref_masks & ~ref_iso)[:4]]
+        assert cover.targets(4) == first
+        members = [np.sort(rng.choice(n, s, replace=False)) for s in rng.integers(2, n // 2, 6)]
+        members += [np.array([], dtype=np.int64), np.array([rng.integers(n)])]
+        members += [np.array([e]) for e in first]
+        scores = cover.scores(members)
+        assert scores.tolist() == [_reference_score(ref_masks, ref_iso, f) for f in members]
+
+        f = members[rng.choice(np.flatnonzero(scores))]
+        before = len(cover.masks)
+        cover.isolate(f)
+        keep, ref_iso, now_killed = _reference_isolate(ref_masks, ref_iso, l, f)
+        ref_masks, ref_iso = ref_masks[keep], ref_iso[keep]
+        killed += now_killed
+        if len(cover.masks) < before:          # compacted: kept rows move down
+            crossings += int(np.count_nonzero(at[keep] // 64 != np.arange(len(ref_masks)) // 64))
+    assert cover.open_rows == 0
+    assert crossings > 0
+    assert killed > 0 or l is None

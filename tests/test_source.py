@@ -92,3 +92,26 @@ def test_protocol_schedules_take_no_seed():
             if "seed" in names and node.name != "generate_cluster_layout":
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
     assert not found, f"protocol functions taking a seed: {found}"
+
+
+def test_selector_construction_shares_no_verification_code():
+    # Verification is the independent check on the greedy builder, so the
+    # builder and everything it reaches in selectors.py name none of the
+    # verifier's counting: the two share only the subset generator.
+    tree = ast.parse((PACKAGE / "selectors.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), ["_greedy_sets"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(ref for ref in _references(defs[name]) if ref in defs)
+    assert {"_Cover", "_random_members", "_iter_subset_cols"} <= reached
+    named = Counter()
+    for name in reached:
+        named.update(_references(defs[name]))
+    shared = sorted(ref for ref in named
+                    if ref in ("_isolation_counts", "element_words", "_all_subsets_pass")
+                    or ref.startswith("verify_"))
+    assert not shared, f"greedy construction names verification code: {shared}"
