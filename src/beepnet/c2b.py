@@ -19,7 +19,10 @@ One population core (_Handshake) holds the handshake state and crosses
 the channel in blocks: every word of an announcing super-round, and of
 each half-window, is fixed before it starts, so the core puts one (S, n)
 block of words on the wire (S = 1 or half_parts), gets back the (S, n)
-noise words and decodes them in one decode_extended_rows call.  run_c2b
+noise words and decodes them in one decode_extended_rows call.  It visits
+only the steps in which somebody beeps: one scan of a family's membership
+rows finds the next live phase or window, and each maximal silent stretch
+between two blocks reaches the channel in one call.  run_c2b
 drives it with the words it puts on the wire; check_handshake_lemmas
 drives it with the words read back from a recorded trace and holds the
 run's logs to what it derives, and the trace auditor sees the same blocks
@@ -501,6 +504,13 @@ class _Handshake:
     them back from a trace; everything logged (decodes, realizations,
     received words, open links per epoch) derives from them alone, and the
     auditor sees the same blocks.
+
+    Only live steps are walked.  Who may announce (open-link count at
+    least k) changes only inside a phase with an announcer, and who may
+    respond (an open link to the node it heard) only at a live window's
+    close, so one membership scan after each live step finds the next
+    one.  Every block on the wire has a beeper, and ``idle`` gets each
+    maximal silent stretch in one call: two idle calls are never adjacent.
     """
 
     def __init__(self, graph: Graph, schedule: C2BSchedule, inp: CongestRoundInput):
@@ -531,28 +541,58 @@ class _Handshake:
         self.link_history: list[dict[int, int]] = []
         self.auditor = _Auditor(graph, schedule, self.id_word, self.msg_words)
         self.sr = 0
+        self.silent = 0          # super-rounds passed in silence since the last wire call
 
     def run(self, wire, idle) -> None:
         self.wire, self.idle = wire, idle
         sched = self.schedule
         for plan in sched.epochs:
             ann_member = family_membership(self.graph, plan.announce)
-            sub_member = [family_membership(self.graph, s.family) for s in plan.subphases]
-            for j in range(len(plan.announce)):
-                if not self.announce((plan.index, j + 1, None, None), plan.k, ann_member[j]):
-                    self._silence(sched.phase_super_rounds(plan))
-                    continue
-                for a, sub in enumerate(plan.subphases, 1):
-                    for b in range(len(sub.family)):
-                        if not self.window((plan.index, j + 1, a, b + 1), sub_member[a - 1][b]):
-                            self._silence(sched.window_super_rounds)
+            # every window of a phase in schedule order, sub-phase by sub-phase
+            win_member = np.concatenate(
+                [family_membership(self.graph, s.family) for s in plan.subphases])
+            spots = [(a, b) for a, s in enumerate(plan.subphases, 1)
+                     for b in range(1, len(s.family) + 1)]
+            for j, announcers in self._live_steps(
+                    ann_member, lambda: self.unrealized.sum(axis=1) >= plan.k,
+                    sched.phase_super_rounds(plan)):
+                self.announce((plan.index, j + 1, None, None), announcers)
+                for t, senders in self._live_steps(
+                        win_member, lambda: self._open(self.responsive),
+                        sched.window_super_rounds):
+                    self.window((plan.index, j + 1, *spots[t]), senders)
             self.link_history.append(
                 {self.ids[i]: int(c) for i, c in enumerate(self.unrealized.sum(axis=1))})
+        self._end_silence()
 
-    def _silence(self, count: int) -> None:
-        self.idle(self.sr, count)
+    def _live_steps(self, member: np.ndarray, active, span: int):
+        """Yield (t, beepers) for each step t, a row of the (T, n) member
+        matrix, in which some node that active() marks is a member; every
+        other step passes in silence, span super-rounds each.  active() is
+        evaluated again after each live step, which is the only place it
+        can change."""
+        t = 0
+        while t < len(member):
+            now = active()
+            live = np.flatnonzero((member[t:] & now).any(axis=1))
+            stop = t + int(live[0]) if live.size else len(member)
+            self._skip((stop - t) * span)
+            if stop < len(member):
+                yield stop, member[stop] & now
+            t = stop + 1
+
+    def _skip(self, count: int) -> None:
+        """Pass count super-rounds in which nobody beeps; consecutive ones
+        reach the channel as one idle call, made by _end_silence."""
         self.sr += count
+        self.silent += count
         self.auditor.report.super_rounds += count
+
+    def _end_silence(self) -> None:
+        """Hand the silent stretch that ends here to idle, if there is one."""
+        if self.silent:
+            self.idle(self.sr - self.silent, self.silent)
+            self.silent = 0
 
     def _open(self, peer: np.ndarray) -> np.ndarray:
         """Whether each node's link to peer[i] is still open; peer is a node
@@ -571,6 +611,7 @@ class _Handshake:
         sr = self.sr
         metas = [ScheduleIndex(*spot, role, None if role == "announcing" else k, sr + k, 0)
                  for k in range(len(block))]
+        self._end_silence()
         patterns, noise = self.wire(sr, block)
         self.sr += len(block)
         valid, payload = decode_extended_rows(noise, self.schedule.w)
@@ -584,33 +625,29 @@ class _Handshake:
                                     np.broadcast_to(listeners, decoded.shape), decoded, payload)
         return patterns, noise, valid, payload
 
-    def announce(self, spot: tuple, k: int, member: np.ndarray) -> bool:
+    def announce(self, spot: tuple, announcing: np.ndarray) -> None:
         """Announcers beep their IDs; a clean hearer with that link open
-        becomes responsive to the announcer.  False if nobody announces."""
-        announcing = member & (self.unrealized.sum(axis=1) >= k)
-        if not announcing.any():
-            return False
+        becomes responsive to the announcer."""
         self.announcing = announcing
         eligible = ~announcing & self.unrealized.any(axis=1)
         _, _, valid, payload = self._hear(
             spot, "announcing", np.where(announcing, self.id_word, np.uint64(0))[None], eligible)
         heard = np.where(eligible & valid[0], self._node_index(payload[0]), -1)
         self.responsive = np.where(self._open(heard), heard, -1)
-        return True
 
-    def window(self, spot: tuple, member: np.ndarray) -> bool:
+    def window(self, spot: tuple, senders: np.ndarray) -> None:
         """Responders send <own id><announcer id><payload> and each announcer
         that hears one cleanly confirms in kind; the links that close both
-        ways are realized.  False if nobody responds."""
+        ways are realized.  A confirming half without a confirmer is silent."""
         responsive = self.responsive
-        senders = self._open(responsive) & member
-        if not senders.any():
-            return False
         target = np.maximum(responsive, 0)
         listeners = self.announcing
         sent: list[np.ndarray] = []
         links: list[set[tuple[int, int]]] = []
         for role in ("responding", "confirming"):
+            if not senders.any():      # no announcer accepted, so nobody confirms
+                self._skip(self.schedule.half_parts)
+                return
             words = np.vstack([self.id_word, self.id_word[target],
                                self.msg_words[self.arange, target].T])   # (half_parts, n)
             beeped, heard, valid, payload = self._hear(
@@ -629,7 +666,6 @@ class _Handshake:
             # the announcers that accepted confirm; the other responsive nodes listen
             senders, target, listeners = accept, np.maximum(peer, 0), (responsive >= 0) & ~accept
         self._close(spot, links, sent)
-        return True
 
     def _close(self, spot: tuple, links: list[set[tuple[int, int]]],
                sent: list[np.ndarray]) -> None:
@@ -654,8 +690,10 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
 
     The whole population advances one block at a time: an announcing
     super-round, or a half-window of half_parts super-rounds, crosses the
-    wire in one neighbor-OR call.  A silent stretch of the schedule enters
-    the trace feed in one call, without touching the decode machinery.
+    wire in one neighbor-OR call.  Only blocks with a beeper do; each
+    maximal silent stretch of the schedule, across phase and epoch
+    boundaries, enters the trace feed in one call, without touching the
+    decode machinery.
     The handshake auditor always runs; its report is ``handshake``.
     """
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
@@ -671,11 +709,8 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
 
     def on_wire(sr: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal beeps_total
-        if block.any():
-            noise = kernel.or_neighbor_patterns(indptr, indices, block.T).T
-            beeps_total += int(np.bitwise_count(block).sum())
-        else:
-            noise = np.zeros_like(block)
+        noise = kernel.or_neighbor_patterns(indptr, indices, block.T).T
+        beeps_total += int(np.bitwise_count(block).sum())
         feed.push(block, noise)
         return block, noise
 
@@ -968,9 +1003,10 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
         return beeped, noi[:, sr:end].T.astype(np.uint64)
 
     def silent(sr: int, count: int) -> None:
-        if pat[:, sr:sr + count].any():
+        beeping = np.flatnonzero(pat[:, sr:sr + count].any(axis=0))
+        if beeping.size:
             report.violations.append(
-                f"the trace beeps in super-rounds {sr}..{sr + count - 1}, "
+                f"the trace beeps in super-rounds {sr + beeping[0]}..{sr + beeping[-1]}, "
                 f"which the schedule leaves silent")
 
     try:

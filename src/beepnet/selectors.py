@@ -75,6 +75,16 @@ def avoiding_length(n: int, k: int, l: int) -> int:
     return math.ceil(k * k / (k - l) * math.log2(n + 1))
 
 
+def _set_fault(f: tuple[int, ...], n: int) -> str | None:
+    """What keeps f from being a set over [1, n], or None if nothing does."""
+    if len(set(f)) == len(f) and (not f or 1 <= min(f) and max(f) <= n):
+        return None
+    out = [e for e in f if not 1 <= e <= n]
+    if out:
+        return f"set member {out[0]} outside [1, {n}]"
+    return f"set member {next(e for e in f if f.count(e) > 1)} repeated"
+
+
 @dataclass
 class SelectorFamily:
     n: int
@@ -98,9 +108,9 @@ class SelectorFamily:
         if not 1 <= self.k <= self.n:
             raise ParameterError("selector parameters need 1 <= k <= n")
         for f in self.sets:
-            for e in f:
-                if not 1 <= e <= self.n:
-                    raise ParameterError(f"set member {e} outside [1, {self.n}]")
+            fault = _set_fault(f, self.n)
+            if fault:
+                raise ParameterError(fault)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -553,16 +563,18 @@ def load_family(path) -> SelectorFamily:
     sets = []
     for ln, line in enumerate(body, 2):
         try:
-            f = tuple(map(int, line.split()))
+            sets.append(tuple(map(int, line.split())))
         except ValueError as exc:
             raise ParameterError(f"{path} line {ln}: {exc}") from exc
-        if len(set(f)) < len(f) or f and not (1 <= min(f) and max(f) <= n):
-            out = [e for e in f if not 1 <= e <= n]
-            fault = (f"set member {out[0]} outside [1, {n}]" if out
-                     else f"set member {next(e for e in f if f.count(e) > 1)} repeated")
-            raise ParameterError(f"{path} line {ln}: {fault}")
-        sets.append(f)
-    return SelectorFamily(n, kind, k, l, tuple(sets), seed, method)
+    try:
+        return SelectorFamily(n, kind, k, l, tuple(sets), seed, method)
+    except ParameterError as exc:
+        # the constructor checks every set; name the line of the first bad one
+        for ln, f in enumerate(sets, 2):
+            fault = _set_fault(f, n)
+            if fault:
+                raise ParameterError(f"{path} line {ln}: {fault}") from exc
+        raise
 
 
 def cache_dir() -> Path:

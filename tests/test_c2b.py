@@ -24,6 +24,7 @@ from beepnet.c2b import (
     _message_word_rows,
     _message_words,
     _trace_super_round_words,
+    _Handshake,
     _TraceFeed,
 )
 from beepnet.cli import main
@@ -490,6 +491,65 @@ def test_replay_words_cost_under_two_bytes_per_node_round():
         tracemalloc.stop()
     assert pat.shape == noise.shape == (g.n, res.schedule.total_super_rounds)
     assert peak < 2 * g.n * res.rounds
+
+
+@pytest.fixture
+def channel_calls(monkeypatch):
+    """Log the handshake core's channel calls in order: ("wire", sr, S,
+    whether every super-round of the block has a beeper) and ("idle", sr, count)."""
+    calls = []
+    core_run = _Handshake.run
+
+    def logged(self, wire, idle):
+        def on_wire(sr, block):
+            calls.append(("wire", sr, len(block), bool(block.any(axis=1).all())))
+            return wire(sr, block)
+
+        def on_idle(sr, count):
+            calls.append(("idle", sr, count))
+            idle(sr, count)
+
+        core_run(self, on_wire, on_idle)
+
+    monkeypatch.setattr(_Handshake, "run", logged)
+    return calls
+
+
+@pytest.mark.parametrize("graph, delta_hat", [
+    (STAR, 4), (generate_random_graph(12, 3, seed=4, c=1), None)], ids=["star", "random"])
+def test_the_core_walk_tiles_the_schedule(channel_calls, graph, delta_hat):
+    inp = CongestRoundInput(_directed_messages(graph, 3, 31), 3)
+    res = run_c2b(graph, inp, delta_hat=delta_hat, record="full")
+    live = channel_calls[:]
+    channel_calls.clear()
+    rep = check_handshake_lemmas(res.trace, graph, res, inp)
+    assert rep.ok and channel_calls == live
+    total = res.schedule.total_super_rounds
+    assert res.handshake.super_rounds == rep.super_rounds == total
+    sr = 0
+    for call in live:
+        assert call[1] == sr, call                # no gap, no overlap
+        sr += call[2]
+    assert sr == total
+    assert all(call[3] for call in live if call[0] == "wire")
+    kinds = [call[0] for call in live]
+    assert ("idle", "idle") not in zip(kinds, kinds[1:])
+
+
+def test_a_beep_deep_in_a_silent_stretch_is_named(channel_calls):
+    inp, res = _star_run()
+    sched = res.schedule
+    phase = max(sched.phase_super_rounds(e) for e in sched.epochs)
+    sr, count = next((sr, count) for kind, sr, count, *_ in channel_calls
+                     if kind == "idle" and count >= 2 * phase)
+    forged = sr + count // 2
+    r = forged * 2 * sched.w
+    block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
+    word, bit = divmod(r - block.start_round, 64)
+    block.patterns[0, word] ^= np.uint64(1 << bit)
+    rep = check_handshake_lemmas(res.trace, STAR, res, inp)
+    assert [v for v in rep.violations if v.startswith("the trace beeps in")] == [
+        f"the trace beeps in super-rounds {forged}..{forged}, which the schedule leaves silent"]
 
 
 @pytest.fixture

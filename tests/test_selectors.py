@@ -218,6 +218,17 @@ def test_parameter_errors():
         verify_avoiding_selector(fam, 6, 2, 1)
 
 
+@pytest.mark.parametrize("bad, want", [
+    ((4, 4), "set member 4 repeated"),
+    ((2, 5), "set member 5 outside [1, 4]"),
+    ((0, 0), "set member 0 outside [1, 4]"),
+])
+def test_family_rejects_a_bad_set(bad, want):
+    with pytest.raises(ParameterError) as exc:
+        SelectorFamily(4, "strong", 1, None, ((1,), (2,), (3,), bad), 1, "random")
+    assert str(exc.value) == want
+
+
 def test_family_file_roundtrip(tmp_path):
     fam = build_avoiding_selector(8, 4, 2, seed=6)
     path = tmp_path / "fam.txt"
