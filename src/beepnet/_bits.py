@@ -12,6 +12,8 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
+from operator import countOf
+
 import numpy as np
 
 U64 = np.uint64
@@ -34,6 +36,11 @@ def unpack_word_rows(words: np.ndarray, nbits: int) -> np.ndarray:
     """(n, words) uint64 -> (n, nbits) bool."""
     flat = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     return flat[:, :nbits].view(bool)
+
+
+def is_bit_string(bits) -> bool:
+    """Whether every entry equals 0 or 1, by the test `b in (0, 1)` makes."""
+    return countOf(bits, 0) + countOf(bits, 1) == len(bits)
 
 
 def bits_to_int(bits) -> int:

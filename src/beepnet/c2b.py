@@ -26,8 +26,12 @@ between two blocks reaches the channel in one call.  run_c2b
 drives it with the words it puts on the wire; check_handshake_lemmas
 drives it with the words read back from a recorded trace and holds the
 run's logs to what it derives, and the trace auditor sees the same blocks
-either way.  The core's node sets (open links, adjacency) are (n, n)
-boolean matrices, so it takes any number of nodes.  Per-node machines
+either way.  The core logs a block's decodes with one np.flatnonzero; the
+decode log is a structured array (DECODE_DTYPE) in (super-round, node)
+order.  Its message and received-word tables have one row per directed
+edge (a slot of graph.csr's indices); its open links and the adjacency
+the auditor counts beeping neighbours over are (n, n) boolean matrices,
+so it takes any number of nodes.  Per-node machines
 (C2BNode) share no code with it: they decode with the scalar
 decode_extended and replay the identical schedule through the round
 engine as an independent cross-check on small instances.
@@ -36,6 +40,7 @@ engine as an independent cross-check on small instances.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import pack_bool_rows, unpack_word_rows, words_for
+from ._bits import is_bit_string, pack_bool_rows, unpack_word_rows, words_for
 from .encoding import (
     decode_extended,
     decode_extended_rows,
@@ -221,7 +226,7 @@ class CongestRoundInput:
         for (u, v), bits in self.messages.items():
             if len(bits) > self.width:
                 raise ParameterError(f"message {u}->{v} longer than width {self.width}")
-            if any(b not in (0, 1) for b in bits):
+            if not is_bit_string(bits):
                 raise ParameterError(f"message {u}->{v} has non-bit entries")
 
 
@@ -235,11 +240,20 @@ class RealizationRecord(NamedTuple):
 
 
 class DecodeRecord(NamedTuple):
+    """One row of a decode log, as check_handshake_lemmas prints it."""
+
     super_round: int
     node: int
     role: str
     part: int | None
     payload: int
+
+
+ROLES = ("announcing", "responding", "confirming")
+# One decode per row: the super-round, the listener's ID, its role, the
+# word's part inside the half-window (-1 when announcing) and the payload.
+DECODE_DTYPE = np.dtype([("super_round", np.int64), ("node", np.int64), ("role", "U10"),
+                         ("part", np.int64), ("payload", np.int64)])
 
 
 @dataclass
@@ -261,7 +275,7 @@ class C2BResult:
     rounds: int
     schedule: C2BSchedule
     realization_log: list[RealizationRecord]
-    decode_log: list[DecodeRecord]
+    decode_log: np.ndarray           # DECODE_DTYPE rows in (super_round, node) order
     link_history: list[dict[int, int]]
     handshake: HandshakeReport
     failed: bool
@@ -374,6 +388,32 @@ def _validate_input(graph: Graph, inp: CongestRoundInput) -> None:
             raise ParameterError(f"message {u}->{v} does not ride an edge")
 
 
+def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of a 2-D mask, row by row, through the 1-D flatnonzero,
+    which is about ten times faster on the auditor's (S, n) batches."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+class _EdgeSlots:
+    """Directed-edge slots: slot e is position e of graph.csr's indices, the
+    link from node owner[e] to node peer[e].  Each CSR row is sorted, so
+    the slots run in (owner, peer) order."""
+
+    def __init__(self, graph: Graph):
+        indptr, self.peer = graph.csr
+        self.owner = np.repeat(np.arange(graph.n), np.diff(indptr))
+        self._n = graph.n
+        self._key = self.owner * graph.n + self.peer      # ascending
+
+    def __len__(self) -> int:
+        return len(self.peer)
+
+    def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The slot of each link i -> j.  A pair that is not an edge gets
+        some slot in range, for a row its caller masks out."""
+        return np.minimum(np.searchsorted(self._key, i * self._n + j), len(self) - 1)
+
+
 class _Auditor:
     """Checks decode events and realizations against the raw channel.
 
@@ -385,95 +425,137 @@ class _Auditor:
     every logged decode had a lone beeper behind it whose word the listener
     heard bit for bit (identical-word pile-ups in the second responding
     word are flagged, not failed), and that every realization's window
-    carries exactly the handshake words it claims.  The report is complete
-    once flush() or finish() has run.
+    carries exactly the handshake words it claims.  A block is kept as its
+    first row in the batch, its place in the schedule, its role and its
+    first super-round; a row's part and super-round follow from its offset
+    in the block.  The report is complete once flush() or finish() has run.
     """
 
-    def __init__(self, graph: Graph, schedule: C2BSchedule,
-                 id_word: np.ndarray, msg_words: np.ndarray):
+    def __init__(self, graph: Graph, schedule: C2BSchedule, id_word: np.ndarray,
+                 msg_words: np.ndarray, slots: _EdgeSlots):
         self.graph = graph
         self.schedule = schedule
         self.id_word = id_word
         self.msg_words = msg_words
+        self.slots = slots
         self.adj = graph.adjacency
         # float64 so the products below run through BLAS; their sums stay
         # below n^2, far inside float64's exact integers
         self._count = self.adj.astype(np.float64)
         self._index_sum = self._count * np.arange(1, graph.n + 1)[:, None]
         self.report = HandshakeReport()
-        self._metas: list[ScheduleIndex] = []
+        self._blocks: list[tuple[int, tuple, str, int]] = []   # (first row, spot, role, sr)
+        self._rows = 0
         self._pending: list[tuple] = []
 
     def _spot(self, meta: ScheduleIndex) -> str:
         return (f"epoch {meta.epoch} phase {meta.phase} "
                 f"subphase {meta.subphase} window {meta.window} sr {meta.super_round}")
 
-    def on_super_round(self, metas: list[ScheduleIndex], patterns: np.ndarray,
+    def on_super_round(self, spot: tuple, role: str, sr: int, patterns: np.ndarray,
                        noise: np.ndarray, obligated: np.ndarray,
                        decoded: np.ndarray, payloads: np.ndarray) -> None:
-        """Buffer one block: metas[k] places row k of the (S, n) arrays."""
-        self._metas.extend(metas)
+        """Buffer one block at spot (epoch, phase, subphase, window): row k
+        of the (S, n) arrays is super-round sr + k, and part k of a
+        half-window (no part when announcing)."""
+        self._blocks.append((self._rows, spot, role, sr))
+        self._rows += len(patterns)
         self._pending.append((patterns, noise, obligated, decoded, payloads))
-        if len(self._metas) >= AUDIT_BATCH:
+        if self._rows >= AUDIT_BATCH:
             self.flush()
 
     def flush(self) -> None:
         """Check the blocks fed since the last flush, joined along the rows."""
         if not self._pending:
             return
-        metas, self._metas = self._metas, []
-        patterns, noise, obligated, decoded, payloads = map(np.concatenate, zip(*self._pending))
-        self._pending = []
-        self.report.super_rounds += len(metas)
+        blocks, self._blocks, self._rows = self._blocks, [], 0
+        pending, self._pending = self._pending, []
+        patterns, noise, obligated, decoded, payloads = (
+            pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending)))
+        self.report.super_rounds += len(patterns)
         self.report.decode_events += int(np.count_nonzero(decoded))
+        first = [blk[0] for blk in blocks]
+
+        def spot(k: int) -> str:
+            start, where, role, sr = blocks[bisect_right(first, k) - 1]
+            part = None if role == "announcing" else k - start
+            return self._spot(ScheduleIndex(*where, role, part, sr + k - start, 0))
+
         beeping = patterns != 0
-        b = beeping.astype(np.float64)
+        # the beepers of a half-window are the same in each of its parts, so
+        # count only over the rows whose beepers differ from the row above;
+        # row k takes its counts from the group[k]-th of those rows
+        fresh = np.ones(len(beeping), dtype=bool)
+        fresh[1:] = (beeping[1:] != beeping[:-1]).any(axis=1)
+        group = np.cumsum(fresh) - 1
+        b = beeping[fresh].astype(np.float64)
         # beeping neighbors, and the sum of their (index + 1): where cnt == 1
         # that sum less one is the lone beeping neighbor
         cnt = (b @ self._count).astype(np.int64)
         partner = np.clip((b @ self._index_sum).astype(np.int64) - 1, 0, self.graph.n - 1)
-        sent = np.take_along_axis(patterns, partner, axis=1)
+        lone = (cnt == 1)[group]
+        ks, us = _cells(lone)
+        pk = partner[group[ks], us]
+        sent = patterns[ks, pk]
         valid, value = decode_extended_rows(sent, self.schedule.w)
-        lone = cnt == 1
-        ids, spot = self.graph.ids, self._spot
-        for k, u in np.argwhere(lone & obligated & ~beeping & valid
-                                & ~(decoded & (payloads == value))):
+        heard = decoded[ks, us]
+        ids = self.graph.ids
+        for i in np.flatnonzero(obligated[ks, us] & ~beeping[ks, us] & valid
+                                & ~(heard & (payloads[ks, us] == value))).tolist():
             self.report.violations.append(
-                f"{ids[u]} missed the lone word {value[k, u]} from "
-                f"{ids[partner[k, u]]} at {spot(metas[k])}")
-        for k, u in np.argwhere(lone & decoded & (noise != sent)):
+                f"{ids[us[i]]} missed the lone word {value[i]} from "
+                f"{ids[pk[i]]} at {spot(ks[i])}")
+        for i in np.flatnonzero(heard & (noise[ks, us] != sent)).tolist():
             self.report.violations.append(
-                f"{ids[u]} logged payload {payloads[k, u]} from a word its lone beeping "
-                f"neighbor {ids[partner[k, u]]} did not send, at {spot(metas[k])}")
-        for k, u in np.argwhere(decoded & ~lone):
-            meta, c = metas[k], int(cnt[k, u])
+                f"{ids[us[i]]} logged payload {payloads[ks[i], us[i]]} from a word its lone "
+                f"beeping neighbor {ids[pk[i]]} did not send, at {spot(ks[i])}")
+        ks, us = _cells(decoded & ~lone)
+        if not ks.size:
+            return
+        # every pile-up of the batch at once: the beeping neighbors' words
+        # are identical exactly where their min equals their max
+        near = self.adj[us] & beeping[ks]
+        words = patterns[ks]
+        same = (np.where(near, words, np.uint64(np.iinfo(np.uint64).max)).min(axis=1)
+                == np.where(near, words, np.uint64(0)).max(axis=1))
+        blk = np.searchsorted(first, ks, side="right") - 1
+        responding = np.array([role == "responding" for _, _, role, _ in blocks])[blk]
+        part = ks - np.array(first)[blk]
+        flag = responding & (part >= 1) & same
+        for k, u, c, p, f in zip(ks.tolist(), us.tolist(), cnt[group[ks], us].tolist(),
+                                 part.tolist(), flag.tolist()):
             if c == 0:
                 self.report.violations.append(
-                    f"{ids[u]} decoded with no beeping neighbor at {spot(meta)}")
-            elif (meta.role == "responding" and meta.part is not None and meta.part >= 1
-                    and np.ptp(patterns[k, beeping[k] & self.adj[u]]) == 0):
+                    f"{ids[u]} decoded with no beeping neighbor at {spot(k)}")
+            elif f:
                 self.report.flagged.append(
                     f"{ids[u]} heard {c} identical responding words "
-                    f"(part {meta.part}) at {spot(meta)}")
+                    f"(part {p}) at {spot(k)}")
             else:
                 self.report.violations.append(
-                    f"{ids[u]} decoded a {c}-beeper pile-up at {spot(meta)}")
+                    f"{ids[u]} decoded a {c}-beeper pile-up at {spot(k)}")
 
-    def on_window(self, meta: ScheduleIndex, pairs: list[tuple[int, int]],
+    def on_window(self, spot: tuple, sr: int, pairs: list[tuple[int, int]],
                   respond: np.ndarray, confirm: np.ndarray) -> None:
-        """respond and confirm: the (half_parts, n) words beeped in each half."""
+        """respond and confirm: the (half_parts, n) words beeped in each half
+        of the window at spot, whose last super-round is sr."""
         ids, word, msg = self.graph.ids, self.id_word, self.msg_words
-        for v, r in pairs:
-            if (not np.array_equal(respond[:, r], [word[r], word[v], *msg[r, v]])
+        vs, rs = np.array(pairs).T
+        out, back = self.slots(rs, vs), self.slots(vs, rs)
+
+        def at() -> str:
+            return self._spot(
+                ScheduleIndex(*spot, "confirming", self.schedule.half_parts - 1, sr, 0))
+
+        for (v, r), e_rv, e_vr in zip(pairs, out.tolist(), back.tolist()):
+            if (not np.array_equal(respond[:, r], [word[r], word[v], *msg[e_rv]])
                     or respond[:, v].any()):
                 self.report.violations.append(
-                    f"realization {ids[v]}-{ids[r]} lacks its responding triple "
-                    f"at {self._spot(meta)}")
-            if (not np.array_equal(confirm[:, v], [word[v], word[r], *msg[v, r]])
+                    f"realization {ids[v]}-{ids[r]} lacks its responding triple at {at()}")
+            if (not np.array_equal(confirm[:, v], [word[v], word[r], *msg[e_vr]])
                     or confirm[:, r].any()):
                 self.report.violations.append(
-                    f"realization {ids[v]}-{ids[r]} lacks its confirming triple "
-                    f"at {self._spot(meta)}")
+                    f"realization {ids[v]}-{ids[r]} lacks its confirming triple at {at()}")
 
     def finish(self, realization_log: list[RealizationRecord]) -> HandshakeReport:
         self.flush()
@@ -521,25 +603,30 @@ class _Handshake:
         self.ids_arr = np.array(graph.ids, dtype=np.int64)   # sorted
         self.arange = np.arange(n)
         self.id_word = encode_extended_rows(self.ids_arr, w)
-        self.msg_words = np.empty((n, n, m), dtype=np.uint64)
-        self.msg_words[:, :] = _message_word_rows([()], w, m)[0]
-        self.msg_len = np.zeros((n, n), dtype=np.int64)
+        # word tables by directed edge: slot e holds the link owner[e] -> peer[e]
+        self.slots = _EdgeSlots(graph)
+        nslots = len(self.slots)
+        self.msg_words = np.empty((nslots, m), dtype=np.uint64)
+        self.msg_words[:] = _message_word_rows([()], w, m)[0]
+        self.msg_len = np.zeros(nslots, dtype=np.int64)
         if inp.messages:
             ui, vi = np.array([(graph.index_of[u], graph.index_of[v])
                                for u, v in inp.messages]).T
             messages = list(inp.messages.values())
-            self.msg_words[ui, vi] = _message_word_rows(messages, w, m)
-            self.msg_len[ui, vi] = [len(bits) for bits in messages]
+            e = self.slots(ui, vi)
+            self.msg_words[e] = _message_word_rows(messages, w, m)
+            self.msg_len[e] = [len(bits) for bits in messages]
 
         self.unrealized = graph.adjacency.copy()
         self.announcing = np.zeros(n, dtype=bool)
         self.responsive = np.full(n, -1, dtype=np.int64)
-        self.recv_pat = np.zeros((n, n, m), dtype=np.uint64)
-        self.recv_mask = np.zeros((n, n), dtype=bool)
-        self.decode_log: list[DecodeRecord] = []
+        self.recv_pat = np.zeros((nslots, m), dtype=np.uint64)   # slot of receiver -> sender
+        self.recv_mask = np.zeros(nslots, dtype=bool)
+        # per block with a decode: (sr, role, flat (S, n) cells, payloads)
+        self._decodes: list[tuple[int, str, np.ndarray, np.ndarray]] = []
         self.realization_log: list[RealizationRecord] = []
         self.link_history: list[dict[int, int]] = []
-        self.auditor = _Auditor(graph, schedule, self.id_word, self.msg_words)
+        self.auditor = _Auditor(graph, schedule, self.id_word, self.msg_words, self.slots)
         self.sr = 0
         self.silent = 0          # super-rounds passed in silence since the last wire call
 
@@ -604,24 +691,41 @@ class _Handshake:
         pos = np.minimum(np.searchsorted(self.ids_arr, payload), self.graph.n - 1)
         return np.where(self.ids_arr[pos] == payload, pos, -1)
 
+    @property
+    def decode_log(self) -> np.ndarray:
+        """Every decode so far as DECODE_DTYPE rows, in (super-round, node) order."""
+        counts = [len(cells) for _, _, cells, _ in self._decodes]
+        log = np.empty(sum(counts), dtype=DECODE_DTYPE)
+        if not self._decodes:
+            return log
+        srs, roles, cells, payloads = zip(*self._decodes)
+        # columns are written in place: no temporary holds a whole string column
+        role = np.repeat(np.array([ROLES.index(r) for r in roles], dtype=np.int8), counts)
+        flat = np.concatenate(cells)
+        np.floor_divide(flat, self.graph.n, out=log["part"])
+        log["node"] = self.ids_arr[np.remainder(flat, self.graph.n, out=flat)]
+        del flat
+        np.add(log["part"], np.repeat(srs, counts), out=log["super_round"])
+        log["part"][role == ROLES.index("announcing")] = -1
+        for code, name in enumerate(ROLES):
+            log["role"][role == code] = name
+        np.concatenate(payloads, out=log["payload"])
+        return log
+
     def _hear(self, spot: tuple, role: str, block: np.ndarray,
               listeners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """S super-rounds: beep the (S, n) block, then decode at every
         listener; row k is part k of a half-window (no part when announcing)."""
         sr = self.sr
-        metas = [ScheduleIndex(*spot, role, None if role == "announcing" else k, sr + k, 0)
-                 for k in range(len(block))]
         self._end_silence()
         patterns, noise = self.wire(sr, block)
         self.sr += len(block)
         valid, payload = decode_extended_rows(noise, self.schedule.w)
         decoded = listeners & valid
-        ids = self.ids
-        for k, u in zip(*np.nonzero(decoded)):   # super-round first, then node
-            meta = metas[k]
-            self.decode_log.append(
-                DecodeRecord(meta.super_round, ids[u], role, meta.part, int(payload[k, u])))
-        self.auditor.on_super_round(metas, patterns, noise,
+        cells = np.flatnonzero(decoded)          # super-round first, then node
+        if cells.size:
+            self._decodes.append((sr, role, cells, payload.ravel()[cells]))
+        self.auditor.on_super_round(spot, role, sr, patterns, noise,
                                     np.broadcast_to(listeners, decoded.shape), decoded, payload)
         return patterns, noise, valid, payload
 
@@ -649,7 +753,7 @@ class _Handshake:
                 self._skip(self.schedule.half_parts)
                 return
             words = np.vstack([self.id_word, self.id_word[target],
-                               self.msg_words[self.arange, target].T])   # (half_parts, n)
+                               self.msg_words[self.slots(self.arange, target)].T])
             beeped, heard, valid, payload = self._hear(
                 spot, role, np.where(senders, words, np.uint64(0)), listeners)
             peer = np.where(valid[0], self._node_index(payload[0]), -1)
@@ -659,8 +763,9 @@ class _Handshake:
             else:
                 accept &= peer == responsive
             rows = np.nonzero(accept)[0]
-            self.recv_pat[rows, peer[rows]] = heard[2:, rows].T
-            self.recv_mask[rows, peer[rows]] = True
+            e = self.slots(rows, peer[rows])
+            self.recv_pat[e] = heard[2:, rows].T
+            self.recv_mask[e] = True
             sent.append(beeped)
             links.append({(int(i), int(peer[i])) for i in rows})
             # the announcers that accepted confirm; the other responsive nodes listen
@@ -680,8 +785,7 @@ class _Handshake:
                 self.unrealized[i, j] = False
                 self.realization_log.append(RealizationRecord(ids[i], ids[j], *spot))
         if pairs:
-            meta = ScheduleIndex(*spot, "confirming", self.schedule.half_parts - 1, self.sr - 1, 0)
-            self.auditor.on_window(meta, sorted(pairs), sent[0], sent[1])
+            self.auditor.on_window(spot, self.sr - 1, sorted(pairs), sent[0], sent[1])
 
 
 def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
@@ -701,10 +805,9 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     sched = build_schedule(graph.n, graph.c, delta_hat, inp.width)
     core = _Handshake(graph, sched, inp)
 
-    n, w, m = graph.n, sched.w, sched.words_per_message
-    ids = graph.ids
+    n, ids = graph.n, graph.ids
     indptr, indices = graph.csr
-    feed = _TraceFeed(graph, record, 2 * w, sched.total_rounds)
+    feed = _TraceFeed(graph, record, 2 * sched.w, sched.total_rounds)
     beeps_total = 0
 
     def on_wire(sr: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -731,18 +834,7 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     residual = {ids[i]: frozenset(ids[j] for j in np.flatnonzero(unrealized[i]))
                 for i in range(n) if unrealized[i].any()}
 
-    received: dict[int, dict[int, tuple[int, ...]]] = {}
-    raw_received: dict[int, dict[int, tuple[int, ...]]] = {}
-    to_idx, from_idx = np.nonzero(core.recv_mask)
-    valid, payloads = decode_extended_rows(core.recv_pat[to_idx, from_idx], w)   # (K, m)
-    if not valid.all():
-        raise RuntimeError("a committed handshake word fails to decode")
-    # payloads big-endian, words in order, cut to the message width
-    bits = (payloads[:, :, None] >> np.arange(w - 1, -1, -1)) & 1
-    rows = bits.reshape(len(to_idx), m * w)[:, :inp.width].tolist()
-    for vi, ui, row in zip(to_idx.tolist(), from_idx.tolist(), rows):
-        raw_received.setdefault(ids[vi], {})[ids[ui]] = tuple(row)
-        received.setdefault(ids[vi], {})[ids[ui]] = tuple(row[:int(core.msg_len[ui, vi])])
+    received, raw_received = _received(core, inp.width)
     if not failed:
         want = 2 * len(graph.edges)
         got = int(core.recv_mask.sum())
@@ -752,6 +844,28 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     return C2BResult(received, raw_received, sched.total_rounds, sched,
                      core.realization_log, core.decode_log, core.link_history, handshake,
                      failed, residual, trace, dig, beeps_total)
+
+
+def _received(core: _Handshake, width: int) -> tuple[dict, dict]:
+    """The (received, raw_received) tables from the core's committed words:
+    per receiver and sender ID, the payload bits cut to the message's own
+    length, and the same bits padded to the width."""
+    ids, w, m = core.ids, core.schedule.w, core.schedule.words_per_message
+    received: dict[int, dict[int, tuple[int, ...]]] = {}
+    raw_received: dict[int, dict[int, tuple[int, ...]]] = {}
+    got = np.flatnonzero(core.recv_mask)          # receiver first, then sender
+    to_idx, from_idx = core.slots.owner[got], core.slots.peer[got]
+    valid, payloads = decode_extended_rows(core.recv_pat[got], w)   # (K, m)
+    if not valid.all():
+        raise RuntimeError("a committed handshake word fails to decode")
+    # payloads big-endian, words in order, cut to the message width
+    bits = (payloads[:, :, None] >> np.arange(w - 1, -1, -1)) & 1
+    rows = bits.reshape(len(got), m * w)[:, :width].tolist()
+    lengths = core.msg_len[core.slots(from_idx, to_idx)].tolist()
+    for vi, ui, row, length in zip(to_idx.tolist(), from_idx.tolist(), rows, lengths):
+        raw_received.setdefault(ids[vi], {})[ids[ui]] = tuple(row)
+        received.setdefault(ids[vi], {})[ids[ui]] = tuple(row[:length])
+    return received, raw_received
 
 
 class C2BNode(NodeProtocol):
@@ -990,6 +1104,7 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     if trace.total_rounds != schedule.total_rounds:
         raise ParameterError(
             f"trace has {trace.total_rounds} rounds, schedule wants {schedule.total_rounds}")
+    _validate_input(graph, inp)      # the core's word tables have rows for edges only
     pat, noi = _trace_super_round_words(trace, schedule)
     core = _Handshake(graph, schedule, inp)
     report = core.auditor.report
@@ -1015,12 +1130,19 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
         core.auditor.flush()
         report.violations.append(f"replay stopped: {exc}")
         return report
-    for name, claimed, derived in (("decode", result.decode_log, core.decode_log),
-                                   ("realization", result.realization_log,
-                                    core.realization_log)):
-        surplus = Counter(claimed)
-        surplus.subtract(derived)
-        for rec, count in surplus.items():
+    # the logs as multisets of rows; decode rows come out sorted
+    claimed, derived = np.asarray(result.decode_log, dtype=DECODE_DTYPE), core.decode_log
+    rows, inverse = np.unique(np.concatenate([claimed, derived]), return_inverse=True)
+    surplus = (np.bincount(inverse[:len(claimed)], minlength=len(rows))
+               - np.bincount(inverse[len(claimed):], minlength=len(rows)))
+    found = np.flatnonzero(surplus)
+    decodes = [DecodeRecord(sr, node, role, None if part < 0 else part, payload)
+               for sr, node, role, part, payload in rows[found].tolist()]
+    realizations = Counter(result.realization_log)
+    realizations.subtract(core.realization_log)
+    for name, counts in (("decode", zip(decodes, surplus[found].tolist())),
+                         ("realization", realizations.items())):
+        for rec, count in counts:
             if count > 0:
                 report.violations.append(f"{name} log claims {rec}, which the trace does not give")
             elif count < 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._bits import bits_to_int, int_to_bits
+from ._bits import bits_to_int, int_to_bits, is_bit_string
 from .c2b import CongestRoundInput, run_c2b
 from .encoding import id_width
 from .graphs import Graph, ParameterError, graph_from_edges
@@ -153,7 +153,7 @@ class MultihopInput:
                 raise ParameterError(
                     f"payload {s}->{d} is {len(bits)} bits, over the bound {self.B}"
                 )
-            if any(b not in (0, 1) for b in bits):
+            if not is_bit_string(bits):
                 raise ParameterError(f"payload {s}->{d} is not a bit string")
 
 
@@ -247,6 +247,7 @@ def run_multihop_simulation(
                         delivered[rcv].add((src, m))
                     else:
                         holding[rcv].append((src, dst, m))
+        del cres     # its decode log need not outlive the epoch into the next exchange
     return MultihopResult(
         delivered,
         diss.tables,
@@ -290,7 +291,7 @@ def run_multihop_local_broadcast(
             raise ParameterError(f"message source {u} not in the graph")
         if len(bits) > B:
             raise ParameterError(f"payload of {u} is {len(bits)} bits, over the bound {B}")
-        if any(b not in (0, 1) for b in bits):
+        if not is_bit_string(bits):
             raise ParameterError(f"payload of {u} is not a bit string")
     known: dict[int, dict[int, Bits]] = {u: {} for u in graph.ids}
     for u, m in messages.items():

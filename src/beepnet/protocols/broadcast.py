@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernel
-from .._bits import pack_bool_rows, unpack_word_rows
+from .._bits import is_bit_string, pack_bool_rows, unpack_word_rows
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
@@ -44,7 +44,7 @@ class LocalBroadcastInput:
         for u, bits in self.messages.items():
             if len(bits) > self.width:
                 raise ParameterError(f"message of node {u} longer than width {self.width}")
-            if any(b not in (0, 1) for b in bits):
+            if not is_bit_string(bits):
                 raise ParameterError(f"message of node {u} is not a bit string")
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from beepnet import harness
 from beepnet.c2b import (
+    AUDIT_BATCH,
     TRACE_FEED_CHUNK,
     C2BNode,
     C2BSchedule,
     CongestRoundInput,
-    DecodeRecord,
     RealizationRecord,
     build_schedule,
     check_epoch_invariant,
@@ -31,6 +31,8 @@ from beepnet.cli import main
 from beepnet.encoding import MAX_WIDTH, encode_extended, encode_extended_rows
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
+from beepnet.multihop import MultihopInput, build_lower_bound_graph, run_multihop_local_broadcast
+from beepnet.protocols.broadcast import LocalBroadcastInput
 
 STAR = graph_from_edges([(1, 3), (2, 3), (3, 4), (3, 5)])
 
@@ -154,6 +156,30 @@ def test_input_validation():
         run_c2b(g, CongestRoundInput({}, 0), delta_hat=2)  # below true degree
 
 
+@pytest.mark.parametrize("bits, ok", [
+    ((True, False), True), ((1.0, 0), True), ((np.int64(1), np.uint8(0)), True),
+    ((1, 2), False), ((0, -1), False), (("1",), False), ((0, [1]), False), ([[0, 1]], False),
+])
+def test_message_inputs_accept_exactly_the_bits(bits, ok):
+    # every entry must equal 0 or 1, as `b in (0, 1)` has it: bools and
+    # 1.0 pass, anything else is rejected with the input's own message
+    checks = [
+        (lambda: CongestRoundInput({(1, 3): bits}, 4), "message 1->3 has non-bit entries"),
+        (lambda: LocalBroadcastInput({1: bits}, 4), "message of node 1 is not a bit string"),
+        (lambda: MultihopInput(1, 4, {(1, 3): bits}), "payload 1->3 is not a bit string"),
+    ]
+    if not ok:      # the flood checks its payloads the same way, before it runs
+        checks.append((lambda: run_multihop_local_broadcast(STAR, 1, 4, {1: bits}),
+                       "payload of 1 is not a bit string"))
+    for build, message in checks:
+        if ok:
+            build()
+        else:
+            with pytest.raises(ParameterError) as err:
+                build()
+            assert str(err.value) == message
+
+
 # ---------------------------------------------------------------- delivery
 
 
@@ -205,6 +231,10 @@ def test_random_graphs_deliver_exactly(n, delta, seed):
     assert flatten_received(res.received) == msgs
     assert res.handshake.ok, res.handshake.violations[:3]
     assert check_epoch_invariant(res.link_history, g.delta)
+    log = res.decode_log
+    assert res.handshake.decode_events == len(log) > 0
+    # rows in (super_round, node) order, the order the core decodes them in
+    assert np.array_equal(np.lexsort((log["node"], log["super_round"])), np.arange(len(log)))
 
 
 def test_larger_degree_bound_than_true_degree():
@@ -270,6 +300,17 @@ def test_full_trace_past_64_nodes_validates_and_replays():
     assert rep.super_rounds == res.schedule.total_super_rounds
 
 
+def test_word_tables_grow_with_edges():
+    # the paper's h-hop worst case at its forwarding cap: 136 nodes, 144
+    # edges, 640 words per message; the core is built but not run
+    g = build_lower_bound_graph(8, 3)
+    sched = build_schedule(g.n, g.c, 8, 5120)
+    assert sched.words_per_message == 640
+    core = _Handshake(g, sched, CongestRoundInput({}, 5120))
+    per_table = 2 * len(g.edges) * sched.words_per_message * 8
+    assert core.msg_words.nbytes + core.recv_pat.nbytes <= 2 * per_table
+
+
 # ------------------------------------------------------- machine cross-check
 
 
@@ -328,17 +369,25 @@ def test_honest_trace_passes_the_audit():
         "subphase 1 window 1 sr 388"]
     # each decode sits at the super-round its role and part name
     sched = res.schedule
-    for rec in res.decode_log:
-        idx = sched.describe(rec.super_round * 2 * sched.w)
-        assert (idx.role, idx.part) == (rec.role, rec.part), rec
+    for sr, _, role, part, _ in res.decode_log.tolist():
+        idx = sched.describe(sr * 2 * sched.w)
+        assert (idx.role, idx.part) == (role, None if part == -1 else part), (sr, role, part)
 
 
 def test_forged_decode_is_a_violation():
     inp, res = _star_run()
     bad = dataclasses.replace(res)
-    bad.decode_log = res.decode_log + [DecodeRecord(0, 1, "announcing", None, 4)]
+    bad.decode_log = np.append(res.decode_log,
+                               np.array([(0, 1, "announcing", -1, 4)], res.decode_log.dtype))
     rep = check_handshake_lemmas(res.trace, STAR, bad, inp)
     assert not rep.ok
+
+
+def test_replay_rejects_a_message_off_the_edges():
+    # the core keeps message words per edge, so 1->2 has no row to go in
+    inp, res = _star_run()
+    with pytest.raises(ParameterError, match="message 1->2 does not ride an edge"):
+        check_handshake_lemmas(res.trace, STAR, res, CongestRoundInput({(1, 2): (1,)}, 3))
 
 
 def test_forged_realization_is_a_violation():
@@ -360,14 +409,21 @@ def test_dropped_direction_breaks_symmetry():
     assert any("asymmetr" in v for v in rep.violations)
 
 
+def _flip_payload(log, row):
+    log = log.copy()
+    log["payload"][row] ^= 1
+    return log
+
+
 @pytest.mark.parametrize("field, forge, want", [
-    ("decode_log", lambda log: log[:3] + log[4:], "decode log omits"),
-    ("decode_log", lambda log: log[:3] + [log[3]._replace(payload=log[3].payload ^ 1)] + log[4:],
-     "decode log claims"),
+    ("decode_log", lambda log: np.delete(log, 3), "decode log omits"),
+    ("decode_log", lambda log: _flip_payload(log, 3), "decode log claims"),
+    # the multiset of rows, not the set: one honest row twice is a claim too
+    ("decode_log", lambda log: np.insert(log, 3, log[3]), "decode log claims"),
     # both records of one realized pair, so the log stays symmetric
     ("realization_log", lambda log: [r._replace(window=r.window + 1) for r in log[:2]] + log[2:],
      "realization log claims"),
-], ids=["dropped-decode", "changed-payload", "moved-realization"])
+], ids=["dropped-decode", "changed-payload", "duplicated-decode", "moved-realization"])
 def test_altered_log_is_a_violation(field, forge, want):
     inp, res = _star_run()
     bad = dataclasses.replace(res, **{field: forge(getattr(res, field))})
@@ -383,12 +439,13 @@ def test_altered_log_is_a_violation(field, forge, want):
 def test_flipped_trace_beep_is_a_violation(where):
     inp, res = _star_run()
     last = res.schedule.half_parts - 1
+    log = res.decode_log
     sr = {
         "silent": 0,
-        "announcing": res.decode_log[0].super_round,
+        "announcing": int(log["super_round"][0]),
         # inside a half-window's block, not at its first super-round
-        "last-part": next(r.super_round for r in res.decode_log
-                          if r.role == "responding" and r.part == last),
+        "last-part": int(log["super_round"][(log["role"] == "responding")
+                                            & (log["part"] == last)][0]),
     }[where]
     r = sr * 2 * res.schedule.w
     block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
@@ -412,9 +469,9 @@ def test_tampered_noise_of_a_decoding_listener_is_a_violation(fault, want):
     inp, res = _star_run()
     w = res.schedule.w
     # an announcement decode: distinct IDs never pile up, so one announcer beeped
-    rec = next(r for r in res.decode_log if r.role == "announcing")
-    node, start = STAR.index_of[rec.node], rec.super_round * 2 * w
-    mask = fault(rec.payload, w)
+    sr, node_id, _, _, payload = res.decode_log[res.decode_log["role"] == "announcing"][0].tolist()
+    node, start = STAR.index_of[node_id], sr * 2 * w
+    mask = fault(payload, w)
     for t in range(2 * w):
         if mask >> t & 1:
             block = next(b for b in res.trace.blocks if start + t < b.start_round + b.nrounds)
@@ -447,6 +504,82 @@ def test_a_decode_of_distinct_piled_up_words_is_a_violation():
     assert ("3 decoded a 2-beeper pile-up at epoch 1 phase 3 subphase 1 window 1 sr 389"
             in rep.violations)
     assert len(rep.flagged) == 1
+
+
+def test_the_auditor_places_rows_by_their_block():
+    # 1 hears 2 and 3; 4 and 5 are a pair of their own, so 4's word is one
+    # node 1 gets no share of
+    g = graph_from_edges([(1, 2), (1, 3), (4, 5)])
+    sched = build_schedule(5, 1, 4, width=3)
+    hp, w = sched.half_parts, sched.w
+    auditor = _Handshake(g, sched, CongestRoundInput({}, 3)).auditor
+    same, other = encode_extended(5, w), encode_extended(2, w)
+    pile_up = {2: same, 3: same, 4: other}          # node 1 decodes two equal words
+    # (phase, role, part): beepers by ID, and the listener that decodes
+    events = {
+        (3, "announcing", 0): ({2: same}, 4),       # 4 has no beeping neighbor
+        (10, "responding", 2): (pile_up, 1),
+        (20, "responding", 0): (pile_up, 1),
+        (30, "announcing", 0): (pile_up, 1),
+        (40, "confirming", 1): (pile_up, 1),
+        (80, "responding", 1): (pile_up, 1),
+        (80, "responding", 2): ({2: same}, 4),
+    }
+    adj = g.adjacency
+    rows = 0
+    for phase in range(100):
+        for role, sr, S in (("announcing", 1000 + 50 * phase, 1),
+                            ("responding", 1005 + 50 * phase, hp),
+                            ("confirming", 1008 + 50 * phase, hp)):
+            patterns = np.zeros((S, g.n), dtype=np.uint64)
+            decoded = np.zeros((S, g.n), dtype=bool)
+            for k in range(S):
+                beepers, listener = events.get((phase, role, k), ({}, None))
+                for u, word in beepers.items():
+                    patterns[k, g.index_of[u]] = word
+                if listener is not None:
+                    decoded[k, g.index_of[listener]] = True
+            noise = np.bitwise_or.reduce(np.where(adj, patterns[:, None, :], 0), axis=2)
+            spot = (1, phase + 1, None, None) if role == "announcing" else (1, phase + 1, 1, 1)
+            auditor.on_super_round(spot, role, sr, patterns, noise, np.zeros_like(decoded),
+                                   decoded, np.where(decoded, 5, 0))
+            rows += S
+    # seven rows a phase: the first batch closes at the end of phase 73, so
+    # phase 80 sits in the second one, behind blocks of both sizes
+    assert rows == 700 and 73 * 7 < AUDIT_BATCH <= 74 * 7
+    report = auditor.finish([])
+    assert report.super_rounds == rows and report.decode_events == len(events)
+    assert report.flagged == [
+        "1 heard 2 identical responding words (part 2) at epoch 1 phase 11 "
+        "subphase 1 window 1 sr 1507",
+        "1 heard 2 identical responding words (part 1) at epoch 1 phase 81 "
+        "subphase 1 window 1 sr 5006"]
+    assert report.violations == [
+        "4 decoded with no beeping neighbor at epoch 1 phase 4 subphase None window None sr 1150",
+        "1 decoded a 2-beeper pile-up at epoch 1 phase 21 subphase 1 window 1 sr 2005",
+        "1 decoded a 2-beeper pile-up at epoch 1 phase 31 subphase None window None sr 2500",
+        "1 decoded a 2-beeper pile-up at epoch 1 phase 41 subphase 1 window 1 sr 3009",
+        "4 decoded with no beeping neighbor at epoch 1 phase 81 subphase 1 window 1 sr 5007"]
+
+
+def test_the_auditor_holds_a_realization_to_its_triples():
+    msgs = {(1, 3): (1, 0, 1), (3, 1): (0, 1, 1)}
+    sched = build_schedule(5, 1, 4, width=3)
+    auditor = _Handshake(STAR, sched, CongestRoundInput(msgs, 3)).auditor
+    w, m = sched.w, sched.words_per_message
+    v, r = STAR.index_of[3], STAR.index_of[1]        # announcer 3, responder 1
+    respond = np.zeros((sched.half_parts, STAR.n), dtype=np.uint64)
+    confirm = np.zeros_like(respond)
+    respond[:, r] = [encode_extended(1, w), encode_extended(3, w), *_message_words(msgs[(1, 3)], w, m)]
+    confirm[:, v] = [encode_extended(3, w), encode_extended(1, w), *_message_words(msgs[(3, 1)], w, m)]
+    auditor.on_window((1, 2, 1, 1), 99, [(v, r)], respond, confirm)
+    assert auditor.report.violations == []
+    respond[0, v] = encode_extended(3, w)              # the announcer beeps while it listens
+    confirm[2, v] ^= np.uint64(1)                      # and confirms a word it was not sent
+    auditor.on_window((1, 2, 1, 1), 99, [(v, r)], respond, confirm)
+    assert auditor.report.violations == [
+        f"realization 3-1 lacks its {half} triple at epoch 1 phase 2 subphase 1 window 1 sr 99"
+        for half in ("responding", "confirming")]
 
 
 @pytest.fixture(scope="module")
