@@ -26,12 +26,13 @@ between two blocks reaches the channel in one call.  run_c2b
 drives it with the words it puts on the wire; check_handshake_lemmas
 drives it with the words read back from a recorded trace and holds the
 run's logs to what it derives, and the trace auditor sees the same blocks
-either way.  The core logs a block's decodes with one np.flatnonzero; the
-decode log is a structured array (DECODE_DTYPE) in (super-round, node)
-order.  Its message and received-word tables have one row per directed
-edge (a slot of graph.csr's indices); its open links and the adjacency
-the auditor counts beeping neighbours over are (n, n) boolean matrices,
-so it takes any number of nodes.  Per-node machines
+either way.  The core logs a block's decodes with one np.flatnonzero and
+keeps them per block; the decode log, a structured array (DECODE_DTYPE)
+in (super-round, node) order, is built when a reader first asks for it.
+Its message and received-word tables and its open links have one entry
+per directed edge, a slot along the rows of graph.neighbor_table, and
+the auditor counts beeping neighbours over that table too, so nothing
+the core or the auditor holds grows as n^2.  Per-node machines
 (C2BNode) share no code with it: they decode with the scalar
 decode_extended and replay the identical schedule through the round
 engine as an independent cross-check on small instances.
@@ -43,7 +44,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -268,6 +269,25 @@ class HandshakeReport:
         return not self.violations
 
 
+class _BuiltOnRead:
+    """A dataclass field that may be given a zero-argument builder in place
+    of its value: the first read calls the builder and keeps the value."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.key)      # so the field takes no default
+        value = obj.__dict__[self.key]
+        if callable(value):
+            value = obj.__dict__[self.key] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
+
+
 @dataclass
 class C2BResult:
     received: dict[int, dict[int, tuple[int, ...]]]
@@ -275,7 +295,8 @@ class C2BResult:
     rounds: int
     schedule: C2BSchedule
     realization_log: list[RealizationRecord]
-    decode_log: np.ndarray           # DECODE_DTYPE rows in (super_round, node) order
+    # DECODE_DTYPE rows in (super_round, node) order, built on first read
+    decode_log: np.ndarray = _BuiltOnRead()
     link_history: list[dict[int, int]]
     handshake: HandshakeReport
     failed: bool
@@ -395,13 +416,14 @@ def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _EdgeSlots:
-    """Directed-edge slots: slot e is position e of graph.csr's indices, the
-    link from node owner[e] to node peer[e].  Each CSR row is sorted, so
-    the slots run in (owner, peer) order."""
+    """Directed-edge slots: slot e is the link from node owner[e] to node
+    peer[e], numbered along the rows of graph.neighbor_table.  Each row is
+    sorted, so the slots run in (owner, peer) order."""
 
     def __init__(self, graph: Graph):
-        indptr, self.peer = graph.csr
-        self.owner = np.repeat(np.arange(graph.n), np.diff(indptr))
+        table = graph.neighbor_table
+        self.owner, col = np.nonzero(table < graph.n)
+        self.peer = table[self.owner, col]
         self._n = graph.n
         self._key = self.owner * graph.n + self.peer      # ascending
 
@@ -428,7 +450,9 @@ class _Auditor:
     carries exactly the handshake words it claims.  A block is kept as its
     first row in the batch, its place in the schedule, its role and its
     first super-round; a row's part and super-round follow from its offset
-    in the block.  The report is complete once flush() or finish() has run.
+    in the block.  Beeping neighbours are read through graph.neighbor_table,
+    whose padding names a phantom node n that never beeps.  The report is
+    complete once flush() or finish() has run.
     """
 
     def __init__(self, graph: Graph, schedule: C2BSchedule, id_word: np.ndarray,
@@ -438,11 +462,7 @@ class _Auditor:
         self.id_word = id_word
         self.msg_words = msg_words
         self.slots = slots
-        self.adj = graph.adjacency
-        # float64 so the products below run through BLAS; their sums stay
-        # below n^2, far inside float64's exact integers
-        self._count = self.adj.astype(np.float64)
-        self._index_sum = self._count * np.arange(1, graph.n + 1)[:, None]
+        self.table = graph.neighbor_table
         self.report = HandshakeReport()
         self._blocks: list[tuple[int, tuple, str, int]] = []   # (first row, spot, role, sr)
         self._rows = 0
@@ -481,21 +501,21 @@ class _Auditor:
             part = None if role == "announcing" else k - start
             return self._spot(ScheduleIndex(*where, role, part, sr + k - start, 0))
 
-        beeping = patterns != 0
+        # column n is the phantom node the table pads with: it never beeps
+        words = np.zeros((len(patterns), self.graph.n + 1), dtype=np.uint64)
+        words[:, :-1] = patterns
+        beeping = words != 0
         # the beepers of a half-window are the same in each of its parts, so
         # count only over the rows whose beepers differ from the row above;
         # row k takes its counts from the group[k]-th of those rows
         fresh = np.ones(len(beeping), dtype=bool)
         fresh[1:] = (beeping[1:] != beeping[:-1]).any(axis=1)
         group = np.cumsum(fresh) - 1
-        b = beeping[fresh].astype(np.float64)
-        # beeping neighbors, and the sum of their (index + 1): where cnt == 1
-        # that sum less one is the lone beeping neighbor
-        cnt = (b @ self._count).astype(np.int64)
-        partner = np.clip((b @ self._index_sum).astype(np.int64) - 1, 0, self.graph.n - 1)
+        near = beeping[fresh][:, self.table]      # (fresh row, node, table column)
+        cnt = np.count_nonzero(near, axis=2)
         lone = (cnt == 1)[group]
         ks, us = _cells(lone)
-        pk = partner[group[ks], us]
+        pk = self.table[us, near[group[ks], us].argmax(axis=1)]
         sent = patterns[ks, pk]
         valid, value = decode_extended_rows(sent, self.schedule.w)
         heard = decoded[ks, us]
@@ -514,8 +534,8 @@ class _Auditor:
             return
         # every pile-up of the batch at once: the beeping neighbors' words
         # are identical exactly where their min equals their max
-        near = self.adj[us] & beeping[ks]
-        words = patterns[ks]
+        words = words[ks[:, None], self.table[us]]
+        near = words != 0
         same = (np.where(near, words, np.uint64(np.iinfo(np.uint64).max)).min(axis=1)
                 == np.where(near, words, np.uint64(0)).max(axis=1))
         blk = np.searchsorted(first, ks, side="right") - 1
@@ -617,7 +637,7 @@ class _Handshake:
             self.msg_words[e] = _message_word_rows(messages, w, m)
             self.msg_len[e] = [len(bits) for bits in messages]
 
-        self.unrealized = graph.adjacency.copy()
+        self.unrealized = np.ones(nslots, dtype=bool)              # open links by slot
         self.announcing = np.zeros(n, dtype=bool)
         self.responsive = np.full(n, -1, dtype=np.int64)
         self.recv_pat = np.zeros((nslots, m), dtype=np.uint64)   # slot of receiver -> sender
@@ -641,15 +661,14 @@ class _Handshake:
             spots = [(a, b) for a, s in enumerate(plan.subphases, 1)
                      for b in range(1, len(s.family) + 1)]
             for j, announcers in self._live_steps(
-                    ann_member, lambda: self.unrealized.sum(axis=1) >= plan.k,
+                    ann_member, lambda: self._open_counts() >= plan.k,
                     sched.phase_super_rounds(plan)):
                 self.announce((plan.index, j + 1, None, None), announcers)
                 for t, senders in self._live_steps(
                         win_member, lambda: self._open(self.responsive),
                         sched.window_super_rounds):
                     self.window((plan.index, j + 1, *spots[t]), senders)
-            self.link_history.append(
-                {self.ids[i]: int(c) for i, c in enumerate(self.unrealized.sum(axis=1))})
+            self.link_history.append(dict(zip(self.ids, self._open_counts().tolist())))
         self._end_silence()
 
     def _live_steps(self, member: np.ndarray, active, span: int):
@@ -681,36 +700,22 @@ class _Handshake:
             self.idle(self.sr - self.silent, self.silent)
             self.silent = 0
 
+    def _open_counts(self) -> np.ndarray:
+        """Open links per node."""
+        return np.bincount(self.slots.owner[self.unrealized], minlength=self.graph.n)
+
     def _open(self, peer: np.ndarray) -> np.ndarray:
         """Whether each node's link to peer[i] is still open; peer is a node
-        index or -1 for none."""
-        return self.unrealized[self.arange, peer] & (peer >= 0)
+        index or -1 for none.  A peer that is no neighbour has no link, so
+        the slot the lookup lands on must be the link itself."""
+        slots = self.slots
+        e = slots(self.arange, peer)
+        return self.unrealized[e] & (slots.owner[e] == self.arange) & (slots.peer[e] == peer)
 
     def _node_index(self, payload: np.ndarray) -> np.ndarray:
         """Index of the node whose ID each payload is, or -1 for none."""
         pos = np.minimum(np.searchsorted(self.ids_arr, payload), self.graph.n - 1)
         return np.where(self.ids_arr[pos] == payload, pos, -1)
-
-    @property
-    def decode_log(self) -> np.ndarray:
-        """Every decode so far as DECODE_DTYPE rows, in (super-round, node) order."""
-        counts = [len(cells) for _, _, cells, _ in self._decodes]
-        log = np.empty(sum(counts), dtype=DECODE_DTYPE)
-        if not self._decodes:
-            return log
-        srs, roles, cells, payloads = zip(*self._decodes)
-        # columns are written in place: no temporary holds a whole string column
-        role = np.repeat(np.array([ROLES.index(r) for r in roles], dtype=np.int8), counts)
-        flat = np.concatenate(cells)
-        np.floor_divide(flat, self.graph.n, out=log["part"])
-        log["node"] = self.ids_arr[np.remainder(flat, self.graph.n, out=flat)]
-        del flat
-        np.add(log["part"], np.repeat(srs, counts), out=log["super_round"])
-        log["part"][role == ROLES.index("announcing")] = -1
-        for code, name in enumerate(ROLES):
-            log["role"][role == code] = name
-        np.concatenate(payloads, out=log["payload"])
-        return log
 
     def _hear(self, spot: tuple, role: str, block: np.ndarray,
               listeners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -733,7 +738,7 @@ class _Handshake:
         """Announcers beep their IDs; a clean hearer with that link open
         becomes responsive to the announcer."""
         self.announcing = announcing
-        eligible = ~announcing & self.unrealized.any(axis=1)
+        eligible = ~announcing & (self._open_counts() > 0)
         _, _, valid, payload = self._hear(
             spot, "announcing", np.where(announcing, self.id_word, np.uint64(0))[None], eligible)
         heard = np.where(eligible & valid[0], self._node_index(payload[0]), -1)
@@ -748,6 +753,7 @@ class _Handshake:
         listeners = self.announcing
         sent: list[np.ndarray] = []
         links: list[set[tuple[int, int]]] = []
+        slots: list[np.ndarray] = []
         for role in ("responding", "confirming"):
             if not senders.any():      # no announcer accepted, so nobody confirms
                 self._skip(self.schedule.half_parts)
@@ -768,24 +774,51 @@ class _Handshake:
             self.recv_mask[e] = True
             sent.append(beeped)
             links.append({(int(i), int(peer[i])) for i in rows})
+            slots.append(e)
             # the announcers that accepted confirm; the other responsive nodes listen
             senders, target, listeners = accept, np.maximum(peer, 0), (responsive >= 0) & ~accept
-        self._close(spot, links, sent)
+        self._close(spot, links, sent, slots)
 
     def _close(self, spot: tuple, links: list[set[tuple[int, int]]],
-               sent: list[np.ndarray]) -> None:
+               sent: list[np.ndarray], slots: list[np.ndarray]) -> None:
         """Realize the links that both halves accepted, (announcer, responder)
-        in the first and (responder, announcer) in the second."""
+        in the first and (responder, announcer) in the second; slots holds
+        each half's accepted directions."""
         pairs, confirmed = links[0], {(v, r) for r, v in links[1]}
         if confirmed != pairs:
             raise RuntimeError(f"window closed asymmetrically: {pairs} vs {confirmed}")
         ids = self.ids
         for vi, ri in sorted(pairs):
             for i, j in ((vi, ri), (ri, vi)):
-                self.unrealized[i, j] = False
                 self.realization_log.append(RealizationRecord(ids[i], ids[j], *spot))
+        for e in slots:
+            self.unrealized[e] = False
         if pairs:
             self.auditor.on_window(spot, self.sr - 1, sorted(pairs), sent[0], sent[1])
+
+
+def _decode_rows(decodes: list[tuple[int, str, np.ndarray, np.ndarray]],
+                 ids: np.ndarray) -> np.ndarray:
+    """The core's per-block decodes (sr, role, flat (S, n) cells, payloads)
+    as DECODE_DTYPE rows, in (super-round, node) order."""
+    n = len(ids)
+    counts = [len(cells) for _, _, cells, _ in decodes]
+    log = np.empty(sum(counts), dtype=DECODE_DTYPE)
+    if not decodes:
+        return log
+    srs, roles, cells, payloads = zip(*decodes)
+    # columns are written in place: no temporary holds a whole string column
+    role = np.repeat(np.array([ROLES.index(r) for r in roles], dtype=np.int8), counts)
+    flat = np.concatenate(cells)
+    np.floor_divide(flat, n, out=log["part"])
+    log["node"] = ids[np.remainder(flat, n, out=flat)]
+    del flat
+    np.add(log["part"], np.repeat(srs, counts), out=log["super_round"])
+    log["part"][role == ROLES.index("announcing")] = -1
+    for code, name in enumerate(ROLES):
+        log["role"][role == code] = name
+    np.concatenate(payloads, out=log["payload"])
+    return log
 
 
 def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
@@ -805,7 +838,7 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     sched = build_schedule(graph.n, graph.c, delta_hat, inp.width)
     core = _Handshake(graph, sched, inp)
 
-    n, ids = graph.n, graph.ids
+    ids = graph.ids
     indptr, indices = graph.csr
     feed = _TraceFeed(graph, record, 2 * sched.w, sched.total_rounds)
     beeps_total = 0
@@ -829,10 +862,11 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
         raise RuntimeError(
             f"recorded {trace.total_rounds} rounds, schedule says {sched.total_rounds}")
     handshake = core.auditor.finish(core.realization_log)
-    unrealized = core.unrealized
-    failed = bool(unrealized.any())
-    residual = {ids[i]: frozenset(ids[j] for j in np.flatnonzero(unrealized[i]))
-                for i in range(n) if unrealized[i].any()}
+    still_open = np.flatnonzero(core.unrealized)
+    failed = bool(still_open.size)
+    owner, peer = core.slots.owner[still_open], core.slots.peer[still_open]
+    residual = {ids[i]: frozenset(ids[j] for j in peer[owner == i].tolist())
+                for i in dict.fromkeys(owner.tolist())}
 
     received, raw_received = _received(core, inp.width)
     if not failed:
@@ -842,8 +876,8 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
             raise RuntimeError(f"clean finish but {got} of {want} directions recorded")
 
     return C2BResult(received, raw_received, sched.total_rounds, sched,
-                     core.realization_log, core.decode_log, core.link_history, handshake,
-                     failed, residual, trace, dig, beeps_total)
+                     core.realization_log, partial(_decode_rows, core._decodes, core.ids_arr),
+                     core.link_history, handshake, failed, residual, trace, dig, beeps_total)
 
 
 def _received(core: _Handshake, width: int) -> tuple[dict, dict]:
@@ -1131,7 +1165,8 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
         report.violations.append(f"replay stopped: {exc}")
         return report
     # the logs as multisets of rows; decode rows come out sorted
-    claimed, derived = np.asarray(result.decode_log, dtype=DECODE_DTYPE), core.decode_log
+    claimed = np.asarray(result.decode_log, dtype=DECODE_DTYPE)
+    derived = _decode_rows(core._decodes, core.ids_arr)
     rows, inverse = np.unique(np.concatenate([claimed, derived]), return_inverse=True)
     surplus = (np.bincount(inverse[:len(claimed)], minlength=len(rows))
                - np.bincount(inverse[len(claimed):], minlength=len(rows)))

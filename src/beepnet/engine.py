@@ -18,7 +18,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from beepnet import kernel
-from beepnet._bits import U64, pack_bool_rows, unpack_word_rows
+from beepnet._bits import U64, pack_bool_rows
 from beepnet.graphs import Graph
 
 TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
@@ -245,13 +245,15 @@ class ValidationReport:
 def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> ValidationReport:
     """Recompute a trace's noise through routes that share no code with the producer.
 
-    The full pass rebuilds every block's noise as a dense product of the
-    adjacency matrix, graph.adjacency (built from the edge list, not from
-    the CSR the kernel gathers over), with the block's beeps:
-    noise = (adj @ beeps) > 0, exact in float32 for any degree below 2**24.
+    The full pass rebuilds every block's noise from graph.neighbor_table
+    (built from the edge list, not from the CSR the kernel gathers over):
+    a node's noise words are the OR of its neighbours' beep words, taken
+    one table column at a time, with the padding column standing for a
+    phantom node whose words are zero.  The first nrounds bits must equal
+    the recorded noise; the bits past them in the last word are ignored.
     A block whose beep and noise words are all zero is consistent as it
-    stands (no beeper, no noise) and skips the product; its rounds still
-    count as checked.
+    stands (no beeper, no noise) and skips the OR; its rounds still count
+    as checked.
 
     The sampled pass replays min(sample_rounds, total) distinct rounds,
     drawn with numpy's default_rng(0), through step(): the recorded
@@ -268,21 +270,25 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> Valid
                 raise ValueError(
                     f"graph has {graph.n} nodes but the trace block at round "
                     f"{block.start_round} has {rows} rows")
-    adj = graph.adjacency.astype(np.float32)
+    table = graph.neighbor_table
     mismatches: list[str] = []
     full = 0
     for block in trace.blocks:
         full += block.nrounds
         if not (block.patterns.any() or block.noise.any()):
             continue
-        beeps = unpack_word_rows(block.patterns, block.nrounds).astype(np.float32)
-        want = (adj @ beeps) > 0
-        got = unpack_word_rows(block.noise, block.nrounds)
-        if not np.array_equal(want, got):
-            bad = np.nonzero(want != got)
+        words = np.vstack([block.patterns, np.zeros_like(block.patterns[:1])])
+        want = words[table[:, 0]]
+        for col in table.T[1:]:
+            want |= words[col]
+        # round t is bit t % 64 of word t // 64; the last word may run past nrounds
+        kept = np.array([(1 << min(64, max(0, block.nrounds - 64 * k))) - 1
+                         for k in range(want.shape[1])], dtype=U64)
+        bad = np.flatnonzero(((want ^ block.noise) & kept).any(axis=1))
+        if bad.size:
             mismatches.append(
                 f"noise mismatch in block at round {block.start_round}, "
-                f"first at node index {int(bad[0][0])}")
+                f"first at node index {int(bad[0])}")
 
     total = trace.total_rounds
     sampled = 0

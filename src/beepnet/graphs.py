@@ -77,17 +77,25 @@ class Graph:
         return max(self.degrees, default=0)
 
     @property
-    def adjacency(self) -> np.ndarray:
-        """(n, n) read-only bool adjacency matrix over node indices, built
-        from the edge list."""
-        if "adjacency" not in self._cache:
-            out = np.zeros((self.n, self.n), dtype=bool)
-            idx = self.index_of
-            for u, v in self.edges:
-                out[idx[u], idx[v]] = out[idx[v], idx[u]] = True
-            out.flags.writeable = False
-            self._cache["adjacency"] = out
-        return self._cache["adjacency"]
+    def neighbor_table(self) -> np.ndarray:
+        """(n, max(delta, 1)) read-only int64 table over node indices: row i
+        holds i's neighbours in ascending order, padded with n, a phantom
+        node that never beeps.  Built with numpy from the edge list alone."""
+        if "neighbor_table" not in self._cache:
+            n = self.n
+            ends = np.searchsorted(np.array(self.ids, dtype=np.int64),
+                                   np.array(self.edges, dtype=np.int64).reshape(-1, 2))
+            rows = np.concatenate([ends[:, 0], ends[:, 1]])
+            cols = np.concatenate([ends[:, 1], ends[:, 0]])
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+            degree = np.bincount(rows, minlength=n)
+            first = np.cumsum(degree) - degree
+            table = np.full((n, max(int(degree.max(initial=0)), 1)), n, dtype=np.int64)
+            table[rows, np.arange(rows.size) - first[rows]] = cols
+            table.flags.writeable = False
+            self._cache["neighbor_table"] = table
+        return self._cache["neighbor_table"]
 
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:

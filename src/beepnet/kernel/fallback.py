@@ -2,8 +2,10 @@
 
 This is the only implementation; the module keeps its name because
 benchmark tooling resolves it by that path. Trace validation does not call
-it: `engine.validate_trace` recomputes noise through a dense adjacency
-product instead. All arrays follow the bitset conventions of beepnet._bits.
+it: `engine.validate_trace` recomputes noise by ORing beep words over
+`Graph.neighbor_table`, which is built from the edge list and not from the
+CSR this kernel gathers over. All arrays follow the bitset conventions of
+beepnet._bits.
 """
 
 from __future__ import annotations

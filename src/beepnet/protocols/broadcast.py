@@ -7,10 +7,10 @@ its neighbors in block i, reading noise as 1 and silence as 0.  The
 family is built for subsets one larger than the degree bound so that
 every neighbor gets a block where the receiver itself stays silent.
 
-run_local_broadcast decodes with array operations over a padded
-neighbor table built from the CSR: it counts each receiver's neighbors
-per block, names the lone one where the count is 1, and reads all those
-(block, receiver) pairs one message bit at a time.  It streams: each
+run_local_broadcast decodes with array operations over the padded
+graph.neighbor_table: it counts each receiver's neighbors per block,
+names the lone one where the count is 1, and reads all those (block,
+receiver) pairs one message bit at a time.  It streams: each
 bit's (n, L) slab of beeps makes one neighbor-OR call and one trace
 block, so memory does not grow with the message width.
 LocalBroadcastNode decodes the same schedule one node at a time, as an
@@ -107,10 +107,7 @@ def run_local_broadcast(
 
     # nbr[r] lists r's neighbor indices in graph.neighbors order, padded
     # with n, a node that belongs to no block.
-    indptr, indices = graph.csr
-    receiver = np.repeat(np.arange(n), np.diff(indptr))
-    nbr = np.full((n, max(graph.delta, 1)), n, dtype=np.int64)
-    nbr[receiver, np.arange(indices.size) - indptr[receiver]] = indices
+    nbr = graph.neighbor_table
     in_block = np.pad(member, ((0, 0), (0, 1)))[:, nbr]  # (L, n, max degree)
 
     # (block, receiver) pairs where the receiver has exactly one neighbor
@@ -121,6 +118,7 @@ def run_local_broadcast(
 
     # One message bit at a time: its L rounds go over the wire as one
     # (n, L) slab, are decoded, and enter the trace as one block.
+    indptr, indices = graph.csr
     trace = Trace(graph) if record else None
     beeps_total = 0
     got = np.zeros(nbr.shape + (width,), dtype=np.uint8)

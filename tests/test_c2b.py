@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beepnet import harness
+from beepnet import c2b, harness
 from beepnet.c2b import (
     AUDIT_BATCH,
     TRACE_FEED_CHUNK,
@@ -29,7 +29,7 @@ from beepnet.c2b import (
 )
 from beepnet.cli import main
 from beepnet.encoding import MAX_WIDTH, encode_extended, encode_extended_rows
-from beepnet.engine import run, validate_trace
+from beepnet.engine import run, trace_from_beeps, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 from beepnet.multihop import MultihopInput, build_lower_bound_graph, run_multihop_local_broadcast
 from beepnet.protocols.broadcast import LocalBroadcastInput
@@ -235,6 +235,21 @@ def test_random_graphs_deliver_exactly(n, delta, seed):
     assert res.handshake.decode_events == len(log) > 0
     # rows in (super_round, node) order, the order the core decodes them in
     assert np.array_equal(np.lexsort((log["node"], log["super_round"])), np.arange(len(log)))
+
+
+def test_the_decode_log_is_built_on_first_read(monkeypatch):
+    built = []
+    real = c2b._decode_rows
+    monkeypatch.setattr(c2b, "_decode_rows", lambda *args: built.append(1) or real(*args))
+    g = generate_random_graph(10, 3, seed=9, c=1)
+    res = run_c2b(g, CongestRoundInput(_directed_messages(g, 2, 5), 2), record="none")
+    assert not built
+    log = res.decode_log
+    assert res.decode_log is log and len(built) == 1
+    assert log.dtype == c2b.DECODE_DTYPE and res.handshake.decode_events == len(log) > 0
+    copied = dataclasses.replace(res)
+    copied.decode_log = log[:1]
+    assert len(copied.decode_log) == 1 and res.decode_log is log and len(built) == 1
 
 
 def test_larger_degree_bound_than_true_degree():
@@ -525,7 +540,6 @@ def test_the_auditor_places_rows_by_their_block():
         (80, "responding", 1): (pile_up, 1),
         (80, "responding", 2): ({2: same}, 4),
     }
-    adj = g.adjacency
     rows = 0
     for phase in range(100):
         for role, sr, S in (("announcing", 1000 + 50 * phase, 1),
@@ -539,7 +553,10 @@ def test_the_auditor_places_rows_by_their_block():
                     patterns[k, g.index_of[u]] = word
                 if listener is not None:
                     decoded[k, g.index_of[listener]] = True
-            noise = np.bitwise_or.reduce(np.where(adj, patterns[:, None, :], 0), axis=2)
+            noise = np.zeros_like(patterns)
+            for v, nbrs in enumerate(g.neighbors):
+                for u in nbrs:
+                    noise[:, v] |= patterns[:, g.index_of[u]]
             spot = (1, phase + 1, None, None) if role == "announcing" else (1, phase + 1, 1, 1)
             auditor.on_super_round(spot, role, sr, patterns, noise, np.zeros_like(decoded),
                                    decoded, np.where(decoded, 5, 0))
@@ -607,7 +624,7 @@ def test_a_beep_forged_into_a_silent_block_is_a_mismatch(star_trace):
         report = validate_trace(STAR, star_trace, sample_rounds=0)
     finally:
         block.patterns[0, 0] ^= np.uint64(1)
-    first = int(np.flatnonzero(STAR.adjacency[0])[0])     # the beeper's neighbour
+    first = STAR.index_of[STAR.neighbors[0][0]]           # the beeper's neighbour
     assert report.mismatches == [
         f"noise mismatch in block at round {block.start_round}, first at node index {first}"]
 
@@ -624,6 +641,61 @@ def test_replay_words_cost_under_two_bytes_per_node_round():
         tracemalloc.stop()
     assert pat.shape == noise.shape == (g.n, res.schedule.total_super_rounds)
     assert peak < 2 * g.n * res.rounds
+
+
+def test_a_cleanly_decoded_non_neighbour_opens_no_link(monkeypatch):
+    # 1's one neighbour is 3. Forge 1's noise in the first live announcement
+    # into 2's ID: it decodes cleanly, but 1 has no link to 2, and the edge
+    # slot lookup for the pair 1 -> 2 lands on the slot of 1 -> 3
+    inp, res = _star_run()
+    w, leaf = res.schedule.w, STAR.index_of[1]
+    log = res.decode_log
+    sr = int(log["super_round"][log["role"] == "announcing"][0])
+    word = encode_extended(2, w)
+    for t in range(2 * w):
+        r = sr * 2 * w + t
+        block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
+        col, bit = divmod(r - block.start_round, 64)
+        mask = np.uint64(1 << bit)
+        block.noise[leaf, col] = (block.noise[leaf, col] & ~mask) | (mask if word >> t & 1 else 0)
+    cores, responsive = [], []
+    announce = _Handshake.announce
+
+    def spy(self, spot, announcing):
+        announce(self, spot, announcing)
+        cores.append(self)
+        responsive.append(int(self.responsive[leaf]))
+
+    monkeypatch.setattr(_Handshake, "announce", spy)
+    rep = check_handshake_lemmas(res.trace, STAR, res, inp)
+    assert STAR.index_of[2] not in responsive
+    assert not any({rec.node, rec.peer} == {1, 2} for rec in cores[-1].realization_log)
+    # the replay ran to the end and did decode the forged word
+    assert (f"decode log omits DecodeRecord(super_round={sr}, node=1, role='announcing', "
+            f"part=None, payload=2), which the trace gives") in rep.violations
+    assert not any(v.startswith("replay stopped") for v in rep.violations)
+
+
+def test_sparse_structures_allocate_far_below_n_squared():
+    # a 2048-node ring: an (n, n) array of bools alone would be n^2 bytes
+    n = 2048
+    ring = graph_from_edges([(i, i % n + 1) for i in range(1, n + 1)])
+    sched = build_schedule(n, 1, 2, 2)
+    beeps = np.random.default_rng(0).random((n, 200)) < 0.1
+    trace = trace_from_beeps(ring, beeps, np.roll(beeps, 1, axis=0) | np.roll(beeps, -1, axis=0))
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: ring.neighbor_table) < n * n // 4
+    assert peak(lambda: _Handshake(ring, sched, CongestRoundInput({}, 2))) < n * n // 4
+    assert peak(lambda: validate_trace(ring, trace)) < n * n // 4
+    assert validate_trace(ring, trace).ok
 
 
 @pytest.fixture

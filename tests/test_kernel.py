@@ -16,6 +16,7 @@ from beepnet.protocols import (
     LocalBroadcastNode,
     run_local_broadcast,
 )
+from beepnet.protocols._common import noise_matrix
 
 
 def _isolate(graph: Graph, every: int) -> Graph:
@@ -55,6 +56,19 @@ def test_kernel_matches_set_logic(graph, p):
     for r in range(t):
         want = sum(1 << i for i in range(graph.n) if as_ints[i] >> r & 1)
         assert sum(int(x) << (64 * k) for k, x in enumerate(rows[r])) == want, r
+
+
+@pytest.mark.parametrize("graph", [
+    *(pytest.param(g, id=name) for name, g in _graphs()),
+    pytest.param(Graph(n=4, c=1, ids=(1, 2, 3, 4), edges=()), id="edgeless"),
+])
+def test_neighbor_table_rows_list_the_neighbours(graph):
+    table = graph.neighbor_table
+    assert table.shape == (graph.n, max(graph.delta, 1)) and table.dtype == np.int64
+    assert not table.flags.writeable
+    for row, nbrs in zip(table.tolist(), graph.neighbors):
+        want = [graph.index_of[u] for u in nbrs]
+        assert row == want + [graph.n] * (table.shape[1] - len(want))
 
 
 def _broadcast_setup(n=10, delta=3, width=2, seed=9):
@@ -101,6 +115,21 @@ def test_validation_names_the_block_with_a_flipped_noise_bit():
     assert report.mismatches == [
         f"noise mismatch in block at round {block.start_round}, first at node index {node}"
     ]
+
+
+def test_validation_ignores_the_bits_past_a_block():
+    g = generate_random_graph(16, 4, seed=5)
+    rng = np.random.default_rng(5)
+    beeps = rng.random((g.n, 70)) < 0.2
+    trace = beepnet.engine.trace_from_beeps(g, beeps, noise_matrix(g, beeps))
+    last = trace.blocks[-1]
+    assert last.nrounds == 6
+    last.patterns[:, 0] |= np.uint64(1 << 40)     # round 40 of a 6-round block
+    last.noise[3, 0] ^= np.uint64(1 << 63)
+    assert validate_trace(g, trace, sample_rounds=0).ok
+    last.noise[3, 0] ^= np.uint64(1 << 5)         # its last round
+    assert validate_trace(g, trace, sample_rounds=0).mismatches == [
+        "noise mismatch in block at round 64, first at node index 3"]
 
 
 def _definition_feedback(graph, beepers):

@@ -115,3 +115,41 @@ def test_selector_construction_shares_no_verification_code():
                     if ref in ("_isolation_counts", "element_words", "_all_subsets_pass")
                     or ref.startswith("verify_"))
     assert not shared, f"greedy construction names verification code: {shared}"
+
+
+def _code_references(tree: ast.AST) -> Counter:
+    """_references less what only annotations mention: they run no code."""
+    found = _references(tree)
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                found.subtract(_references(annotation))
+    return +found
+
+
+def test_revalidation_names_no_producer_code():
+    # Revalidation shares no code with the path that produced a run: the
+    # trace oracle, the handshake auditor with the edge slots it is handed,
+    # the neighbour table they read, and the code they reach in their own
+    # module name neither the kernel nor the CSR it gathers over.
+    for module, dotted in (("engine.py", "validate_trace"), ("c2b.py", "_Auditor"),
+                           ("c2b.py", "_EdgeSlots"), ("graphs.py", "Graph.neighbor_table")):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        owner, _, member = dotted.partition(".")
+        start = defs[owner]
+        if member:
+            start = next(node for node in start.body
+                         if isinstance(node, ast.FunctionDef) and node.name == member)
+        reached, todo, named = set(), [start], Counter()
+        while todo:
+            node = todo.pop()
+            refs = _code_references(node)
+            named.update(refs)
+            for ref in refs:
+                if ref in defs and ref not in reached and ref != owner:
+                    reached.add(ref)
+                    todo.append(defs[ref])
+        found = sorted(ref for ref in named if ref in ("kernel", "csr"))
+        assert not found, f"{module}:{dotted} reaches {found} (through {sorted(reached)})"
