@@ -8,14 +8,24 @@ sequential IDs).
 
 from __future__ import annotations
 
+import io
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 
 class ParameterError(ValueError):
     """Invalid model or CLI parameters (exit code 2 territory)."""
+
+
+def read_text(path) -> str:
+    """The file's text; a file that is not UTF-8 raises ParameterError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 @dataclass(frozen=True)
@@ -146,7 +156,7 @@ def graph_from_edges(edges, c: int = 1, n: int | None = None) -> Graph:
 
 
 def load_graph(path) -> Graph:
-    with open(path) as fh:
+    with io.StringIO(read_text(path)) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ParameterError(f"{path}: header must be 'n m c'")

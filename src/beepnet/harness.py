@@ -27,7 +27,7 @@ import numpy as np
 from .c2b import CongestRoundInput, build_schedule, check_epoch_invariant, run_c2b
 from .encoding import id_width
 from .engine import validate_trace
-from .graphs import Graph, ParameterError, generate_random_graph, load_graph
+from .graphs import Graph, ParameterError, generate_random_graph, load_graph, read_text
 from .multihop import (
     MultihopInput,
     build_lower_bound_graph,
@@ -419,7 +419,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def load_report(path: str | Path) -> list[Metrics]:
     out = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in enumerate(read_text(path).splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         try:

@@ -21,7 +21,7 @@ from pathlib import Path
 from ._bits import bits_to_int, int_to_bits, is_bit_string
 from .c2b import CongestRoundInput, run_c2b
 from .encoding import id_width
-from .graphs import Graph, ParameterError, graph_from_edges
+from .graphs import Graph, ParameterError, graph_from_edges, read_text
 from .protocols._common import resolve_degree_bound
 from .protocols.broadcast import LocalBroadcastInput, run_local_broadcast
 
@@ -412,7 +412,7 @@ def save_layer_annotations(layers: dict[int, str], path: str | Path) -> None:
 
 def load_layer_annotations(path: str | Path) -> dict[int, str]:
     out: dict[int, str] = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split()

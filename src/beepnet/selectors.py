@@ -12,12 +12,12 @@ Construction is seeded and deterministic.  Small parameter ranges run a
 greedy cover over all isolation demands; k >= n degenerates to the
 singleton family; everything else draws seeded random families of
 growing length until one verifies (at most BUILD_ATTEMPTS).  The greedy
-cover (n <= 64) keeps one row per subset: its member mask and the mask of
-members isolated so far, in the narrowest unsigned type that holds n bits.
-It scores candidates over per-element bit-planes across those rows (the
-rows that hold an element, the rows where it is still to be isolated),
-touches only the rows a chosen set changes, and compacts the planes once
-few rows stay open.
+cover (n <= 64) keeps one row per subset, held only as bit-planes across
+the rows: per element, the rows that hold it and the rows where it is
+still to be isolated, and, with an avoidance threshold, each row's count
+of isolated members bit-sliced.  It scores candidates over those planes,
+touches only the words of the rows a chosen set gains, and squeezes the
+planes down, one at a time, once few rows stay open.
 
 Both sides enumerate subsets with _iter_subset_cols, which yields numpy
 blocks in itertools.combinations order; greedy's choices depend on that
@@ -25,8 +25,8 @@ order.  verify_family checks every subset of size <= k when the subset
 count permits, otherwise a stratified sample, and the achieved tier is
 recorded on the family.  Verification shares no isolation counting with
 construction: it reads the family's element_words view (for each
-element, the sets holding it, packed into uint64 words) and works the
-same way at every n.
+element, the sets holding it, packed into uint64 words), makes one 1-D
+pass per word, and works the same way at every n.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ from pathlib import Path
 import numpy as np
 
 from ._bits import U64, pack_bool_rows, unpack_word_rows, words_for
-from .graphs import ParameterError
+from .graphs import ParameterError, read_text
 
 DEFAULT_SEED = 1
 
-# Greedy holds per subset row two n-bit masks and two bits per element on its
-# row bit-planes: 32 bytes a row at n = 64, so at most about 32 MB.
+# Greedy holds per subset row two bits per element on its row bit-planes and
+# up to 7 count bits: 17 bytes a row at n = 64, plus the row's n-bit mask
+# while it builds the planes, so at most about 25 MB.
 GREEDY_STATE_LIMIT = 1_000_000
 # Exhaustive verification walks every subset of size <= k.
 VERIFY_SUBSET_LIMIT = 10_000_000
@@ -217,20 +218,20 @@ def _isolation_counts(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     words is a family's element_words view and cols an (m, s) array of
     0-based subset members.  A set isolates e in S when e is the only
     member of S it holds, i.e. when it is among the sets holding exactly
-    one member of S.  Members are gathered one column at a time, so the
-    working arrays stay (m, W).
+    one member of S.  The pass runs one uint64 word of sets at a time: one
+    gather takes every member's word, each working array is one word per
+    subset and member, and a member's "isolated" flag is ORed across words.
     """
-    once = np.zeros((cols.shape[0], words.shape[1]), dtype=U64)
-    twice = np.zeros_like(once)
-    for col in cols.T:
-        x = words[col]
-        twice |= once & x
-        once |= x
-    lone = once & ~twice
-    iso = np.zeros(cols.shape[0], dtype=np.int64)
-    for col in cols.T:
-        iso += (words[col] & lone).any(axis=1)
-    return iso
+    members = np.ascontiguousarray(cols.T)
+    isolated = np.zeros(members.shape, dtype=bool)
+    for column in words.T:
+        x = column.take(members)
+        once, twice = x[0].copy(), np.zeros_like(x[0])
+        for row in x[1:]:
+            twice |= once & row
+            once |= row
+        isolated |= (x & (once & ~twice)) != 0
+    return isolated.sum(axis=0)
 
 
 def _all_subsets_pass(fam: SelectorFamily, n: int, k: int, l, exhaustive: bool) -> bool:
@@ -335,8 +336,12 @@ def _as_sets(members) -> list[tuple[int, ...]]:
     return [tuple((f + 1).tolist()) for f in members]
 
 
-def _cols_to_masks(cols: np.ndarray) -> np.ndarray:
-    return np.bitwise_or.reduce(np.uint64(1) << cols.astype(np.uint64), axis=1)
+def _cols_to_masks(cols: np.ndarray, word: np.dtype) -> np.ndarray:
+    """Each row of cols as a mask of the unsigned type word: bit e for member e."""
+    masks = np.zeros(len(cols), dtype=word)
+    for col in cols.T:
+        masks |= word.type(1) << col.astype(word)
+    return masks
 
 
 def _bit_planes(masks: np.ndarray, n: int) -> np.ndarray:
@@ -352,39 +357,51 @@ def _bit_planes(masks: np.ndarray, n: int) -> np.ndarray:
     return planes
 
 
+def _squeeze(planes: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The bits of each plane at the ascending row indices keep, packed down
+    in order.  Planes are unpacked one at a time, so the copy stays a byte a row."""
+    out = np.zeros((len(planes), words_for(len(keep))), dtype=U64)
+    for plane, row in zip(planes, out.view(np.uint8)):
+        bits = np.unpackbits(plane.view(np.uint8), bitorder="little").take(keep)
+        packed = np.packbits(bits, bitorder="little")
+        row[:len(packed)] = packed
+    return out
+
+
 class _Cover:
     """The isolation demands of a greedy cover, as per-element row bit-planes.
 
-    A row is a subset of [1, n]: masks holds its members and iso the members
-    isolated so far, bit e for element e + 1, in the narrowest unsigned type
-    that holds n bits.  Bitsets of uint64 words run over the rows in order:
-    member[e] marks the rows that hold e, pending[e] the rows in which e is
-    still to be isolated, and open the rows still open.  A row closes once
-    all its members are isolated or, with an avoidance threshold l, more
-    than l of them are.  A candidate set f gains the open rows it meets in
-    exactly one member where that member is pending: the OR of pending[f],
-    less the rows that hold two or more members of f.  It scores their
-    count.  Closed rows are dropped, keeping the order of the rest, once
-    fewer than a quarter of the rows are open.
+    A row is a subset of [1, n].  Bitsets of uint64 words run over the rows
+    in order: member[e] marks the rows that hold element e + 1, pending[e]
+    the rows in which it is still to be isolated, and open the rows still
+    open.  With an avoidance threshold l, count holds each row's number of
+    isolated members bit-sliced: plane i is bit i of the count.  A candidate
+    set f gains the open rows it meets in exactly one member where that
+    member is pending: the OR of pending[f], less the rows that hold two or
+    more members of f.  It scores their count.  Taking f isolates that
+    member in each gained row, so exactly those rows' counts go up by one.
+    A gained row closes once none of its members is pending (no pending
+    plane has its bit) or, with l, once its count exceeds l.  Closed rows
+    are dropped, keeping the order of the rest, once fewer than a quarter
+    of the rows are open.
     """
 
     def __init__(self, masks: np.ndarray, n: int, l):
-        self.n, self.l = n, l
-        self.masks, self.iso = masks, np.zeros_like(masks)
-        self._build_planes()
-
-    def _build_planes(self) -> None:
-        self.member = _bit_planes(self.masks, self.n)
-        self.pending = _bit_planes(self.masks & ~self.iso, self.n)
-        self.open = _bit_planes(np.ones(len(self.masks), dtype=np.uint8), 1)[0]
-        self.open_rows = len(self.masks)
+        self.l = l
+        self.rows = self.open_rows = len(masks)
+        self.member = _bit_planes(masks, n)
+        self.pending = self.member.copy()
+        self.open = _bit_planes(np.ones(len(masks), dtype=np.uint8), 1)[0]
+        self.count = None
+        if l is not None:  # counts stop at l + 1, when the row closes
+            self.count = np.zeros(((l + 1).bit_length(), len(self.open)), dtype=U64)
 
     def targets(self, count: int) -> list[int]:
         """The lowest pending member of each of the first count open rows."""
         words = np.flatnonzero(self.open)[:count]
         at = np.flatnonzero(unpack_word_rows(self.open[words, None], 64))[:count]
-        rows = words[at >> 6] * 64 + (at & 63)
-        return [_lowest_bit(p) for p in (self.masks[rows] & ~self.iso[rows]).tolist()]
+        pending = self.pending[:, words[at >> 6]] >> (at & 63).astype(U64)
+        return np.argmax(pending & U64(1), axis=0).tolist()
 
     def scores(self, members: list[np.ndarray]) -> np.ndarray:
         """The number of rows each candidate gains."""
@@ -424,23 +441,29 @@ class _Cover:
         gain = self._gains([f])[0]
         self.pending[f] &= ~gain
         words = np.flatnonzero(gain)
-        held = unpack_word_rows(gain[words, None], 64)
-        at = np.flatnonzero(held)
-        rows = words[at >> 6] * 64 + (at & 63)
-        masks = self.masks[rows]
-        iso = self.iso[rows] | (masks & _cols_to_masks(f[None, :]).astype(masks.dtype))
-        self.iso[rows] = iso
-        closed = iso == masks
-        if self.l is not None:
-            closed |= np.bitwise_count(iso) > self.l
-        shut = np.zeros_like(held)
-        shut.ravel()[at[closed]] = True
-        self.open[words] &= ~np.packbits(shut, axis=1, bitorder="little").view(U64)[:, 0]
-        self.open_rows -= int(np.count_nonzero(closed))
-        if 0 < 4 * self.open_rows < len(self.masks):
-            keep = unpack_word_rows(self.open[None, :], len(self.masks))[0]
-            self.masks, self.iso = self.masks[keep], self.iso[keep]
-            self._build_planes()
+        gained = gain[words]
+        shut = gained & ~np.bitwise_or.reduce(self.pending.take(words, axis=1), axis=0)
+        if self.count is not None:
+            # Add one to each gained row's count, carrying from plane 0 up,
+            # and find the rows whose count reached l + 1.
+            carry = over = gained
+            for i, plane in enumerate(self.count):
+                bits = plane[words]
+                total = bits ^ carry
+                carry = bits & carry
+                plane[words] = total
+                over = over & (total if (self.l + 1) >> i & 1 else ~total)
+            shut |= over
+        self.open[words] &= ~shut
+        self.open_rows -= int(np.bitwise_count(shut).sum())
+        if 0 < 4 * self.open_rows < self.rows:
+            keep = np.flatnonzero(unpack_word_rows(self.open[None, :], self.rows)[0])
+            self.member = _squeeze(self.member, keep)
+            self.pending = _squeeze(self.pending, keep)
+            if self.count is not None:
+                self.count = _squeeze(self.count, keep)
+            self.open = _squeeze(self.open[None, :], keep)[0]
+            self.rows = self.open_rows
 
 
 def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tuple[int, ...]]:
@@ -452,9 +475,10 @@ def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tup
     _TARGETED_PER_ROUND open rows, and adds the first that scores highest.
     """
     word = np.min_scalar_type((1 << n) - 1)  # the narrowest unsigned type holding n bits
-    masks = np.concatenate([_cols_to_masks(cols).astype(word)
+    masks = np.concatenate([_cols_to_masks(cols, word)
                             for _, cols in _iter_subset_cols(n, range(1, min(k, n) + 1))])
     cover = _Cover(masks, n, l if kind == "avoiding" else None)
+    del masks  # the cover keeps only its planes
     chosen: list[np.ndarray] = []
     while cover.open_rows:
         members = _random_members(n, kind, k, _CANDIDATES_PER_ROUND, rng)
@@ -467,10 +491,6 @@ def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tup
         chosen.append(members[best])
     pad = max(0, target_len - len(chosen))
     return _as_sets(chosen + _random_members(n, kind, k, pad, rng))
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def _build(n: int, kind: str, k: int, l, seed: int) -> SelectorFamily:
@@ -538,7 +558,7 @@ def save_family(fam: SelectorFamily, path) -> None:
 
 
 def load_family(path) -> SelectorFamily:
-    raw = Path(path).read_text().split("\n")
+    raw = read_text(path).split("\n")
     if raw and raw[-1] == "":
         raw.pop()
     if not raw:

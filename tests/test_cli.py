@@ -9,7 +9,7 @@ import pytest
 
 import beepnet
 from beepnet.cli import main
-from beepnet.graphs import load_graph
+from beepnet.graphs import ParameterError, load_graph
 from beepnet.multihop import load_layer_annotations
 from beepnet.selectors import (
     load_family,
@@ -261,3 +261,28 @@ def test_run_reports_match_across_processes(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0].startswith(b"# beepnet report v1")
     assert reports[0] == reports[1]
+
+
+def test_load_graph_names_a_file_that_is_not_text(tmp_path):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_bytes(b"3 2 1\n1 2\n2 \xff\n")
+    with pytest.raises(ParameterError, match=f"{graph_file}: not UTF-8 text"):
+        load_graph(graph_file)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-selector", "{bad}"],
+    ["run", "c2b", "--graph", "{bad}", "--delta", "2", "--seeds", "1"],
+    ["report", "{bad}"],
+], ids=["verify-selector", "run", "report"])
+def test_an_undecodable_input_file_exits_2(tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"8 strong 3 \xff\n")
+    src = str(Path(beepnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beepnet.cli", *(arg.format(bad=bad) for arg in argv)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in proc.stderr

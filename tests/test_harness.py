@@ -183,3 +183,9 @@ def test_fit_degree_slope_recovers_a_square():
     assert fit_degree_slope(ms) == pytest.approx(2.0, abs=1e-9)
     assert fit_degree_slope(ms[:1]) is None
 
+
+def test_load_report_names_a_file_that_is_not_text(tmp_path):
+    path = tmp_path / "report.jsonl"
+    path.write_bytes(b"# beepnet report v1\n\xff\n")
+    with pytest.raises(ParameterError, match=f"{path}: not UTF-8 text"):
+        load_report(path)

@@ -329,3 +329,10 @@ def test_layer_annotations_reject_garbage(tmp_path):
     path.write_text("1 R\n1 T1\n")
     with pytest.raises(ParameterError):
         load_layer_annotations(path)
+
+
+def test_layer_annotations_name_a_file_that_is_not_text(tmp_path):
+    path = tmp_path / "layers.txt"
+    path.write_bytes(b"1 R\n2 T\xff\n")
+    with pytest.raises(ParameterError, match=f"{path}: not UTF-8 text"):
+        load_layer_annotations(path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beepnet._bits import pack_bool_rows, unpack_word_rows
+from beepnet._bits import unpack_word_rows
 from beepnet.graphs import ParameterError
 from beepnet.selectors import (
     SelectorFamily,
     _Cover,
+    _isolation_counts,
     _iter_subset_cols,
     _random_members,
     avoiding_length,
@@ -331,6 +333,83 @@ def test_cycle_family_verdicts_around_a_word():
         assert not verify_avoiding_selector(_fam(n, "avoiding", 2, 1, sets[1:]), n, 2, 1)
 
 
+# Past two words of sets: a passing family over [1, 8] (the cycle at k = 2,
+# a built (8, 3) family at k = 3), some of its sets repeated and the rest of
+# 128-200 slots empty, in a random order, so the sets that decide a verdict
+# fall in any of the words.  Then one set is dropped or one added: dropping
+# a set that appears once can break the family.
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    length=st.integers(128, 200),
+    layout=st.randoms(use_true_random=False),
+    drop=st.booleans(),
+    which=st.integers(0, 199),
+    extra=st.frozensets(st.integers(1, 8), min_size=1, max_size=3),
+)
+# the first two break the family (both verdicts at k = 2, the strong one at k = 3)
+@example(k=2, length=160, layout=random.Random(0), drop=True, which=3, extra=frozenset({1}))
+@example(k=3, length=160, layout=random.Random(0), drop=True, which=27, extra=frozenset({1}))
+@example(k=3, length=200, layout=random.Random(2), drop=False, which=7, extra=frozenset({2, 5}))
+def test_verifiers_match_oracles_past_two_words(k, length, layout, drop, which, extra):
+    base = _cycle_sets(8) if k == 2 else list(build_strong_selector(8, 3, seed=2).sets)
+    sets = base + [layout.choice(base) for _ in range(length // 40)]
+    sets += [()] * (length - len(sets))
+    layout.shuffle(sets)
+    if drop:
+        held = [i for i, f in enumerate(sets) if f]
+        del sets[held[which % len(held)]]
+    else:
+        sets.insert(which % (length + 1), tuple(sorted(extra)))
+    strong = _fam(8, "strong", k, None, sets)
+    assert verify_strong_selector(strong, 8, k) == oracle_strong(strong.sets, 8, k)
+    avoiding = _fam(8, "avoiding", k, 1, sets)
+    assert verify_avoiding_selector(avoiding, 8, k, 1) == oracle_avoiding(avoiding.sets, 8, k, 1)
+
+
+# The verifier's kernel runs one uint64 word of sets at a time.  Hold it to
+# a per-subset count in plain Python over families of one, two, three and
+# five words, on blocks that a small chunk splits.  Each element but the
+# first two (in no set) sits in about two sets, so counts range from none
+# to every member.
+
+def _python_isolation_count(set_masks, subset_mask):
+    """How many members of the subset some set holds alone, by int masks."""
+    isolated = 0
+    for f in set_masks:
+        common = f & subset_mask
+        if common and not common & (common - 1):
+            isolated |= common
+    return bin(isolated).count("1")
+
+
+@pytest.mark.parametrize("length", [40, 64, 65, 130, 300])
+@pytest.mark.parametrize("n", [9, 63, 65])
+def test_isolation_counts_match_a_per_subset_count(n, length):
+    rng = np.random.default_rng([n, length])
+    held = rng.random((length, n)) < 2 / length
+    held[rng.integers(length, size=3)] = rng.random((3, n)) < 0.5   # a few dense sets
+    held[:, :2] = False                                              # two elements in none
+    sets = [tuple((np.flatnonzero(row) + 1).tolist()) for row in held]
+    words = _fam(n, "strong", 4, None, sets).element_words
+    assert words.shape == (n, (length + 63) // 64)
+    set_masks = [sum(1 << e - 1 for e in f) for f in sets]
+    checked, seen = 0, set()
+    for s in range(1, 5):
+        blocks = list(_iter_subset_cols(n, [s], chunk=37))
+        for _, cols in blocks[::max(1, len(blocks) // 12)] + blocks[-1:]:
+            got = _isolation_counts(words, cols)
+            want = [_python_isolation_count(set_masks, sum(1 << c for c in row))
+                    for row in cols.tolist()]
+            assert got.tolist() == want
+            checked += len(cols)
+            seen.update((s, count) for count in want)
+    assert checked >= min(subset_count(n, 4), 1000)
+    assert {(1, 0)} | {(s, s) for s in range(1, 5)} <= seen
+    assert any(0 < count < s for s, count in seen)
+
+
 def test_verify_family_reports_its_tier():
     assert verify_family(build_strong_selector(8, 3, seed=2)) == "exhaustive"
     assert verify_family(build_strong_selector(24, 24, seed=1)) == "sampled"
@@ -455,16 +534,22 @@ def test_cover_matches_the_per_row_formula(n, rows, k, l, seed):
     ref_masks, ref_iso = masks, np.zeros_like(masks)
     killed = crossings = 0
     while len(ref_masks):
-        held = unpack_word_rows(cover.open[None, :], len(cover.masks))[0]
+        held = unpack_word_rows(cover.open[None, :], cover.rows)[0]
         at = np.flatnonzero(held)
-        # state: open rows in order, their isolated members, and the planes
-        assert np.array_equal(cover.masks[held], ref_masks)
-        assert np.array_equal(cover.iso[held], ref_iso)
-        assert cover.open_rows == len(ref_masks)
-        assert np.array_equal(cover.member, pack_bool_rows(_bits(cover.masks, n)))
-        pending = unpack_word_rows(cover.pending, len(cover.masks))[:, held]
+        # state, read off the planes: the open rows in order, their members,
+        # their pending members and, with l, their isolated-member counts
+        assert cover.open_rows == len(ref_masks) == len(at)
+        member = unpack_word_rows(cover.member, cover.rows)[:, held]
+        assert np.array_equal(member, _bits(ref_masks, n))
+        pending = unpack_word_rows(cover.pending, cover.rows)[:, held]
         assert np.array_equal(pending, _bits(ref_masks & ~ref_iso, n))
-        assert not unpack_word_rows(cover.open[None, :], 64 * cover.open.size)[0, len(held):].any()
+        if l is None:
+            assert cover.count is None
+        else:
+            count = unpack_word_rows(cover.count, cover.rows)[:, held]
+            assert np.array_equal(count, _bits(np.bitwise_count(ref_iso), len(cover.count)))
+        for planes in (cover.member, cover.open[None, :]):
+            assert not unpack_word_rows(planes, 64 * planes.shape[1])[:, cover.rows:].any()
 
         first = [(int(p) & -int(p)).bit_length() - 1 for p in (ref_masks & ~ref_iso)[:4]]
         assert cover.targets(4) == first
@@ -475,13 +560,33 @@ def test_cover_matches_the_per_row_formula(n, rows, k, l, seed):
         assert scores.tolist() == [_reference_score(ref_masks, ref_iso, f) for f in members]
 
         f = members[rng.choice(np.flatnonzero(scores))]
-        before = len(cover.masks)
+        before = cover.rows
         cover.isolate(f)
         keep, ref_iso, now_killed = _reference_isolate(ref_masks, ref_iso, l, f)
         ref_masks, ref_iso = ref_masks[keep], ref_iso[keep]
         killed += now_killed
-        if len(cover.masks) < before:          # compacted: kept rows move down
+        if cover.rows < before:                # compacted: kept rows move down
             crossings += int(np.count_nonzero(at[keep] // 64 != np.arange(len(ref_masks)) // 64))
     assert cover.open_rows == 0
     assert crossings > 0
     assert killed > 0 or l is None
+
+
+def test_load_family_names_a_file_that_is_not_text(tmp_path):
+    path = tmp_path / "fam.txt"
+    save_family(build_strong_selector(6, 2, seed=1), path)
+    path.write_bytes(path.read_bytes().replace(b" ", b"\xff", 1))
+    with pytest.raises(ParameterError, match=f"{path}: not UTF-8 text"):
+        load_family(path)
+
+
+def test_an_undecodable_cache_entry_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("BEEPNET_CACHE_DIR", str(tmp_path))
+    clear_memory_cache()
+    first = get_strong_selector(8, 3)
+    (path,) = tmp_path.glob("*.txt")
+    path.write_bytes(b"\xff" + path.read_bytes())
+    clear_memory_cache()
+    assert get_strong_selector(8, 3).sets == first.sets
+    assert load_family(path).sets == first.sets      # the bad entry was rewritten
+    clear_memory_cache()

@@ -97,22 +97,30 @@ def test_protocol_schedules_take_no_seed():
 def test_selector_construction_shares_no_verification_code():
     # Verification is the independent check on the greedy builder, so the
     # builder and everything it reaches in selectors.py name none of the
-    # verifier's counting: the two share only the subset generator.
+    # verifier's counting: neither the kernel nor any helper it reaches.
+    # The two share only the subset generator.
     tree = ast.parse((PACKAGE / "selectors.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    reached, todo = set(), ["_greedy_sets"]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(ref for ref in _references(defs[name]) if ref in defs)
-    assert {"_Cover", "_random_members", "_iter_subset_cols"} <= reached
+
+    def reach(start):
+        reached, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(ref for ref in _references(defs[name]) if ref in defs)
+        return reached
+
+    builder = reach("_greedy_sets")
+    assert {"_Cover", "_random_members", "_iter_subset_cols"} <= builder
+    kernel = reach("_isolation_counts")
+    assert not kernel & builder
     named = Counter()
-    for name in reached:
+    for name in builder:
         named.update(_references(defs[name]))
     shared = sorted(ref for ref in named
-                    if ref in ("_isolation_counts", "element_words", "_all_subsets_pass")
+                    if ref in kernel | {"element_words", "_all_subsets_pass"}
                     or ref.startswith("verify_"))
     assert not shared, f"greedy construction names verification code: {shared}"
 
