@@ -38,6 +38,14 @@ def unpack_word_rows(words: np.ndarray, nbits: int) -> np.ndarray:
     return flat[:, :nbits].view(bool)
 
 
+def unpack_word_cols(words: np.ndarray, nbits: int) -> np.ndarray:
+    """(n, k) uint64 of nbits bits per word -> (n, k * nbits) bool, word by
+    word; only the first nbits bits of each word are unpacked."""
+    bits = np.unpackbits(words.reshape(-1, 1).view(np.uint8), axis=1, count=nbits,
+                         bitorder="little")
+    return bits.view(bool).reshape(len(words), -1)
+
+
 def is_bit_string(bits) -> bool:
     """Whether every entry equals 0 or 1, by the test `b in (0, 1)` makes."""
     return countOf(bits, 0) + countOf(bits, 1) == len(bits)

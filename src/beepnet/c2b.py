@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import is_bit_string, pack_bool_rows, unpack_word_rows, words_for
+from ._bits import is_bit_string, pack_bool_rows, unpack_word_cols, unpack_word_rows, words_for
 from .encoding import (
     decode_extended,
     decode_extended_rows,
@@ -338,11 +338,12 @@ class _TraceFeed:
     """Streams super-round words into one sink: a Trace ("full"), the
     engine's TraceDigest ("digest", round total from the schedule) or none.
 
-    Live super-rounds arrive as (S, n) blocks of beeped and noise words and
-    are packed into one trace block once TRACE_FEED_CHUNK or more are
-    buffered. A silent stretch enters the digest as one append_silent call,
-    which builds no arrays, and a full trace as zero blocks of at most
-    TRACE_FEED_CHUNK super-rounds. Both sinks hash the same canonical stream.
+    Live super-rounds arrive as (S, n) blocks of beeped and noise words of
+    sr_rounds rounds, repacked into the 64-round words of one trace block
+    once TRACE_FEED_CHUNK or more are buffered. A silent stretch enters the
+    digest as one append_silent call, which builds no arrays, and a full
+    trace as zero blocks of at most TRACE_FEED_CHUNK super-rounds. Both
+    sinks hash the same canonical stream.
     """
 
     def __init__(self, graph: Graph, mode: str, sr_rounds: int, total_rounds: int):
@@ -367,11 +368,8 @@ class _TraceFeed:
             self.flush()
 
     def _to_cols(self, bunch: list[np.ndarray]) -> np.ndarray:
-        stack = np.concatenate(bunch)                # (S, n)
-        shifts = np.arange(self.sr_rounds, dtype=np.uint64)
-        bits = (stack[:, :, None] >> shifts) & np.uint64(1)
-        return np.ascontiguousarray(
-            bits.transpose(1, 0, 2).reshape(self.graph.n, -1).astype(bool))
+        """(S, n) super-round words -> (n, S * sr_rounds) bool, one column per round."""
+        return unpack_word_cols(np.concatenate(bunch).T, self.sr_rounds)
 
     def flush(self, silent: int = 0) -> None:
         """Append the buffered super-rounds, then `silent` super-rounds of silence."""

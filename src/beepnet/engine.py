@@ -225,13 +225,10 @@ def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int) -> Ru
 
 
 def _flush(trace: Trace, chunk: list[dict[int, NodeAction]]) -> None:
-    n = trace.graph.n
-    patterns = np.zeros((n, 1), dtype=U64)
-    for t, actions in enumerate(chunk):
-        for i, u in enumerate(trace.graph.ids):
-            if actions[u] == NodeAction.BEEP:
-                patterns[i, 0] |= U64(1) << U64(t)
-    trace.append_block(patterns, len(chunk))
+    ids = trace.graph.ids
+    beeps = np.array([[actions[u] == NodeAction.BEEP for actions in chunk] for u in ids],
+                     dtype=bool)
+    trace.append_block(pack_bool_rows(beeps), len(chunk))
 
 
 @dataclass

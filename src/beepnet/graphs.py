@@ -37,6 +37,8 @@ class Graph:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError(f"a graph needs at least one node, got n={self.n}")
         if self.c < 1:
             raise ParameterError(f"c must be >= 1, got {self.c}")
         if self.n != len(self.ids):
@@ -179,7 +181,10 @@ def load_graph(path) -> Graph:
     if len(ids) != n:
         raise ParameterError(
             f"{path}: header says n={n} but edges name {len(ids)} nodes")
-    return Graph(n=n, c=c, ids=ids, edges=tuple(edges))
+    try:
+        return Graph(n=n, c=c, ids=ids, edges=tuple(edges))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def save_graph(graph: Graph, path) -> None:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._bits import pack_bool_rows, unpack_word_rows
-from .. import kernel
+from .._bits import unpack_word_rows
 from ..graphs import Graph, ParameterError
 from ..selectors import SelectorFamily
 
@@ -19,16 +18,6 @@ def family_membership(graph: Graph, fam: SelectorFamily) -> np.ndarray:
     """
     rows = fam.element_words[np.asarray(graph.ids) - 1]
     return np.ascontiguousarray(unpack_word_rows(rows, len(fam)).T)
-
-
-def noise_matrix(graph: Graph, beeps: np.ndarray) -> np.ndarray:
-    """(n, R) bool of per-round neighbor-OR for a full action matrix."""
-    if beeps.shape[1] == 0:
-        return np.zeros_like(beeps)
-    indptr, indices = graph.csr
-    packed = pack_bool_rows(beeps)
-    noise = kernel.or_neighbor_patterns(indptr, indices, packed)
-    return unpack_word_rows(noise, beeps.shape[1])
 
 
 def resolve_degree_bound(graph: Graph, delta_hat: int | None, default: int) -> int:

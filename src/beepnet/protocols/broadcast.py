@@ -8,11 +8,11 @@ family is built for subsets one larger than the degree bound so that
 every neighbor gets a block where the receiver itself stays silent.
 
 run_local_broadcast decodes with array operations over the padded
-graph.neighbor_table: it counts each receiver's neighbors per block,
-names the lone one where the count is 1, and reads all those (block,
-receiver) pairs one message bit at a time.  It streams: each
-bit's (n, L) slab of beeps makes one neighbor-OR call and one trace
-block, so memory does not grow with the message width.
+graph.neighbor_table: it counts each receiver's neighbors per block and
+names the lone one where the count is 1.  Per message bit t, the nodes
+whose bit t is 1 send their packed membership rows (element_words), one
+neighbor-OR call returns the noise words, the lone pairs read their bits
+from those, and the words enter the trace as one block.
 LocalBroadcastNode decodes the same schedule one node at a time, as an
 independent check.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernel
-from .._bits import is_bit_string, pack_bool_rows, unpack_word_rows
+from .._bits import is_bit_string
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
@@ -111,30 +111,31 @@ def run_local_broadcast(
     in_block = np.pad(member, ((0, 0), (0, 1)))[:, nbr]  # (L, n, max degree)
 
     # (block, receiver) pairs where the receiver has exactly one neighbor
-    # in the block, that neighbor's slot in nbr and its index.
+    # in the block, that neighbor's slot in nbr and its index, whether the
+    # receiver is in the block too, and the pair's noise bit and word.
     blocks, receivers = np.nonzero(np.count_nonzero(in_block, axis=2) == 1)
     slots = in_block[blocks, receivers].argmax(axis=1)
     senders = nbr[receivers, slots]
+    receiver_in_block = member[blocks, receivers]
+    word, bit = blocks >> 6, np.uint64(1) << (blocks & 63).astype(np.uint64)
 
-    # One message bit at a time: its L rounds go over the wire as one
-    # (n, L) slab, are decoded, and enter the trace as one block.
+    # One message bit at a time: one wire call, one trace block.
     indptr, indices = graph.csr
+    member_words = fam.element_words[np.asarray(graph.ids) - 1]
     trace = Trace(graph) if record else None
     beeps_total = 0
     got = np.zeros(nbr.shape + (width,), dtype=np.uint8)
     heard_any = np.zeros(got.shape, dtype=bool)
     ids = graph.ids
     for t in range(width):
-        beeps = member.T & bits[:, t][:, None]
-        patterns = pack_bool_rows(beeps)
+        patterns = np.where(bits[:, t, None], member_words, 0)
         noise_words = kernel.or_neighbor_patterns(indptr, indices, patterns)
         if trace is not None:
             trace.append_block(patterns, length, noise_words)
-        beeps_total += int(np.count_nonzero(beeps))
-        noise = unpack_word_rows(noise_words, length)
-        listening = ~beeps[receivers, blocks]  # own beep that round, nothing heard
-        heard = noise[receivers, blocks]
-        bad = np.flatnonzero(listening & (heard != beeps[senders, blocks]))
+        beeps_total += int(np.bitwise_count(patterns).sum())
+        listening = ~(receiver_in_block & bits[receivers, t])  # a beeper hears nothing
+        heard = (noise_words[receivers, word] & bit) != 0
+        bad = np.flatnonzero(listening & (heard != bits[senders, t]))
         if bad.size:
             k = bad[0]
             raise RuntimeError(

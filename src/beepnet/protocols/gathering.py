@@ -28,7 +28,7 @@ import numpy as np
 
 from .._bits import bits_to_int, int_to_bits
 from ..engine import Trace
-from ..graphs import Graph, ParameterError
+from ..graphs import Graph, ParameterError, read_text
 from ._common import resolve_degree_bound
 from .broadcast import LocalBroadcastInput, broadcast_family, run_local_broadcast
 
@@ -395,9 +395,9 @@ def save_layout(layout: ClusterLayout, path) -> None:
 
 
 def load_layout(path) -> ClusterLayout:
-    with open(path) as fh:
-        doc = json.load(fh)
+    text = read_text(path)
     try:
+        doc = json.loads(text)
         clusters = tuple(frozenset(c["members"]) for c in doc["clusters"])
         leaders = tuple(c["leader"] for c in doc["clusters"])
         parents = tuple({int(k): v for k, v in c["parents"].items()} for c in doc["clusters"])

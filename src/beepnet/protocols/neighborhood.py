@@ -9,11 +9,12 @@ neighbor sent.  Block by block each node collects its neighbor set; with
 the family built for subsets one larger than the degree bound, every
 neighbor is eventually heard alone.
 
-The population runner builds every ID word in one encode_extended_rows
-call and decodes the (n, L) block words each node heard, L the family's
-length, in one decode_extended_rows call.  The per-node machine
-(LearnNeighborhoodNode) encodes and decodes one word at a time with the
-scalar encode_extended and decode_extended.
+The population runner puts (n, L) block words, L the family's length,
+on the wire in one neighbor-OR call: each node's ID word in its own
+blocks, zero elsewhere.  One decode_extended_rows call decodes the words
+the nodes heard; only the trace unpacks words into rounds.  The
+per-node machine (LearnNeighborhoodNode) encodes and decodes one word at
+a time with the scalar encode_extended and decode_extended.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._bits import bits_to_int, pack_bool_rows, unpack_word_rows
+from .. import kernel
+from .._bits import bits_to_int, unpack_word_cols
 from ..encoding import (
     decode_extended,
     decode_extended_rows,
@@ -33,7 +35,7 @@ from ..encoding import (
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace, trace_from_beeps
 from ..graphs import Graph, ParameterError
 from ..selectors import SelectorFamily
-from ._common import family_membership, noise_matrix, resolve_degree_bound
+from ._common import family_membership, resolve_degree_bound
 from .broadcast import broadcast_family
 
 
@@ -61,30 +63,23 @@ def run_learning_neighborhood(graph: Graph, delta_hat: int | None = None) -> Lea
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.n - 1)
     fam = learning_family(graph.n, graph.c, delta_hat)
     w = id_width(graph.n, graph.c)
-    length = len(fam)
-    n = graph.n
     member = family_membership(graph, fam)
 
-    word = unpack_word_rows(encode_extended_rows(graph.ids, w)[:, None], 2 * w)
-    beeps = (member.T[:, :, None] & word[:, None, :]).reshape(n, length * 2 * w)
-    noise = noise_matrix(graph, beeps)
-
-    # heard[j, i]: the word node j heard in block i
-    heard = pack_bool_rows(noise.reshape(n * length, 2 * w)).reshape(n, length)
+    # words[j, i]: the 2w-round word node j sends in block i (its ID word
+    # or silence); heard[j, i]: the OR of its neighbors' words there.
+    words = np.where(member.T, encode_extended_rows(graph.ids, w)[:, None], 0)
+    indptr, indices = graph.csr
+    heard = kernel.or_neighbor_patterns(indptr, indices, words)
     valid, payload = decode_extended_rows(heard, w)
     listener = ~member.T
     learned = listener & valid
     collisions = int((listener & ~valid & (heard != 0)).sum())
     neighborhoods = {u: frozenset(payload[j, learned[j]].tolist())
                      for j, u in enumerate(graph.ids)}
-    return LearningResult(
-        neighborhoods,
-        length * 2 * w,
-        fam,
-        trace_from_beeps(graph, beeps, noise),
-        collisions,
-        int(beeps.sum()),
-    )
+    trace = trace_from_beeps(graph, unpack_word_cols(words, 2 * w),
+                             unpack_word_cols(heard, 2 * w))
+    return LearningResult(neighborhoods, len(fam) * 2 * w, fam, trace, collisions,
+                          int(np.bitwise_count(words).sum()))
 
 
 class LearnNeighborhoodNode(NodeProtocol):

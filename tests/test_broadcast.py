@@ -137,6 +137,40 @@ def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
         run_local_broadcast(g, LocalBroadcastInput(msgs, 2))
 
 
+def test_one_forged_lone_cell_is_named(monkeypatch):
+    # Flip the one noise bit a receiver reads from its lone neighbour in one
+    # round; the error must name exactly that receiver, sender and round.
+    g = generate_random_graph(32, 4, seed=9)
+    width, t = 3, 1
+    msgs = _random_messages(g, width, seed=4)
+    fam = broadcast_family(g.n, g.c, g.delta)
+    length = len(fam)
+    assert length > 64
+    cells = []
+    for b, block in enumerate(fam.sets):
+        for r, receiver in enumerate(g.ids):
+            lone = [u for u in g.neighbors_of(receiver) if u in block]
+            listening = receiver not in block or not msgs[receiver][t]
+            if len(lone) == 1 and listening and b >= 64 and b % 64:
+                cells.append((b, r, receiver, lone[0]))
+    b, r, receiver, sender = cells[len(cells) // 2]
+    real = beepnet.kernel.or_neighbor_patterns
+    calls = []
+
+    def forge(indptr, indices, patterns):
+        noise = real(indptr, indices, patterns)
+        if len(calls) == t:
+            noise[r, b >> 6] ^= np.uint64(1) << np.uint64(b & 63)
+        calls.append(None)
+        return noise
+
+    monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", forge)
+    with pytest.raises(RuntimeError, match=(
+            rf"^receiver {receiver} heard {1 - msgs[sender][t]} from its lone beeping "
+            rf"neighbor {sender} in round {t * length + b},")):
+        run_local_broadcast(g, LocalBroadcastInput(msgs, width))
+
+
 @pytest.mark.parametrize("record", [False, True])
 def test_each_wire_call_carries_one_message_bit(monkeypatch, record):
     # The runner streams: no neighbor-OR call may span more than one bit's

@@ -9,7 +9,8 @@ import pytest
 
 import beepnet
 from beepnet.cli import main
-from beepnet.graphs import ParameterError, load_graph
+from beepnet.graphs import ParameterError, graph_from_edges, load_graph
+from beepnet.harness import PROTOCOLS
 from beepnet.multihop import load_layer_annotations
 from beepnet.selectors import (
     load_family,
@@ -268,6 +269,33 @@ def test_load_graph_names_a_file_that_is_not_text(tmp_path):
     graph_file.write_bytes(b"3 2 1\n1 2\n2 \xff\n")
     with pytest.raises(ParameterError, match=f"{graph_file}: not UTF-8 text"):
         load_graph(graph_file)
+
+
+def test_a_graph_with_no_nodes_is_rejected():
+    with pytest.raises(ParameterError, match="at least one node"):
+        graph_from_edges([])
+
+
+def test_a_graph_file_with_no_nodes_exits_2(tmp_path):
+    graph_file = tmp_path / "empty.graph"
+    graph_file.write_text("0 0 1\n")
+    src = str(Path(beepnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beepnet.cli", "run", "c2b", "--graph", str(graph_file),
+         "--delta", "1"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {graph_file}: a graph needs at least one node")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_protocol_names_a_graph_file_with_no_nodes(tmp_path, capsys, protocol):
+    graph_file = tmp_path / "empty.graph"
+    graph_file.write_text("0 0 1\n")
+    assert main(["run", protocol, "--graph", str(graph_file), "--delta", "1"]) == 2
+    assert f"{graph_file}: a graph needs at least one node" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

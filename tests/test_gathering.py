@@ -267,3 +267,19 @@ def test_layout_file_rejects_garbage(tmp_path):
     with pytest.raises(ParameterError):
         load_layout(path)
 
+
+def test_layout_file_that_is_not_json_is_named(tmp_path):
+    g = generate_random_graph(14, 3, seed=8)
+    path = tmp_path / "layout.json"
+    save_layout(generate_cluster_layout(g, 3, seed=2), path)
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(ParameterError, match=f"{path}: not a layout file"):
+        load_layout(path)
+
+
+def test_layout_file_that_is_not_text_is_named(tmp_path):
+    path = tmp_path / "layout.json"
+    path.write_bytes(b'\xff\xfe{"clusters": []}\n')
+    with pytest.raises(ParameterError, match=f"{path}: not UTF-8 text"):
+        load_layout(path)
+

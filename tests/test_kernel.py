@@ -6,7 +6,7 @@ import pytest
 
 import beepnet.engine
 import beepnet.kernel
-from beepnet._bits import unpack_word_rows
+from beepnet._bits import pack_bool_rows, unpack_word_rows
 from beepnet.c2b import CongestRoundInput, run_c2b
 from beepnet.engine import Feedback, NodeAction, Trace, run, step, validate_trace
 from beepnet.graphs import Graph, generate_random_graph, graph_from_edges
@@ -16,7 +16,6 @@ from beepnet.protocols import (
     LocalBroadcastNode,
     run_local_broadcast,
 )
-from beepnet.protocols._common import noise_matrix
 
 
 def _isolate(graph: Graph, every: int) -> Graph:
@@ -121,7 +120,8 @@ def test_validation_ignores_the_bits_past_a_block():
     g = generate_random_graph(16, 4, seed=5)
     rng = np.random.default_rng(5)
     beeps = rng.random((g.n, 70)) < 0.2
-    trace = beepnet.engine.trace_from_beeps(g, beeps, noise_matrix(g, beeps))
+    noise = unpack_word_rows(or_neighbor_patterns(*g.csr, pack_bool_rows(beeps)), 70)
+    trace = beepnet.engine.trace_from_beeps(g, beeps, noise)
     last = trace.blocks[-1]
     assert last.nrounds == 6
     last.patterns[:, 0] |= np.uint64(1 << 40)     # round 40 of a 6-round block
