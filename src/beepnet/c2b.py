@@ -65,6 +65,7 @@ from .selectors import DEFAULT_SEED, SelectorFamily, get_avoiding_selector
 
 TRACE_FEED_CHUNK = 512       # live super-rounds that fill a recorded trace block
 AUDIT_BATCH = 512            # live super-rounds that fill an audit batch
+AUDIT_CELLS = 1 << 19       # super-rounds times (n + 1) that fill one, for large n
 
 
 class ScheduleIndex(NamedTuple):
@@ -440,7 +441,8 @@ class _Auditor:
     Fed the core's (S, n) blocks of consecutive super-rounds (either live
     from the population runner or replayed from a saved trace), with the
     listeners' decodes already made, and checks the buffered blocks once
-    AUDIT_BATCH or more super-rounds have arrived: that a lone
+    AUDIT_BATCH or more super-rounds, or AUDIT_CELLS or more super-round
+    by node cells (rows times n + 1), have arrived: that a lone
     full-word beeper is always decoded by every obligated listener, that
     every logged decode had a lone beeper behind it whose word the listener
     heard bit for bit (identical-word pile-ups in the second responding
@@ -479,7 +481,7 @@ class _Auditor:
         self._blocks.append((self._rows, spot, role, sr))
         self._rows += len(patterns)
         self._pending.append((patterns, noise, obligated, decoded, payloads))
-        if self._rows >= AUDIT_BATCH:
+        if self._rows >= AUDIT_BATCH or self._rows * (self.graph.n + 1) >= AUDIT_CELLS:
             self.flush()
 
     def flush(self) -> None:

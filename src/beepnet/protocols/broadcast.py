@@ -9,10 +9,17 @@ every neighbor gets a block where the receiver itself stays silent.
 
 run_local_broadcast decodes with array operations over the padded
 graph.neighbor_table: it counts each receiver's neighbors per block and
-names the lone one where the count is 1.  Per message bit t, the nodes
-whose bit t is 1 send their packed membership rows (element_words), one
-neighbor-OR call returns the noise words, the lone pairs read their bits
-from those, and the words enter the trace as one block.
+names the lone one where the count is 1.  It packs each node's message
+along t once, as ceil(width / 64) uint64 words, and walks the family
+block-major: in block i a node sends its message words where it is a
+member and zero words elsewhere, so one neighbor-OR call over a chunk of
+blocks returns the noise of every message bit of those blocks.  A chunk
+holds as many blocks as keep the call's gather within GATHER_BUDGET
+bytes, and at least one.  A lone (block, receiver) cell reads its noise
+words masked to the rounds it listens in and compares them with its
+sender's words.  With record=True the noise words are bit-transposed
+into the t-major trace, one block of L rounds per message bit, the same
+blocks a bit-major walk gives.
 LocalBroadcastNode decodes the same schedule one node at a time, as an
 independent check.
 """
@@ -24,13 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernel
-from .._bits import is_bit_string
+from .._bits import U64, is_bit_string, pack_bool_rows, unpack_word_rows, words_for
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
 from ._common import family_membership, resolve_degree_bound
 
 Bits = tuple[int, ...]
+
+# Bytes one neighbor-OR call may gather, len(indices) * blocks * words * 8;
+# a chunk holds at least one block.
+GATHER_BUDGET = 1 << 17
 
 
 @dataclass
@@ -79,6 +90,18 @@ def _validate_input(graph: Graph, inp: LocalBroadcastInput) -> None:
             raise ParameterError(f"message for unknown node {u}")
 
 
+def _lone_cells(member: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (block, receiver) cells, in block order, where the receiver has
+    exactly one neighbor in the block, and that neighbor's slot in nbr.
+
+    nbr is graph.neighbor_table: row r lists r's neighbor indices, padded
+    with n, a node that belongs to no block.
+    """
+    in_block = np.pad(member, ((0, 0), (0, 1)))[:, nbr]  # (L, n, max degree)
+    blocks, receivers = np.nonzero(np.count_nonzero(in_block, axis=2) == 1)
+    return blocks, receivers, in_block[blocks, receivers].argmax(axis=1)
+
+
 def run_local_broadcast(
     graph: Graph,
     inp: LocalBroadcastInput,
@@ -104,62 +127,107 @@ def run_local_broadcast(
         lengths[j] = len(m)
         if m:
             bits[j, : len(m)] = np.array(m, dtype=bool)
+    # Row j packs node j's message along t; row n is the phantom node that
+    # pads graph.neighbor_table, which sends nothing.
+    nw = words_for(width)
+    words = np.zeros((n + 1, nw), dtype=U64)
+    words[:n] = pack_bool_rows(bits)
+    full = pack_bool_rows(np.ones((1, width), dtype=bool))[0]     # bits t < width
 
-    # nbr[r] lists r's neighbor indices in graph.neighbors order, padded
-    # with n, a node that belongs to no block.
     nbr = graph.neighbor_table
-    in_block = np.pad(member, ((0, 0), (0, 1)))[:, nbr]  # (L, n, max degree)
-
-    # (block, receiver) pairs where the receiver has exactly one neighbor
-    # in the block, that neighbor's slot in nbr and its index, whether the
-    # receiver is in the block too, and the pair's noise bit and word.
-    blocks, receivers = np.nonzero(np.count_nonzero(in_block, axis=2) == 1)
-    slots = in_block[blocks, receivers].argmax(axis=1)
+    blocks, receivers, slots = _lone_cells(member, nbr)
     senders = nbr[receivers, slots]
-    receiver_in_block = member[blocks, receivers]
-    word, bit = blocks >> 6, np.uint64(1) << (blocks & 63).astype(np.uint64)
+    # A cell listens in the rounds where its receiver does not beep: its
+    # listen words drop words[beeper], the receiver's message where it is
+    # in the block and the phantom's zero row where it is not (a quiet
+    # cell).  So the OR of a pair's listen words, heard_any, is `full` if
+    # the pair has a quiet cell, else `full & ~words[r]` if it has a cell.
+    beeper = np.where(member[blocks, receivers], receivers, n)
+    quiet = beeper == n
+    has_cell = np.zeros(nbr.shape, dtype=bool)
+    has_cell[receivers, slots] = True
+    has_quiet = np.zeros(nbr.shape, dtype=bool)
+    has_quiet[receivers[quiet], slots[quiet]] = True
+    heard_any = np.where(has_quiet[..., None], full,
+                         np.where(has_cell[..., None], full & ~words[:n, None], U64(0)))
 
-    # One message bit at a time: one wire call, one trace block.
+    # Blocks go on the wire a chunk at a time: node j sends block i's
+    # column group words[j] & member[i, j], nw words per block, and one
+    # neighbor-OR call per chunk returns the noise words of every
+    # message bit of its blocks.
     indptr, indices = graph.csr
-    member_words = fam.element_words[np.asarray(graph.ids) - 1]
-    trace = Trace(graph) if record else None
-    beeps_total = 0
-    got = np.zeros(nbr.shape + (width,), dtype=np.uint8)
-    heard_any = np.zeros(got.shape, dtype=bool)
-    ids = graph.ids
-    for t in range(width):
-        patterns = np.where(bits[:, t, None], member_words, 0)
-        noise_words = kernel.or_neighbor_patterns(indptr, indices, patterns)
-        if trace is not None:
-            trace.append_block(patterns, length, noise_words)
-        beeps_total += int(np.bitwise_count(patterns).sum())
-        listening = ~(receiver_in_block & bits[receivers, t])  # a beeper hears nothing
-        heard = (noise_words[receivers, word] & bit) != 0
-        bad = np.flatnonzero(listening & (heard != bits[senders, t]))
+    chunk = max(1, GATHER_BUDGET // max(1, indices.size * nw * 8))
+    cuts = np.searchsorted(blocks, np.arange(0, length + chunk, chunk))
+    # A pair's cells hear the same bits where they listen, or the check
+    # below fails; got[1] keeps what a quiet cell heard, got[0] another.
+    got = np.zeros((2,) + heard_any.shape, dtype=U64)
+    noise_all = np.empty((length, n, nw), dtype=U64) if record else None
+    worst = None    # (round, receiver index, sender index, heard bit) of the earliest bad cell
+    for lo, ca, cb in zip(range(0, length, chunk), cuts, cuts[1:]):
+        hi = min(lo + chunk, length)
+        patterns = np.where(member[lo:hi].T[:, :, None], words[:n, None], U64(0))
+        noise = kernel.or_neighbor_patterns(
+            indptr, indices, patterns.reshape(n, -1)).reshape(n, hi - lo, nw)
+        if noise_all is not None:
+            noise_all[lo:hi] = noise.swapaxes(0, 1)
+        cb_blocks, cb_receivers = blocks[ca:cb], receivers[ca:cb]
+        heard = noise[cb_receivers, cb_blocks - lo]                  # (cells, nw)
+        listen = full & ~words[beeper[ca:cb]]
+        wrong = (heard ^ words[senders[ca:cb]]) & listen
+        bad = np.flatnonzero(wrong.any(axis=1))
         if bad.size:
-            k = bad[0]
-            raise RuntimeError(
-                f"receiver {ids[receivers[k]]} heard {int(heard[k])} from its lone beeping "
-                f"neighbor {ids[senders[k]]} in round {t * length + blocks[k]}, which does "
-                f"not match what {ids[senders[k]]} sent")
-        r, slot = receivers[listening], slots[listening]
-        got[r, slot, t] = heard[listening]
-        heard_any[r, slot, t] = True
+            # t: each bad cell's first wrong message bit, the lowest set bit
+            # of its first nonzero word
+            w = (wrong[bad] != 0).argmax(axis=1)
+            x = wrong[bad, w]
+            t = 64 * w + np.bitwise_count((x & (~x + U64(1))) - U64(1))
+            rounds = t * length + cb_blocks[bad]
+            k = np.lexsort((cb_receivers[bad], rounds))[0]
+            cell = (int(rounds[k]), int(cb_receivers[bad[k]]))
+            if worst is None or cell < worst[:2]:
+                tk = int(t[k])
+                worst = cell + (int(senders[ca + bad[k]]),
+                                int(heard[bad[k], tk >> 6]) >> (tk & 63) & 1)
+        got[quiet[ca:cb].view(np.uint8), cb_receivers, slots[ca:cb]] = heard & listen
 
-    missing = np.argwhere((nbr < n) & ~heard_any.all(axis=2))
+    ids = graph.ids
+    if worst is not None:
+        rnd, r, s, b = worst
+        raise RuntimeError(
+            f"receiver {ids[r]} heard {b} from its lone beeping neighbor {ids[s]} in "
+            f"round {rnd}, which does not match what {ids[s]} sent")
+    missing = np.argwhere((nbr < n) & (heard_any != full).any(axis=2))
     if missing.size:
         r, slot = missing[0]
         raise RuntimeError(
             f"channel never isolated neighbor {ids[nbr[r, slot]]} for receiver {ids[r]}")
 
+    member_words = fam.element_words[np.asarray(ids) - 1]
+    beeps_total = int(np.bitwise_count(member_words).sum(axis=1, dtype=np.int64)
+                      @ np.bitwise_count(words[:n]).sum(axis=1, dtype=np.int64))
+    trace = None
+    if noise_all is not None:
+        # The trace stays t-major, one block of L rounds per message bit: bit
+        # t of noise_all[i, j] is what node j hears in round t * L + i.
+        trace = Trace(graph)
+        noise_bytes = noise_all.view(np.uint8)
+        for t in range(width):
+            heard = (noise_bytes[:, :, t >> 3] >> (t & 7)) & 1      # (L, n)
+            trace.append_block(np.where(bits[:, t, None], member_words, U64(0)),
+                               length, pack_bool_rows(heard.T))
+
+    got = np.where(has_quiet[..., None], got[1], got[0])
+    # one byte per bit: pair (r, slot) heard its bits at (r * max degree + slot) * width
+    heard_bytes = unpack_word_rows(got.reshape(-1, nw), width).tobytes()
+    stride = nbr.shape[1] * width
     raw_output: dict[int, dict[int, Bits]] = {}
     output: dict[int, dict[int, Bits]] = {}
-    for u, neighbors, rows in zip(ids, graph.neighbors, got.tolist()):
-        raw_output[u] = {}
-        output[u] = {}
-        for v, full in zip(neighbors, map(tuple, rows)):
-            raw_output[u][v] = full
-            output[u][v] = full[: lengths.get(graph.index_of[v], 0)]
+    for r, (u, neighbors) in enumerate(zip(ids, graph.neighbors)):
+        raw_u = raw_output[u] = {}
+        out_u = output[u] = {}
+        for v, at in zip(neighbors, range(r * stride, (r + 1) * stride, width)):
+            raw_u[v] = raw = tuple(heard_bytes[at:at + width])
+            out_u[v] = raw[: lengths.get(graph.index_of[v], 0)]
 
     return LocalBroadcastResult(output, raw_output, width * length, fam, trace, beeps_total)
 

@@ -103,11 +103,24 @@ SPARSE = Graph(n=6, c=2, ids=(3, 8, 17, 22, 30, 35),
                edges=((3, 8), (3, 17), (8, 22), (17, 22), (22, 30)))
 
 
+def _with_isolated(graph, extra):
+    """graph plus `extra` nodes without neighbours, IDs after the last."""
+    top = max(graph.ids)
+    return Graph(n=graph.n + extra, c=graph.c, edges=graph.edges,
+                 ids=tuple(graph.ids) + tuple(range(top + 1, top + 1 + extra)))
+
+
 @pytest.mark.parametrize("graph, width, delta_hat, messages", [
     (generate_random_graph(10, 3, seed=9), 2, 3, _random_messages),
     (SPARSE, 3, None, _random_messages),
     (generate_random_graph(12, 4, seed=6), 5, 4, _mixed_length_messages),
-], ids=["random", "sparse-ids", "mixed-lengths"])
+    # message widths around a 64-bit word
+    (generate_random_graph(10, 3, seed=11), 63, 3, _random_messages),
+    (_with_isolated(generate_random_graph(8, 2, seed=12), 2), 64, None, _mixed_length_messages),
+    (generate_random_graph(9, 3, seed=13), 65, None, _mixed_length_messages),
+    (_with_isolated(generate_random_graph(7, 2, seed=14), 1), 130, None, _random_messages),
+], ids=["random", "sparse-ids", "mixed-lengths", "w63", "w64-isolated", "w65",
+        "w130-isolated"])
 def test_machine_route_matches_population(graph, width, delta_hat, messages):
     g = graph
     msgs = messages(g, width, seed=3)
@@ -124,8 +137,8 @@ def test_machine_route_matches_population(graph, width, delta_hat, messages):
         assert nodes[u].output() == res.raw_output[u]
         assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
     assert engine_res.trace.digest() == res.trace.digest()
-    report = validate_trace(g, engine_res.trace)
-    assert report.ok
+    assert validate_trace(g, engine_res.trace).ok
+    assert validate_trace(g, res.trace).ok
 
 
 def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
@@ -137,6 +150,39 @@ def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
         run_local_broadcast(g, LocalBroadcastInput(msgs, 2))
 
 
+def _listening_lone_cells(g, fam, msgs, t):
+    """(block, receiver index, receiver, sender) of every cell whose receiver
+    has one neighbour in the block and listens in message bit t."""
+    cells = []
+    for b, block in enumerate(fam.sets):
+        for r, receiver in enumerate(g.ids):
+            lone = [u for u in g.neighbors_of(receiver) if u in block]
+            if len(lone) == 1 and (receiver not in block or not msgs[receiver][t]):
+                cells.append((b, r, receiver, lone[0]))
+    return cells
+
+
+def _forge_wire(monkeypatch, width, flips):
+    """Flip, for each (block b, receiver index r, message bit t) in flips, the
+    noise bit r hears in round t * L + b: bit t & 63 of word (b - lo) * nw +
+    (t >> 6) of the call whose chunk of blocks starts at lo."""
+    real = beepnet.kernel.or_neighbor_patterns
+    nw = math.ceil(width / 64)
+    lo = 0
+
+    def forge(indptr, indices, patterns):
+        nonlocal lo
+        noise = real(indptr, indices, patterns)
+        hi = lo + patterns.shape[1] // nw
+        for b, r, t in flips:
+            if lo <= b < hi:
+                noise[r, (b - lo) * nw + (t >> 6)] ^= np.uint64(1) << np.uint64(t & 63)
+        lo = hi
+        return noise
+
+    monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", forge)
+
+
 def test_one_forged_lone_cell_is_named(monkeypatch):
     # Flip the one noise bit a receiver reads from its lone neighbour in one
     # round; the error must name exactly that receiver, sender and round.
@@ -146,55 +192,70 @@ def test_one_forged_lone_cell_is_named(monkeypatch):
     fam = broadcast_family(g.n, g.c, g.delta)
     length = len(fam)
     assert length > 64
-    cells = []
-    for b, block in enumerate(fam.sets):
-        for r, receiver in enumerate(g.ids):
-            lone = [u for u in g.neighbors_of(receiver) if u in block]
-            listening = receiver not in block or not msgs[receiver][t]
-            if len(lone) == 1 and listening and b >= 64 and b % 64:
-                cells.append((b, r, receiver, lone[0]))
+    cells = [c for c in _listening_lone_cells(g, fam, msgs, t) if c[0] >= 64 and c[0] % 64]
     b, r, receiver, sender = cells[len(cells) // 2]
-    real = beepnet.kernel.or_neighbor_patterns
-    calls = []
-
-    def forge(indptr, indices, patterns):
-        noise = real(indptr, indices, patterns)
-        if len(calls) == t:
-            noise[r, b >> 6] ^= np.uint64(1) << np.uint64(b & 63)
-        calls.append(None)
-        return noise
-
-    monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", forge)
+    _forge_wire(monkeypatch, width, [(b, r, t)])
     with pytest.raises(RuntimeError, match=(
             rf"^receiver {receiver} heard {1 - msgs[sender][t]} from its lone beeping "
-            rf"neighbor {sender} in round {t * length + b},")):
+            rf"neighbor {sender} in round {t * length + b}, which does not match what "
+            rf"{sender} sent$")):
+        run_local_broadcast(g, LocalBroadcastInput(msgs, width))
+
+
+@pytest.mark.parametrize("second_blocks", [(8, None), (1, 4)], ids=["later-chunk", "same-chunk"])
+def test_the_earliest_forged_round_is_named(monkeypatch, second_blocks):
+    # Four blocks a wire call.  A cell of the first chunk is forged in the
+    # last message bit, and a cell of a later block in bit 0, in a later
+    # chunk or the same one: the later block's round comes first, and it is
+    # the one named.
+    g = generate_random_graph(32, 4, seed=9)
+    width = 3
+    msgs = _random_messages(g, width, seed=4)
+    fam = broadcast_family(g.n, g.c, g.delta)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 4)
+    early = next(c for c in _listening_lone_cells(g, fam, msgs, width - 1) if c[0] == 0)
+    lo, hi = second_blocks
+    late = next(c for c in _listening_lone_cells(g, fam, msgs, 0)
+                if lo <= c[0] < (hi or len(fam)))
+    _forge_wire(monkeypatch, width, [(early[0], early[1], width - 1), (late[0], late[1], 0)])
+    b, _, receiver, sender = late
+    with pytest.raises(RuntimeError, match=(
+            rf"^receiver {receiver} heard {1 - msgs[sender][0]} from its lone beeping "
+            rf"neighbor {sender} in round {b}, which does not match what {sender} sent$")):
         run_local_broadcast(g, LocalBroadcastInput(msgs, width))
 
 
 @pytest.mark.parametrize("record", [False, True])
-def test_each_wire_call_carries_one_message_bit(monkeypatch, record):
-    # The runner streams: no neighbor-OR call may span more than one bit's
-    # L rounds, i.e. ceil(L / 64) words per node.
+def test_wire_calls_stay_within_the_gather_budget(monkeypatch, record):
+    # The runner streams: no neighbor-OR call gathers more than
+    # GATHER_BUDGET bytes, unless one block alone (nw words a node) is over
+    # it.  The two set budgets are under the family's total, so they need
+    # several calls.
     g = generate_random_graph(12, 3, seed=2)
-    width = 5
+    width, nw = 70, 2
     msgs = _random_messages(g, width, seed=1)
+    one_block = g.csr[1].size * nw * 8
     real = beepnet.kernel.or_neighbor_patterns
-    words = []
+    gathered = []
 
     def spy(indptr, indices, patterns):
-        words.append(patterns.shape[1])
+        gathered.append(indices.size * patterns.shape[1] * 8)
         return real(indptr, indices, patterns)
 
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
-    res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), record=record)
-    one_bit = math.ceil(len(res.family) / 64)
-    assert math.ceil(res.rounds / 64) > one_bit
-    assert words and max(words) <= one_bit
-    for u in g.ids:
-        assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
-    if record:
-        assert res.trace.total_rounds == res.rounds
-        assert validate_trace(g, res.trace).ok
+    for budget in (None, one_block // 2, 5 * one_block + 3):
+        if budget is not None:
+            monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", budget)
+        gathered.clear()
+        res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), record=record)
+        budget = beepnet.protocols.broadcast.GATHER_BUDGET
+        assert sum(gathered) == len(res.family) * one_block     # each block once
+        assert max(gathered) <= max(budget, one_block)
+        for u in g.ids:
+            assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
+        if record:
+            assert res.trace.total_rounds == res.rounds
+            assert validate_trace(g, res.trace).ok
 
 
 def test_low_degree_bound_rejected():

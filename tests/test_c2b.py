@@ -521,7 +521,10 @@ def test_a_decode_of_distinct_piled_up_words_is_a_violation():
     assert len(rep.flagged) == 1
 
 
-def test_the_auditor_places_rows_by_their_block():
+def _audit_pile_ups():
+    """Feed the auditor 100 phases of blocks, seven rows a phase, with
+    pile-ups and phantom decodes at fixed places; return the rows fed and
+    the finished report."""
     # 1 hears 2 and 3; 4 and 5 are a pair of their own, so 4's word is one
     # node 1 gets no share of
     g = graph_from_edges([(1, 2), (1, 3), (4, 5)])
@@ -561,11 +564,15 @@ def test_the_auditor_places_rows_by_their_block():
             auditor.on_super_round(spot, role, sr, patterns, noise, np.zeros_like(decoded),
                                    decoded, np.where(decoded, 5, 0))
             rows += S
+    return rows, auditor.finish([])
+
+
+def test_the_auditor_places_rows_by_their_block():
+    rows, report = _audit_pile_ups()
     # seven rows a phase: the first batch closes at the end of phase 73, so
     # phase 80 sits in the second one, behind blocks of both sizes
     assert rows == 700 and 73 * 7 < AUDIT_BATCH <= 74 * 7
-    report = auditor.finish([])
-    assert report.super_rounds == rows and report.decode_events == len(events)
+    assert report.super_rounds == rows and report.decode_events == 7   # one an event
     assert report.flagged == [
         "1 heard 2 identical responding words (part 2) at epoch 1 phase 11 "
         "subphase 1 window 1 sr 1507",
@@ -577,6 +584,21 @@ def test_the_auditor_places_rows_by_their_block():
         "1 decoded a 2-beeper pile-up at epoch 1 phase 31 subphase None window None sr 2500",
         "1 decoded a 2-beeper pile-up at epoch 1 phase 41 subphase 1 window 1 sr 3009",
         "4 decoded with no beeping neighbor at epoch 1 phase 81 subphase 1 window 1 sr 5007"]
+
+
+def test_the_auditor_cell_budget_only_splits_batches(monkeypatch):
+    # n + 1 = 6 cells a row: a budget of 60 cells closes a batch every ten
+    # rows, mid-phase, where the row count alone closes one every 73 phases
+    rows, whole = _audit_pile_ups()
+    monkeypatch.setattr(c2b, "AUDIT_CELLS", 60)
+    flushes = []
+    real_flush = c2b._Auditor.flush
+    monkeypatch.setattr(c2b._Auditor, "flush",
+                        lambda self: (flushes.append(self._rows), real_flush(self)))
+    _, split = _audit_pile_ups()
+    assert len(flushes) > rows // AUDIT_BATCH + 1 and max(flushes) <= 10 + 2
+    for field in ("violations", "flagged", "super_rounds", "decode_events"):
+        assert getattr(split, field) == getattr(whole, field), field
 
 
 def test_the_auditor_holds_a_realization_to_its_triples():
