@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import compress
 
 import numpy as np
 
@@ -36,11 +37,10 @@ class Feedback(Enum):
     NOT_LISTENING = "B"
 
 
-# validate_trace turns recorded bits into actions and feedback by indexing these:
-# a beep bit picks the action, and 2 * beep + noise picks the feedback.
-_ACTION_OF_BIT = (NodeAction.LISTEN, NodeAction.BEEP)
-_FEEDBACK_OF_CODE = (Feedback.SILENCE, Feedback.NOISE,
-                     Feedback.NOT_LISTENING, Feedback.NOT_LISTENING)
+# step and validate_trace name the members through these module globals, which
+# spares an Enum attribute lookup per node and round.
+_LISTEN, _BEEP = NodeAction.LISTEN, NodeAction.BEEP
+_SILENCE, _NOISE, _NOT_LISTENING = Feedback.SILENCE, Feedback.NOISE, Feedback.NOT_LISTENING
 
 
 class NodeProtocol:
@@ -75,12 +75,11 @@ def step(graph: Graph, actions: dict[int, NodeAction]) -> dict[int, Feedback]:
     degrees) plus one membership test per node. The fast paths are checked
     against this in validate_trace and the unit tests.
     """
-    beepers = {u for u, a in actions.items() if a == NodeAction.BEEP}
+    beepers = {u for u, a in actions.items() if a == _BEEP}
     noisy = set()
     for u in beepers:
         noisy.update(graph.neighbors_of(u))
-    return {u: Feedback.NOT_LISTENING if u in beepers
-            else Feedback.NOISE if u in noisy else Feedback.SILENCE
+    return {u: _NOT_LISTENING if u in beepers else _NOISE if u in noisy else _SILENCE
             for u in graph.ids}
 
 
@@ -301,11 +300,13 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> Valid
                 block = next(blocks)
             word, bit = divmod(t - block.start_round, 64)
             shift = U64(bit)
-            beeps = (block.patterns[:, word] >> shift) & U64(1)
-            heard = (block.noise[:, word] >> shift) & U64(1)
-            actions = dict(zip(ids, map(_ACTION_OF_BIT.__getitem__, beeps.tolist())))
-            got_fb = dict(zip(ids, map(_FEEDBACK_OF_CODE.__getitem__,
-                                       ((beeps << U64(1)) | heard).tolist())))
+            beeps = ((block.patterns[:, word] >> shift) & U64(1)).tolist()
+            heard = ((block.noise[:, word] >> shift) & U64(1)).tolist()
+            actions = dict.fromkeys(ids, _LISTEN)
+            actions.update(dict.fromkeys(compress(ids, beeps), _BEEP))
+            got_fb = dict.fromkeys(ids, _SILENCE)
+            got_fb.update(dict.fromkeys(compress(ids, heard), _NOISE))
+            got_fb.update(dict.fromkeys(compress(ids, beeps), _NOT_LISTENING))
             if step(graph, actions) != got_fb:
                 mismatches.append(f"feedback mismatch at round {t}")
             sampled += 1

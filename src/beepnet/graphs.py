@@ -194,15 +194,28 @@ def save_graph(graph: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+_WALK_FIRST = 1 << 12   # permutation entries in the first chunk of the non-edge walk
+_WALK_MOST = 1 << 20    # chunks double up to this many entries
+_REST_PER_PAIR = 64     # flag the open pairs once this many entries are left per pair
+
+
 def generate_random_graph(n: int, delta: int, seed: int, c: int = 1) -> Graph:
     """Connected random graph with maximum degree exactly min(delta, n-1).
 
     A random spanning tree is grown under the degree cap, then every eligible
     non-edge is considered once in a seeded random order and added while both
     endpoints stay under the cap. Deterministic for a given (n, delta, seed, c).
+
+    The non-edges are never listed. The k-th one, in (i, j) order over node
+    indices, is the k-th pair rank i(2n-i-1)/2 + j-i-1 that no tree edge
+    holds; the random order is a shuffle of their indices, which draws what
+    rng.permutation would. Since a node at the cap stays there, the walk
+    keeps only pairs of nodes under it and stops once fewer than two are.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    if c < 1:
+        raise ParameterError(f"c must be >= 1, got {c}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     if delta < 1 and n > 1:
@@ -216,29 +229,79 @@ def generate_random_graph(n: int, delta: int, seed: int, c: int = 1) -> Graph:
     else:
         ids = sorted(int(x) + 1 for x in rng.choice(space, size=n, replace=False))
 
-    order = [int(i) for i in rng.permutation(n)]
+    order = rng.permutation(n).tolist()
     deg = [0] * n
-    edges = []
-    for pos in range(1, n):
-        candidates = [order[j] for j in range(pos) if deg[order[j]] < delta]
-        pick = candidates[int(rng.integers(len(candidates)))]
-        a, b = order[pos], pick
+    pairs = []                  # (i, j) node index pairs, i < j
+    eligible = order[:1]        # earlier nodes under the cap, in order
+    for a in order[1:]:
+        k = int(rng.integers(len(eligible)))
+        b = eligible[k]
         deg[a] += 1
         deg[b] += 1
-        edges.append((min(ids[a], ids[b]), max(ids[a], ids[b])))
+        if deg[b] == delta:
+            del eligible[k]
+        if deg[a] < delta:
+            eligible.append(a)
+        pairs.append((min(a, b), max(a, b)))
 
-    present = set(edges)
-    nonedges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = (min(ids[i], ids[j]), max(ids[i], ids[j]))
-            if e not in present:
-                nonedges.append((i, j))
-    for k in rng.permutation(len(nonedges)) if nonedges else []:
-        i, j = nonedges[int(k)]
-        if deg[i] < delta and deg[j] < delta:
-            deg[i] += 1
-            deg[j] += 1
-            edges.append((min(ids[i], ids[j]), max(ids[i], ids[j])))
+    total = (n - 1) * (n - 2) // 2      # pairs that are not tree edges
+    if total:
+        perm = np.arange(total, dtype=np.int32 if total < 1 << 31 else np.int64)
+        rng.shuffle(perm)
+        _add_nonedges(perm, pairs, deg, delta)
 
+    edges = [(ids[i], ids[j]) for i, j in pairs]
     return Graph(n=n, c=c, ids=tuple(ids), edges=tuple(sorted(edges)))
+
+
+def _add_nonedges(perm: np.ndarray, pairs: list, deg: list, delta: int) -> None:
+    """Walk the non-edge indices in perm order, appending to pairs each pair
+    whose endpoints are both under the cap, and raising their degrees.
+
+    Once the pairs of open nodes are few next to the entries left, their
+    indices are flagged in a bitmap, and each later chunk decodes only its
+    flagged entries; nodes only ever close, so the flags stay a superset."""
+    n = len(deg)
+    starts = [i * (2 * n - i - 1) // 2 for i in range(n)]   # rank of (i, i + 1)
+    tree = np.array(sorted(starts[i] + j - i - 1 for i, j in pairs), dtype=np.int64)
+    skip = tree - np.arange(len(tree))
+    first = np.array(starts, dtype=np.int64)
+    is_open = np.array([d < delta for d in deg])
+    open_count = int(np.count_nonzero(is_open))
+    flags = None
+
+    pos, size = 0, _WALK_FIRST
+    while open_count >= 2 and pos < len(perm):
+        if flags is None and open_count * (open_count - 1) // 2 * _REST_PER_PAIR <= len(perm) - pos:
+            flags = _open_pair_flags(is_open, first, tree, len(perm))
+        k = perm[pos:pos + size]
+        pos, size = pos + size, min(2 * size, _WALK_MOST)
+        if flags is not None:
+            k = k[(flags[k >> 3] >> (k & 7)) & 1 == 1]
+        rank = k + np.searchsorted(skip, k, side="right")
+        i = np.searchsorted(first, rank, side="right") - 1
+        j = rank - first[i] + i + 1
+        keep = is_open[i] & is_open[j]
+        for a, b in zip(i[keep].tolist(), j[keep].tolist()):
+            if deg[a] < delta and deg[b] < delta:
+                pairs.append((a, b))
+                for x in (a, b):
+                    deg[x] += 1
+                    if deg[x] == delta:
+                        is_open[x] = False
+                        open_count -= 1
+
+
+def _open_pair_flags(is_open: np.ndarray, first: np.ndarray, tree: np.ndarray,
+                     total: int) -> np.ndarray:
+    """Bitmap over the non-edge indices with the bit of every pair of open
+    nodes set. A tree edge's rank sets the bit of the next index instead, one
+    past the last at most; an extra bit costs only a decode, since the walk
+    still checks that both ends are open."""
+    flags = np.zeros((total >> 3) + 1, dtype=np.uint8)
+    nodes = np.flatnonzero(is_open)
+    for x, a in enumerate(nodes[:-1].tolist()):
+        rank = first[a] + nodes[x + 1:] - a - 1
+        k = rank - np.searchsorted(tree, rank)
+        np.bitwise_or.at(flags, k >> 3, np.left_shift(1, k & 7).astype(np.uint8))
+    return flags

@@ -403,18 +403,25 @@ class _Cover:
         pending = self.pending[:, words[at >> 6]] >> (at & 63).astype(U64)
         return np.argmax(pending & U64(1), axis=0).tolist()
 
-    def scores(self, members: list[np.ndarray]) -> np.ndarray:
-        """The number of rows each candidate gains."""
+    def scores(self, members: list[np.ndarray]) -> tuple[np.ndarray, list]:
+        """The number of rows each candidate gains, and those rows as a
+        bitset (None for an empty candidate)."""
         scores = np.zeros(len(members), dtype=np.int64)
+        gains = [None] * len(members)
         multi = sorted((i for i, f in enumerate(members) if len(f) > 1),
                        key=lambda i: -len(members[i]))
         if multi:
-            scores[multi] = np.bitwise_count(self._gains([members[i] for i in multi])).sum(axis=1)
+            rows = self._gains([members[i] for i in multi])
+            scores[multi] = np.bitwise_count(rows).sum(axis=1)
+            for i, row in zip(multi, rows):
+                gains[i] = row
         # A singleton {e} gains exactly the open rows where e is pending.
         single = [i for i, f in enumerate(members) if len(f) == 1]
-        pending = self.pending[[members[i][0] for i in single]] & self.open
-        scores[single] = np.bitwise_count(pending).sum(axis=1)
-        return scores
+        rows = self.pending[[members[i][0] for i in single]] & self.open
+        scores[single] = np.bitwise_count(rows).sum(axis=1)
+        for i, row in zip(single, rows):
+            gains[i] = row
+        return scores, gains
 
     def _gains(self, members: list[np.ndarray]) -> np.ndarray:
         """(len(members), W): the rows each candidate gains.  Candidates run
@@ -436,9 +443,9 @@ class _Cover:
         gain &= self.open
         return gain
 
-    def isolate(self, f: np.ndarray) -> None:
-        """Add f to the family: isolate the member it meets in each gained row."""
-        gain = self._gains([f])[0]
+    def isolate(self, f: np.ndarray, gain: np.ndarray) -> None:
+        """Add f to the family: isolate the member it meets in each row of
+        gain, the rows that scores() found it gains."""
         self.pending[f] &= ~gain
         words = np.flatnonzero(gain)
         gained = gain[words]
@@ -483,11 +490,11 @@ def _greedy_sets(n: int, kind: str, k: int, l, rng, target_len: int) -> list[tup
     while cover.open_rows:
         members = _random_members(n, kind, k, _CANDIDATES_PER_ROUND, rng)
         members += [np.array([e]) for e in cover.targets(_TARGETED_PER_ROUND)]
-        scores = cover.scores(members)
+        scores, gains = cover.scores(members)
         best = int(np.argmax(scores))  # the first of the highest
         if scores[best] <= 0:
             raise RuntimeError("greedy selector construction stalled")
-        cover.isolate(members[best])
+        cover.isolate(members[best], gains[best])
         chosen.append(members[best])
     pad = max(0, target_len - len(chosen))
     return _as_sets(chosen + _random_members(n, kind, k, pad, rng))

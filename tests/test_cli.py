@@ -30,6 +30,21 @@ def test_gen_graph_writes_a_loadable_graph(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_gen_graph_with_c_below_one_exits_2(tmp_path, c):
+    out = tmp_path / "g.txt"
+    src = str(Path(beepnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beepnet.cli", "gen-graph", "--n", "8", "--delta", "3",
+         "--c", c, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: c must be >= 1, got {c}")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_gen_adversarial_writes_graph_and_sidecar(tmp_path):
     out = tmp_path / "lb.txt"
     assert main(["gen-adversarial", "--delta", "4", "--h", "3", "--out", str(out)]) == 0

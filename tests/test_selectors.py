@@ -556,12 +556,13 @@ def test_cover_matches_the_per_row_formula(n, rows, k, l, seed):
         members = [np.sort(rng.choice(n, s, replace=False)) for s in rng.integers(2, n // 2, 6)]
         members += [np.array([], dtype=np.int64), np.array([rng.integers(n)])]
         members += [np.array([e]) for e in first]
-        scores = cover.scores(members)
+        scores, gains = cover.scores(members)
         assert scores.tolist() == [_reference_score(ref_masks, ref_iso, f) for f in members]
 
-        f = members[rng.choice(np.flatnonzero(scores))]
+        pick = rng.choice(np.flatnonzero(scores))
+        f = members[pick]
         before = cover.rows
-        cover.isolate(f)
+        cover.isolate(f, gains[pick])
         keep, ref_iso, now_killed = _reference_isolate(ref_masks, ref_iso, l, f)
         ref_masks, ref_iso = ref_masks[keep], ref_iso[keep]
         killed += now_killed
