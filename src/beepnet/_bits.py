@@ -33,17 +33,18 @@ def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def unpack_word_rows(words: np.ndarray, nbits: int) -> np.ndarray:
-    """(n, words) uint64 -> (n, nbits) bool."""
-    flat = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return flat[:, :nbits].view(bool)
+    """(n, words) uint64 -> (n, nbits) bool; only the first nbits bits of
+    each row are unpacked."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=nbits,
+                         bitorder="little").view(bool)
 
 
 def unpack_word_cols(words: np.ndarray, nbits: int) -> np.ndarray:
-    """(n, k) uint64 of nbits bits per word -> (n, k * nbits) bool, word by
-    word; only the first nbits bits of each word are unpacked."""
-    bits = np.unpackbits(words.reshape(-1, 1).view(np.uint8), axis=1, count=nbits,
-                         bitorder="little")
-    return bits.view(bool).reshape(len(words), -1)
+    """(n, k * words_for(nbits)) uint64, k fields of nbits bits, each in its
+    own words -> (n, k * nbits) bool, field by field; only the first nbits
+    bits of each field are unpacked."""
+    fields = unpack_word_rows(words.reshape(-1, words_for(nbits)), nbits)
+    return fields.reshape(len(words), -1)
 
 
 def is_bit_string(bits) -> bool:

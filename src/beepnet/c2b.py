@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import is_bit_string, pack_bool_rows, unpack_word_cols, unpack_word_rows, words_for
+from ._bits import is_bit_string, pack_bool_rows, unpack_word_cols, unpack_word_rows
 from .encoding import (
     decode_extended,
     decode_extended_rows,
@@ -341,16 +341,15 @@ class _TraceFeed:
 
     Live super-rounds arrive as (S, n) blocks of beeped and noise words of
     sr_rounds rounds, repacked into the 64-round words of one trace block
-    once TRACE_FEED_CHUNK or more are buffered. A silent stretch enters the
-    digest as one append_silent call, which builds no arrays, and a full
-    trace as zero blocks of at most TRACE_FEED_CHUNK super-rounds. Both
-    sinks hash the same canonical stream.
+    once TRACE_FEED_CHUNK or more are buffered. A silent stretch enters
+    either sink as one append_silent call: the digest builds no arrays for
+    it, a full trace keeps it as one zero block. Both sinks hash the same
+    canonical stream.
     """
 
     def __init__(self, graph: Graph, mode: str, sr_rounds: int, total_rounds: int):
         if mode not in ("none", "digest", "full"):
             raise ParameterError(f"unknown record mode {mode!r}")
-        self.graph = graph
         self.mode = mode
         self.sr_rounds = sr_rounds
         self.sink = (Trace(graph) if mode == "full"
@@ -383,15 +382,7 @@ class _TraceFeed:
             self._beeps = []
             self._noise = []
             self._live = 0
-        if self.mode == "digest":
-            self.sink.append_silent(self.sr_rounds * silent)
-            return
-        for lo in range(0, silent, TRACE_FEED_CHUNK):
-            nrounds = self.sr_rounds * min(TRACE_FEED_CHUNK, silent - lo)
-            # fresh arrays per block: a kept trace's blocks are mutable
-            shape = (self.graph.n, words_for(nrounds))
-            self.sink.append_block(np.zeros(shape, dtype=np.uint64), nrounds,
-                                   np.zeros(shape, dtype=np.uint64))
+        self.sink.append_silent(self.sr_rounds * silent)
 
     def finish(self) -> tuple[Trace | None, str | None]:
         self.flush()

@@ -19,7 +19,7 @@ from itertools import compress
 import numpy as np
 
 from beepnet import kernel
-from beepnet._bits import U64, pack_bool_rows
+from beepnet._bits import U64, pack_bool_rows, words_for
 from beepnet.graphs import Graph
 
 TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
@@ -111,6 +111,14 @@ class Trace:
         block = TraceBlock(self.total_rounds, nrounds, patterns, noise)
         self.blocks.append(block)
         return block
+
+    def append_silent(self, nrounds: int) -> None:
+        """Append nrounds rounds in which no node beeps or hears noise, as one
+        fresh zero block; nothing if nrounds is 0."""
+        if nrounds:
+            # fresh arrays per block: a kept trace's blocks are mutable
+            shape = (self.graph.n, words_for(nrounds))
+            self.append_block(np.zeros(shape, dtype=U64), nrounds, np.zeros(shape, dtype=U64))
 
     def digest(self) -> str:
         stream = TraceDigest(self.graph.n, self.total_rounds)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoding import MAX_WIDTH, id_width
+
 
 class ParameterError(ValueError):
     """Invalid model or CLI parameters (exit code 2 territory)."""
@@ -26,6 +28,12 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _check_id_space(n: int, c: int) -> None:
+    if id_width(n, c) > MAX_WIDTH:
+        raise ParameterError(f"IDs in [1, {n}^{c}] need {id_width(n, c)} bits, "
+                             f"more than the {MAX_WIDTH} a protocol word holds")
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ class Graph:
             raise ParameterError(f"c must be >= 1, got {self.c}")
         if self.n != len(self.ids):
             raise ParameterError(f"n={self.n} but {len(self.ids)} node IDs")
+        _check_id_space(self.n, self.c)
         cap = self.n ** self.c
         if self.ids and (self.ids[0] < 1 or self.ids[-1] > cap):
             raise ParameterError(f"node IDs must lie in [1, {cap}]")
@@ -222,6 +231,7 @@ def generate_random_graph(n: int, delta: int, seed: int, c: int = 1) -> Graph:
         raise ParameterError("delta must be >= 1 for n > 1")
     if n > 2 and delta < 2:
         raise ParameterError(f"cannot build a connected graph on n={n} with delta={delta}")
+    _check_id_space(n, c)
     rng = np.random.default_rng(seed)
     space = n ** c
     if c == 1:

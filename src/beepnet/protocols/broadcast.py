@@ -1,25 +1,27 @@
 """Local broadcast: every node hands a short bit string to each neighbor.
 
-The schedule walks a strong selector family bit-major: for message bit t
-and family block i, exactly the block members whose bit t is 1 beep.  A
-receiver credits round (t, i) to neighbor u when u is the only one of
-its neighbors in block i, reading noise as 1 and silence as 0.  The
-family is built for subsets one larger than the degree bound so that
-every neighbor gets a block where the receiver itself stays silent.
+The schedule walks a strong selector family block-major: round
+i * width + t is block i, message bit t, in which exactly the block
+members whose bit t is 1 beep.  A receiver credits round (i, t) to
+neighbor u when u is the only one of its neighbors in block i, reading
+noise as 1 and silence as 0.  The family is built for subsets one larger
+than the degree bound so that every neighbor gets a block where the
+receiver itself stays silent.
 
 run_local_broadcast decodes with array operations over the padded
 graph.neighbor_table: it counts each receiver's neighbors per block and
 names the lone one where the count is 1.  It packs each node's message
-along t once, as ceil(width / 64) uint64 words, and walks the family
-block-major: in block i a node sends its message words where it is a
-member and zero words elsewhere, so one neighbor-OR call over a chunk of
-blocks returns the noise of every message bit of those blocks.  A chunk
-holds as many blocks as keep the call's gather within GATHER_BUDGET
-bytes, and at least one.  A lone (block, receiver) cell reads its noise
-words masked to the rounds it listens in and compares them with its
-sender's words.  With record=True the noise words are bit-transposed
-into the t-major trace, one block of L rounds per message bit, the same
-blocks a bit-major walk gives.
+along t once, as ceil(width / 64) uint64 words: in block i a node sends
+its message words where it is a member and zero words elsewhere, so one
+neighbor-OR call over a chunk of blocks returns the noise of every round
+of those blocks.  A chunk holds as many blocks as keep the call's gather
+within GATHER_BUDGET bytes, and at least one, and chunks run in round
+order.  Every lone (block, receiver) cell reads its noise words masked to
+the rounds it listens in and compares them with its sender's words; each
+(receiver, neighbor) pair takes its message from a quiet cell, one where
+the receiver is outside the block.  With record=True each chunk's
+pattern and noise words are appended to the trace as one block of its
+rounds.
 LocalBroadcastNode decodes the same schedule one node at a time, as an
 independent check.
 """
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernel
-from .._bits import U64, is_bit_string, pack_bool_rows, unpack_word_rows, words_for
+from .._bits import (U64, is_bit_string, pack_bool_rows, unpack_word_cols, unpack_word_rows,
+                     words_for)
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
@@ -140,63 +143,54 @@ def run_local_broadcast(
     # A cell listens in the rounds where its receiver does not beep: its
     # listen words drop words[beeper], the receiver's message where it is
     # in the block and the phantom's zero row where it is not (a quiet
-    # cell).  So the OR of a pair's listen words, heard_any, is `full` if
-    # the pair has a quiet cell, else `full & ~words[r]` if it has a cell.
+    # cell, which hears every bit of the sender's message).
     beeper = np.where(member[blocks, receivers], receivers, n)
     quiet = beeper == n
-    has_cell = np.zeros(nbr.shape, dtype=bool)
-    has_cell[receivers, slots] = True
     has_quiet = np.zeros(nbr.shape, dtype=bool)
     has_quiet[receivers[quiet], slots[quiet]] = True
-    heard_any = np.where(has_quiet[..., None], full,
-                         np.where(has_cell[..., None], full & ~words[:n, None], U64(0)))
 
-    # Blocks go on the wire a chunk at a time: node j sends block i's
-    # column group words[j] & member[i, j], nw words per block, and one
-    # neighbor-OR call per chunk returns the noise words of every
+    # Blocks go on the wire a chunk at a time, in round order: node j sends
+    # block i's column group words[j] & member[i, j], nw words per block,
+    # and one neighbor-OR call per chunk returns the noise words of every
     # message bit of its blocks.
     indptr, indices = graph.csr
     chunk = max(1, GATHER_BUDGET // max(1, indices.size * nw * 8))
     cuts = np.searchsorted(blocks, np.arange(0, length + chunk, chunk))
-    # A pair's cells hear the same bits where they listen, or the check
-    # below fails; got[1] keeps what a quiet cell heard, got[0] another.
-    got = np.zeros((2,) + heard_any.shape, dtype=U64)
-    noise_all = np.empty((length, n, nw), dtype=U64) if record else None
-    worst = None    # (round, receiver index, sender index, heard bit) of the earliest bad cell
+    got = np.zeros(nbr.shape + (nw,), dtype=U64)     # what each pair heard at a quiet cell
+    trace = Trace(graph) if record else None
+    ids = graph.ids
     for lo, ca, cb in zip(range(0, length, chunk), cuts, cuts[1:]):
         hi = min(lo + chunk, length)
         patterns = np.where(member[lo:hi].T[:, :, None], words[:n, None], U64(0))
         noise = kernel.or_neighbor_patterns(
             indptr, indices, patterns.reshape(n, -1)).reshape(n, hi - lo, nw)
-        if noise_all is not None:
-            noise_all[lo:hi] = noise.swapaxes(0, 1)
         cb_blocks, cb_receivers = blocks[ca:cb], receivers[ca:cb]
         heard = noise[cb_receivers, cb_blocks - lo]                  # (cells, nw)
-        listen = full & ~words[beeper[ca:cb]]
-        wrong = (heard ^ words[senders[ca:cb]]) & listen
+        wrong = (heard ^ words[senders[ca:cb]]) & full & ~words[beeper[ca:cb]]
         bad = np.flatnonzero(wrong.any(axis=1))
         if bad.size:
             # t: each bad cell's first wrong message bit, the lowest set bit
-            # of its first nonzero word
+            # of its first nonzero word; chunks run in round order, so this
+            # chunk holds the earliest bad round
             w = (wrong[bad] != 0).argmax(axis=1)
             x = wrong[bad, w]
             t = 64 * w + np.bitwise_count((x & (~x + U64(1))) - U64(1))
-            rounds = t * length + cb_blocks[bad]
+            rounds = cb_blocks[bad] * width + t
             k = np.lexsort((cb_receivers[bad], rounds))[0]
-            cell = (int(rounds[k]), int(cb_receivers[bad[k]]))
-            if worst is None or cell < worst[:2]:
-                tk = int(t[k])
-                worst = cell + (int(senders[ca + bad[k]]),
-                                int(heard[bad[k], tk >> 6]) >> (tk & 63) & 1)
-        got[quiet[ca:cb].view(np.uint8), cb_receivers, slots[ca:cb]] = heard & listen
+            r, s, tk = ids[cb_receivers[bad[k]]], ids[senders[ca + bad[k]]], int(t[k])
+            b = int(heard[bad[k], tk >> 6]) >> (tk & 63) & 1
+            raise RuntimeError(
+                f"receiver {r} heard {b} from its lone beeping neighbor {s} in "
+                f"round {int(rounds[k])}, which does not match what {s} sent")
+        q = quiet[ca:cb]
+        got[cb_receivers[q], slots[ca:cb][q]] = heard[q]
+        if trace is not None:
+            # round i * width + t is bit t of block i's words
+            trace.append_block(pack_bool_rows(unpack_word_cols(patterns.reshape(n, -1), width)),
+                               (hi - lo) * width,
+                               pack_bool_rows(unpack_word_cols(noise.reshape(n, -1), width)))
 
-    ids = graph.ids
-    if worst is not None:
-        rnd, r, s, b = worst
-        raise RuntimeError(
-            f"receiver {ids[r]} heard {b} from its lone beeping neighbor {ids[s]} in "
-            f"round {rnd}, which does not match what {ids[s]} sent")
-    missing = np.argwhere((nbr < n) & (heard_any != full).any(axis=2))
+    missing = np.argwhere((nbr < n) & ~has_quiet)
     if missing.size:
         r, slot = missing[0]
         raise RuntimeError(
@@ -205,18 +199,7 @@ def run_local_broadcast(
     member_words = fam.element_words[np.asarray(ids) - 1]
     beeps_total = int(np.bitwise_count(member_words).sum(axis=1, dtype=np.int64)
                       @ np.bitwise_count(words[:n]).sum(axis=1, dtype=np.int64))
-    trace = None
-    if noise_all is not None:
-        # The trace stays t-major, one block of L rounds per message bit: bit
-        # t of noise_all[i, j] is what node j hears in round t * L + i.
-        trace = Trace(graph)
-        noise_bytes = noise_all.view(np.uint8)
-        for t in range(width):
-            heard = (noise_bytes[:, :, t >> 3] >> (t & 7)) & 1      # (L, n)
-            trace.append_block(np.where(bits[:, t, None], member_words, U64(0)),
-                               length, pack_bool_rows(heard.T))
 
-    got = np.where(has_quiet[..., None], got[1], got[0])
     # one byte per bit: pair (r, slot) heard its bits at (r * max degree + slot) * width
     heard_bytes = unpack_word_rows(got.reshape(-1, nw), width).tobytes()
     stride = nbr.shape[1] * width
@@ -260,17 +243,14 @@ class LocalBroadcastNode(NodeProtocol):
         self.heard: dict[int, list[int | None]] = {}
         self._rounds_seen = 0
 
-    def _split(self, round_index: int) -> tuple[int, int]:
-        return divmod(round_index, self.length)
-
     def act(self, round_index: int) -> NodeAction:
-        t, i = self._split(round_index)
+        i, t = divmod(round_index, self.width)      # block i, message bit t
         if self.mine[i] and self.bits[t]:
             return NodeAction.BEEP
         return NodeAction.LISTEN
 
     def observe(self, round_index, feedback) -> None:
-        t, i = self._split(round_index)
+        i, t = divmod(round_index, self.width)
         u = self.lone[i]
         if u is not None and feedback != Feedback.NOT_LISTENING:
             got = self.heard.setdefault(u, [None] * self.width)

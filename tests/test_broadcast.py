@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beepnet.kernel
+from beepnet._bits import unpack_word_rows
 from beepnet.encoding import id_width
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
@@ -16,6 +17,7 @@ from beepnet.protocols import (
     local_broadcast_schedule_length,
     run_local_broadcast,
 )
+from beepnet.selectors import SelectorFamily
 
 LENGTH_BUDGET_C = 3
 
@@ -141,6 +143,28 @@ def test_machine_route_matches_population(graph, width, delta_hat, messages):
     assert validate_trace(g, res.trace).ok
 
 
+@pytest.mark.parametrize("width", [3, 65])
+def test_the_trace_is_the_schedules_definition(monkeypatch, width):
+    # Round i * width + t: the members of set i whose message bit t is 1
+    # beep, and a node hears noise when one of its neighbours beeps.  Both
+    # are derived from fam.sets and the messages alone, over a trace of
+    # several blocks.
+    g = generate_random_graph(10, 3, seed=9)
+    msgs = _mixed_length_messages(g, width, seed=2)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 5)
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, width))
+    assert len(res.trace.blocks) > 1
+    padded = {u: msgs[u] + (0,) * (width - len(msgs[u])) for u in g.ids}
+    beeps = np.array([[u in block and padded[u][t] == 1 for u in g.ids]
+                      for block in res.family.sets for t in range(width)])
+    heard = np.array([[any(row[g.index_of[v]] for v in g.neighbors_of(u)) for u in g.ids]
+                      for row in beeps])
+    for kind, want in (("patterns", beeps), ("noise", heard)):
+        got = np.concatenate([unpack_word_rows(getattr(block, kind), block.nrounds)
+                              for block in res.trace.blocks], axis=1)
+        np.testing.assert_array_equal(got.T, want, err_msg=kind)
+
+
 def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
     g = generate_random_graph(10, 3, seed=9)
     msgs = _random_messages(g, 2, 1)
@@ -148,6 +172,19 @@ def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
                         lambda indptr, indices, patterns: np.zeros_like(patterns))
     with pytest.raises(RuntimeError, match=r"receiver \d+ heard 0 .* neighbor \d+ in round \d+"):
         run_local_broadcast(g, LocalBroadcastInput(msgs, 2))
+
+
+def test_a_pair_without_a_quiet_cell_is_never_isolated(monkeypatch):
+    # One set holds both ends of the edge, so each end has its neighbour
+    # alone only in a block it is in itself: no pair has a quiet cell.
+    # Node 1's message is 0, so it never beeps and hears node 2's bit, yet
+    # only a quiet cell counts.
+    g = graph_from_edges([(1, 2)])
+    fam = SelectorFamily(n=2, kind="strong", k=1, l=None, sets=((1, 2),), seed=0,
+                         method="random")
+    monkeypatch.setattr("beepnet.protocols.broadcast.broadcast_family", lambda *args: fam)
+    with pytest.raises(RuntimeError, match="^channel never isolated neighbor 2 for receiver 1$"):
+        run_local_broadcast(g, LocalBroadcastInput({1: (0,), 2: (1,)}, 1))
 
 
 def _listening_lone_cells(g, fam, msgs, t):
@@ -164,8 +201,8 @@ def _listening_lone_cells(g, fam, msgs, t):
 
 def _forge_wire(monkeypatch, width, flips):
     """Flip, for each (block b, receiver index r, message bit t) in flips, the
-    noise bit r hears in round t * L + b: bit t & 63 of word (b - lo) * nw +
-    (t >> 6) of the call whose chunk of blocks starts at lo."""
+    noise bit r hears in round b * width + t: bit t & 63 of word (b - lo) * nw
+    + (t >> 6) of the call whose chunk of blocks starts at lo."""
     real = beepnet.kernel.or_neighbor_patterns
     nw = math.ceil(width / 64)
     lo = 0
@@ -190,24 +227,23 @@ def test_one_forged_lone_cell_is_named(monkeypatch):
     width, t = 3, 1
     msgs = _random_messages(g, width, seed=4)
     fam = broadcast_family(g.n, g.c, g.delta)
-    length = len(fam)
-    assert length > 64
+    assert len(fam) > 64
     cells = [c for c in _listening_lone_cells(g, fam, msgs, t) if c[0] >= 64 and c[0] % 64]
     b, r, receiver, sender = cells[len(cells) // 2]
     _forge_wire(monkeypatch, width, [(b, r, t)])
     with pytest.raises(RuntimeError, match=(
             rf"^receiver {receiver} heard {1 - msgs[sender][t]} from its lone beeping "
-            rf"neighbor {sender} in round {t * length + b}, which does not match what "
+            rf"neighbor {sender} in round {b * width + t}, which does not match what "
             rf"{sender} sent$")):
         run_local_broadcast(g, LocalBroadcastInput(msgs, width))
 
 
 @pytest.mark.parametrize("second_blocks", [(8, None), (1, 4)], ids=["later-chunk", "same-chunk"])
 def test_the_earliest_forged_round_is_named(monkeypatch, second_blocks):
-    # Four blocks a wire call.  A cell of the first chunk is forged in the
-    # last message bit, and a cell of a later block in bit 0, in a later
-    # chunk or the same one: the later block's round comes first, and it is
-    # the one named.
+    # Four blocks a wire call.  A cell of block 0 is forged in the last
+    # message bit, and a cell of a later block in bit 0, in a later chunk or
+    # the same one: block 0's round, width - 1, comes first, and it is the
+    # one named.
     g = generate_random_graph(32, 4, seed=9)
     width = 3
     msgs = _random_messages(g, width, seed=4)
@@ -218,10 +254,11 @@ def test_the_earliest_forged_round_is_named(monkeypatch, second_blocks):
     late = next(c for c in _listening_lone_cells(g, fam, msgs, 0)
                 if lo <= c[0] < (hi or len(fam)))
     _forge_wire(monkeypatch, width, [(early[0], early[1], width - 1), (late[0], late[1], 0)])
-    b, _, receiver, sender = late
+    _, _, receiver, sender = early
     with pytest.raises(RuntimeError, match=(
-            rf"^receiver {receiver} heard {1 - msgs[sender][0]} from its lone beeping "
-            rf"neighbor {sender} in round {b}, which does not match what {sender} sent$")):
+            rf"^receiver {receiver} heard {1 - msgs[sender][width - 1]} from its lone beeping "
+            rf"neighbor {sender} in round {width - 1}, which does not match what {sender} "
+            rf"sent$")):
         run_local_broadcast(g, LocalBroadcastInput(msgs, width))
 
 

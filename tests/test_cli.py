@@ -45,6 +45,30 @@ def test_gen_graph_with_c_below_one_exits_2(tmp_path, c):
     assert not out.exists()
 
 
+def test_gen_graph_past_the_word_width_exits_2(tmp_path):
+    # 100^10 needs 67 bits, so numpy cannot even draw the IDs
+    out = tmp_path / "g.txt"
+    src = str(Path(beepnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beepnet.cli", "gen-graph", "--n", "100", "--delta", "3",
+         "--c", "10", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: IDs in [1, 100^10] need 67 bits, more than the 32")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_load_graph_rejects_ids_past_the_word_width(tmp_path):
+    # 100^5 needs 34 bits; its selectors could not be built in memory
+    graph_file = tmp_path / "wide.graph"
+    graph_file.write_text("100 99 5\n" + "".join(f"{u} {u + 1}\n" for u in range(1, 100)))
+    with pytest.raises(ParameterError,
+                       match=f"{graph_file}: IDs in \\[1, 100\\^5\\] need 34 bits"):
+        load_graph(graph_file)
+
+
 def test_gen_adversarial_writes_graph_and_sidecar(tmp_path):
     out = tmp_path / "lb.txt"
     assert main(["gen-adversarial", "--delta", "4", "--h", "3", "--out", str(out)]) == 0

@@ -5,7 +5,8 @@ import pytest
 
 from beepnet import engine
 from beepnet._bits import pack_bool_rows
-from beepnet.engine import TraceDigest
+from beepnet.engine import Trace, TraceDigest
+from beepnet.graphs import generate_random_graph
 
 
 def _sizes(n):
@@ -64,3 +65,22 @@ def test_mixed_live_and_silent_stream(n):
     short = stream[:-1] + [(None, None, stream[-1][2] - 1)]
     with pytest.raises(RuntimeError, match="trace stream got"):
         digest(total, short)
+
+
+def test_a_silent_stretch_is_one_fresh_zero_block():
+    g = generate_random_graph(70, 3, seed=1)
+    trace = Trace(g)
+    trace.append_silent(0)
+    assert not trace.blocks
+    for nrounds in (130, 1):
+        trace.append_silent(nrounds)
+    first, second = trace.blocks
+    assert [(b.start_round, b.nrounds) for b in trace.blocks] == [(0, 130), (130, 1)]
+    assert first.patterns.shape == first.noise.shape == (70, 3)
+    assert not (first.patterns.any() or first.noise.any() or second.patterns.any())
+    first.noise[0, 0] = 1       # every block owns its arrays
+    assert not (first.patterns.any() or second.noise.any())
+    reference = TraceDigest(g.n, 131)
+    reference.append_silent(131)
+    first.noise[0, 0] = 0
+    assert trace.digest() == reference.hexdigest()

@@ -101,8 +101,10 @@ def test_validation_catches_a_forged_kernel(monkeypatch):
     assert any(m.startswith("noise mismatch") for m in report.mismatches)
 
 
-def test_validation_names_the_block_with_a_flipped_noise_bit():
+def test_validation_names_the_block_with_a_flipped_noise_bit(monkeypatch):
     g, _, inp = _broadcast_setup(n=16, delta=4, width=3, seed=5)
+    # four selector blocks a wire call, so the trace has several blocks
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 4)
     trace = run_local_broadcast(g, inp).trace
     assert validate_trace(g, trace, sample_rounds=0).ok
     block = trace.blocks[len(trace.blocks) // 2]
