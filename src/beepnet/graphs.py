@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ class Graph:
     c: int
     ids: tuple[int, ...]                    # sorted node IDs
     edges: tuple[tuple[int, int], ...]      # (u, v) ID pairs with u < v
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,79 +68,72 @@ class Graph:
                 raise ParameterError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
 
-    # -- derived structure, built lazily and cached ------------------------
+    # -- derived structure, cached per instance: replace() starts afresh ---
 
-    @property
+    @cached_property
     def index_of(self) -> dict[int, int]:
-        if "index_of" not in self._cache:
-            self._cache["index_of"] = {u: i for i, u in enumerate(self.ids)}
-        return self._cache["index_of"]
+        return {u: i for i, u in enumerate(self.ids)}
 
-    @property
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor IDs per node, in self.ids order."""
-        if "neighbors" not in self._cache:
-            nbr: list[list[int]] = [[] for _ in self.ids]
-            idx = self.index_of
-            for u, v in self.edges:
-                nbr[idx[u]].append(v)
-                nbr[idx[v]].append(u)
-            self._cache["neighbors"] = tuple(tuple(sorted(x)) for x in nbr)
-        return self._cache["neighbors"]
+        nbr: list[list[int]] = [[] for _ in self.ids]
+        idx = self.index_of
+        for u, v in self.edges:
+            nbr[idx[u]].append(v)
+            nbr[idx[v]].append(u)
+        return tuple(tuple(sorted(x)) for x in nbr)
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self.neighbors)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         """True maximum degree."""
         return max(self.degrees, default=0)
 
-    @property
+    @cached_property
     def neighbor_table(self) -> np.ndarray:
         """(n, max(delta, 1)) read-only int64 table over node indices: row i
         holds i's neighbours in ascending order, padded with n, a phantom
         node that never beeps.  Built with numpy from the edge list alone."""
-        if "neighbor_table" not in self._cache:
-            n = self.n
-            ends = np.searchsorted(np.array(self.ids, dtype=np.int64),
-                                   np.array(self.edges, dtype=np.int64).reshape(-1, 2))
-            rows = np.concatenate([ends[:, 0], ends[:, 1]])
-            cols = np.concatenate([ends[:, 1], ends[:, 0]])
-            order = np.lexsort((cols, rows))
-            rows, cols = rows[order], cols[order]
-            degree = np.bincount(rows, minlength=n)
-            first = np.cumsum(degree) - degree
-            table = np.full((n, max(int(degree.max(initial=0)), 1)), n, dtype=np.int64)
-            table[rows, np.arange(rows.size) - first[rows]] = cols
-            table.flags.writeable = False
-            self._cache["neighbor_table"] = table
-        return self._cache["neighbor_table"]
+        n = self.n
+        ends = np.searchsorted(np.array(self.ids, dtype=np.int64),
+                               np.array(self.edges, dtype=np.int64).reshape(-1, 2))
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        degree = np.bincount(rows, minlength=n)
+        first = np.cumsum(degree) - degree
+        table = np.full((n, max(int(degree.max(initial=0)), 1)), n, dtype=np.int64)
+        table[rows, np.arange(rows.size) - first[rows]] = cols
+        table.flags.writeable = False
+        return table
 
-    @property
+    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) int64 CSR over node indices."""
-        if "csr" not in self._cache:
-            idx = self.index_of
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            rows = []
-            for i, nbrs in enumerate(self.neighbors):
-                rows.append(np.array(sorted(idx[u] for u in nbrs), dtype=np.int64))
-                indptr[i + 1] = indptr[i] + len(nbrs)
-            indices = (np.concatenate(rows) if rows else
-                       np.zeros(0, dtype=np.int64))
-            self._cache["csr"] = (indptr, indices)
-        return self._cache["csr"]
+        idx = self.index_of
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        rows = []
+        for i, nbrs in enumerate(self.neighbors):
+            rows.append(np.array(sorted(idx[u] for u in nbrs), dtype=np.int64))
+            indptr[i + 1] = indptr[i] + len(nbrs)
+        indices = (np.concatenate(rows) if rows else
+                   np.zeros(0, dtype=np.int64))
+        return indptr, indices
+
+    @cached_property
+    def _edge_set(self) -> set[tuple[int, int]]:
+        return set(self.edges)
 
     def neighbors_of(self, node_id: int) -> tuple[int, ...]:
         return self.neighbors[self.index_of[node_id]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = min(u, v), max(u, v)
-        if "edgeset" not in self._cache:
-            self._cache["edgeset"] = set(self.edges)
-        return (a, b) in self._cache["edgeset"]
+        return (min(u, v), max(u, v)) in self._edge_set
 
     def bfs_distances(self, source_id: int, cutoff: int | None = None) -> dict[int, int]:
         """Hop distance from source_id to every node it reaches, or only to

@@ -8,20 +8,19 @@ noise as 1 and silence as 0.  The family is built for subsets one larger
 than the degree bound so that every neighbor gets a block where the
 receiver itself stays silent.
 
-run_local_broadcast decodes with array operations over the padded
-graph.neighbor_table: it counts each receiver's neighbors per block and
-names the lone one where the count is 1.  It packs each node's message
-along t once, as ceil(width / 64) uint64 words: in block i a node sends
-its message words where it is a member and zero words elsewhere, so one
-neighbor-OR call over a chunk of blocks returns the noise of every round
-of those blocks.  A chunk holds as many blocks as keep the call's gather
-within GATHER_BUDGET bytes, and at least one, and chunks run in round
-order.  Every lone (block, receiver) cell reads its noise words masked to
-the rounds it listens in and compares them with its sender's words; each
-(receiver, neighbor) pair takes its message from a quiet cell, one where
-the receiver is outside the block.  With record=True each chunk's
-pattern and noise words are appended to the trace as one block of its
-rounds.
+The wire, _wire_chunks, also carries neighbourhood learning's ID words.
+It packs each node's message along t once, as ceil(width / 64) uint64
+words: in block i a node sends its message words where it is a member
+and zero words elsewhere, so one neighbor-OR call over a chunk of blocks
+returns the noise of every round of those blocks.  A chunk holds as many
+blocks as keep the call's gather within GATHER_BUDGET bytes, and at
+least one; chunks run in round order, and each enters the trace as one
+block of its rounds.  run_local_broadcast counts each receiver's
+neighbors per block over the padded graph.neighbor_table and names the
+lone one where the count is 1.  Every lone (block, receiver) cell reads
+its noise words masked to the rounds it listens in and compares them
+with its sender's words; each (receiver, neighbor) pair takes its
+message from a quiet cell, one where the receiver is outside the block.
 LocalBroadcastNode decodes the same schedule one node at a time, as an
 independent check.
 """
@@ -93,6 +92,26 @@ def _validate_input(graph: Graph, inp: LocalBroadcastInput) -> None:
             raise ParameterError(f"message for unknown node {u}")
 
 
+def _wire_chunks(graph: Graph, member: np.ndarray, words: np.ndarray, width: int,
+                 trace: Trace | None):
+    """Yield (lo, hi, noise) per chunk of blocks lo..hi-1, in round order;
+    noise holds the (n, hi - lo, nw) words each node heard.  member is the
+    (L, n) block membership, words the (n, nw) message words of width bits."""
+    n, nw = words.shape
+    length = len(member)
+    indptr, indices = graph.csr
+    chunk = max(1, GATHER_BUDGET // max(1, indices.size * nw * 8))
+    for lo in range(0, length, chunk):
+        hi = min(lo + chunk, length)
+        patterns = np.where(member[lo:hi].T[:, :, None], words[:, None], U64(0)).reshape(n, -1)
+        noise = kernel.or_neighbor_patterns(indptr, indices, patterns)
+        if trace is not None:
+            trace.append_block(pack_bool_rows(unpack_word_cols(patterns, width)),
+                               (hi - lo) * width,
+                               pack_bool_rows(unpack_word_cols(noise, width)))
+        yield lo, hi, noise.reshape(n, hi - lo, nw)
+
+
 def _lone_cells(member: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, ...]:
     """The (block, receiver) cells, in block order, where the receiver has
     exactly one neighbor in the block, and that neighbor's slot in nbr.
@@ -119,7 +138,6 @@ def run_local_broadcast(
         return LocalBroadcastResult(empty, empty, 0, None, Trace(graph) if record else None)
 
     fam = broadcast_family(graph.n, graph.c, delta_hat)
-    length = len(fam)
     n = graph.n
     member = family_membership(graph, fam)
 
@@ -149,21 +167,11 @@ def run_local_broadcast(
     has_quiet = np.zeros(nbr.shape, dtype=bool)
     has_quiet[receivers[quiet], slots[quiet]] = True
 
-    # Blocks go on the wire a chunk at a time, in round order: node j sends
-    # block i's column group words[j] & member[i, j], nw words per block,
-    # and one neighbor-OR call per chunk returns the noise words of every
-    # message bit of its blocks.
-    indptr, indices = graph.csr
-    chunk = max(1, GATHER_BUDGET // max(1, indices.size * nw * 8))
-    cuts = np.searchsorted(blocks, np.arange(0, length + chunk, chunk))
     got = np.zeros(nbr.shape + (nw,), dtype=U64)     # what each pair heard at a quiet cell
     trace = Trace(graph) if record else None
     ids = graph.ids
-    for lo, ca, cb in zip(range(0, length, chunk), cuts, cuts[1:]):
-        hi = min(lo + chunk, length)
-        patterns = np.where(member[lo:hi].T[:, :, None], words[:n, None], U64(0))
-        noise = kernel.or_neighbor_patterns(
-            indptr, indices, patterns.reshape(n, -1)).reshape(n, hi - lo, nw)
+    for lo, hi, noise in _wire_chunks(graph, member, words[:n], width, trace):
+        ca, cb = np.searchsorted(blocks, (lo, hi))
         cb_blocks, cb_receivers = blocks[ca:cb], receivers[ca:cb]
         heard = noise[cb_receivers, cb_blocks - lo]                  # (cells, nw)
         wrong = (heard ^ words[senders[ca:cb]]) & full & ~words[beeper[ca:cb]]
@@ -184,11 +192,6 @@ def run_local_broadcast(
                 f"round {int(rounds[k])}, which does not match what {s} sent")
         q = quiet[ca:cb]
         got[cb_receivers[q], slots[ca:cb][q]] = heard[q]
-        if trace is not None:
-            # round i * width + t is bit t of block i's words
-            trace.append_block(pack_bool_rows(unpack_word_cols(patterns.reshape(n, -1), width)),
-                               (hi - lo) * width,
-                               pack_bool_rows(unpack_word_cols(noise.reshape(n, -1), width)))
 
     missing = np.argwhere((nbr < n) & ~has_quiet)
     if missing.size:
@@ -196,9 +199,8 @@ def run_local_broadcast(
         raise RuntimeError(
             f"channel never isolated neighbor {ids[nbr[r, slot]]} for receiver {ids[r]}")
 
-    member_words = fam.element_words[np.asarray(ids) - 1]
-    beeps_total = int(np.bitwise_count(member_words).sum(axis=1, dtype=np.int64)
-                      @ np.bitwise_count(words[:n]).sum(axis=1, dtype=np.int64))
+    # each node beeps its set message bits once per block it is in
+    beeps_total = int(np.bitwise_count(words[:n]).sum(axis=1, dtype=np.int64) @ member.sum(axis=0))
 
     # one byte per bit: pair (r, slot) heard its bits at (r * max degree + slot) * width
     heard_bytes = unpack_word_rows(got.reshape(-1, nw), width).tobytes()
@@ -212,7 +214,7 @@ def run_local_broadcast(
             raw_u[v] = raw = tuple(heard_bytes[at:at + width])
             out_u[v] = raw[: lengths.get(graph.index_of[v], 0)]
 
-    return LocalBroadcastResult(output, raw_output, width * length, fam, trace, beeps_total)
+    return LocalBroadcastResult(output, raw_output, width * len(fam), fam, trace, beeps_total)
 
 
 class LocalBroadcastNode(NodeProtocol):

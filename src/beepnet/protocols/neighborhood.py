@@ -9,10 +9,10 @@ neighbor sent.  Block by block each node collects its neighbor set; with
 the family built for subsets one larger than the degree bound, every
 neighbor is eventually heard alone.
 
-The population runner puts (n, L) block words, L the family's length,
-on the wire in one neighbor-OR call: each node's ID word in its own
-blocks, zero elsewhere.  One decode_extended_rows call decodes the words
-the nodes heard; only the trace unpacks words into rounds.  The
+This is local broadcast of each node's ID word, width 2w, on local
+broadcast's schedule and wire (broadcast._wire_chunks): each chunk of
+blocks is one neighbor-OR call and one trace block, and its heard words
+are decoded with one decode_extended_rows call as they arrive.  The
 per-node machine (LearnNeighborhoodNode) encodes and decodes one word at
 a time with the scalar encode_extended and decode_extended.
 """
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import kernel
-from .._bits import bits_to_int, unpack_word_cols
+from .._bits import bits_to_int
 from ..encoding import (
     decode_extended,
     decode_extended_rows,
@@ -32,11 +31,11 @@ from ..encoding import (
     encode_extended_rows,
     id_width,
 )
-from ..engine import Feedback, NodeAction, NodeProtocol, Trace, trace_from_beeps
+from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import SelectorFamily
 from ._common import family_membership, resolve_degree_bound
-from .broadcast import broadcast_family
+from .broadcast import _wire_chunks, broadcast_family, local_broadcast_schedule_length
 
 
 # Discovery walks the same strong family that local broadcast does.
@@ -44,9 +43,9 @@ learning_family = broadcast_family
 
 
 def learning_schedule_length(n: int, c: int, delta_hat: int) -> int:
-    if n < 1 or c < 1 or delta_hat < 0:
-        raise ParameterError("schedule length needs positive n, c and nonnegative bound")
-    return len(learning_family(n, c, delta_hat)) * 2 * id_width(n, c)
+    if c < 1:       # id_width needs an integer ID space n^c
+        raise ParameterError(f"c must be >= 1, got {c}")
+    return local_broadcast_schedule_length(n, c, delta_hat, 2 * id_width(n, c))
 
 
 @dataclass
@@ -64,22 +63,21 @@ def run_learning_neighborhood(graph: Graph, delta_hat: int | None = None) -> Lea
     fam = learning_family(graph.n, graph.c, delta_hat)
     w = id_width(graph.n, graph.c)
     member = family_membership(graph, fam)
-
-    # words[j, i]: the 2w-round word node j sends in block i (its ID word
-    # or silence); heard[j, i]: the OR of its neighbors' words there.
-    words = np.where(member.T, encode_extended_rows(graph.ids, w)[:, None], 0)
-    indptr, indices = graph.csr
-    heard = kernel.or_neighbor_patterns(indptr, indices, words)
-    valid, payload = decode_extended_rows(heard, w)
-    listener = ~member.T
-    learned = listener & valid
-    collisions = int((listener & ~valid & (heard != 0)).sum())
-    neighborhoods = {u: frozenset(payload[j, learned[j]].tolist())
-                     for j, u in enumerate(graph.ids)}
-    trace = trace_from_beeps(graph, unpack_word_cols(words, 2 * w),
-                             unpack_word_cols(heard, 2 * w))
-    return LearningResult(neighborhoods, len(fam) * 2 * w, fam, trace, collisions,
-                          int(np.bitwise_count(words).sum()))
+    words = encode_extended_rows(graph.ids, w)[:, None]     # one word of 2w rounds
+    trace = Trace(graph)
+    collisions = 0
+    found = [set() for _ in graph.ids]      # the IDs each node decoded
+    for lo, hi, noise in _wire_chunks(graph, member, words, 2 * w, trace):
+        heard = noise[:, :, 0]
+        valid, payload = decode_extended_rows(heard, w)
+        listener = ~member[lo:hi].T
+        collisions += int(np.count_nonzero(listener & ~valid & (heard != 0)))
+        j, i = np.nonzero(listener & valid)
+        for node, u in zip(j.tolist(), payload[j, i].tolist()):
+            found[node].add(u)
+    neighborhoods = dict(zip(graph.ids, map(frozenset, found)))
+    beeps = np.bitwise_count(words).sum(axis=1, dtype=np.int64) @ member.sum(axis=0)
+    return LearningResult(neighborhoods, len(fam) * 2 * w, fam, trace, collisions, int(beeps))
 
 
 class LearnNeighborhoodNode(NodeProtocol):

@@ -22,11 +22,12 @@ planes down, one at a time, once few rows stay open.
 Both sides enumerate subsets with _iter_subset_cols, which yields numpy
 blocks in itertools.combinations order; greedy's choices depend on that
 order.  verify_family checks every subset of size <= k when the subset
-count permits, otherwise a stratified sample, and the achieved tier is
-recorded on the family.  Verification shares no isolation counting with
-construction: it reads the family's element_words view (for each
-element, the sets holding it, packed into uint64 words), makes one 1-D
-pass per word, and works the same way at every n.
+count permits, otherwise a stratified sample (a family holding every
+singleton needs neither), and the achieved tier is recorded on the
+family.  Verification shares no isolation counting with construction:
+it reads the family's element_words view (for each element, the sets
+holding it, packed into uint64 words), makes one 1-D pass per word, and
+works the same way at every n.
 """
 
 from __future__ import annotations
@@ -286,8 +287,13 @@ def verify_family(fam: SelectorFamily) -> str:
     Returns "exhaustive" or "sampled" for the tier that passed: every
     subset when the subset count is within VERIFY_SUBSET_LIMIT, a
     stratified sample otherwise.  Returns "failed" when a checked subset
-    breaks the definition.
+    breaks the definition.  A family holding every singleton {e} isolates
+    every element of every subset: within the size cap it is "exhaustive".
     """
+    if fam.kind == "strong" and any(len(f) > fam.k for f in fam.sets):
+        return "failed"
+    if len({f[0] for f in fam.sets if len(f) == 1}) == fam.n:
+        return "exhaustive"
     exhaustive = subset_count(fam.n, fam.k) <= VERIFY_SUBSET_LIMIT
     if fam.kind == "strong":
         ok = verify_strong_selector(fam, fam.n, fam.k, exhaustive=exhaustive)

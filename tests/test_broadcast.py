@@ -36,6 +36,20 @@ def test_single_edge():
     assert res.output[2][1] == (1,)
 
 
+@pytest.mark.parametrize("record", [False, True])
+def test_width_zero_sends_nothing(record):
+    g = graph_from_edges([(1, 2), (2, 3)])
+    res = run_local_broadcast(g, LocalBroadcastInput({1: (), 2: ()}, 0), record=record)
+    empty = {1: {2: ()}, 2: {1: (), 3: ()}, 3: {2: ()}}
+    assert res.output == res.raw_output == empty
+    assert (res.rounds, res.beeps_total, res.family) == (0, 0, None)
+    assert res.rounds == local_broadcast_schedule_length(g.n, g.c, g.delta, 0)
+    if record:
+        assert res.trace.blocks == [] and res.trace.total_rounds == 0
+    else:
+        assert res.trace is None
+
+
 def test_star_two_bit_messages():
     g = graph_from_edges([(1, 2), (1, 3), (1, 4), (1, 5)])
     msgs = {1: (1, 0), 2: (0, 0), 3: (0, 1), 4: (1, 0), 5: (1, 1)}

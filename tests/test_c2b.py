@@ -873,3 +873,52 @@ def test_record_modes_share_the_digest():
     assert not any(a and b for a, b in zip(silent, silent[1:]))
     assert max(b.nrounds for b, quiet in zip(blocks, silent) if quiet) > (
         TRACE_FEED_CHUNK * 2 * full.schedule.w)
+
+
+def test_the_trace_feed_flushes_a_full_chunk(monkeypatch):
+    # Three live super-rounds fill a feed block, so push flushes the buffer
+    # itself, which it never does at the default size on this run.  The
+    # stream, and with it every digest, does not depend on where the feed
+    # cuts its blocks.
+    inp = CongestRoundInput(_directed_messages(STAR, 24, 59), 24)
+    flushes = []
+    real = _TraceFeed.flush
+    monkeypatch.setattr(_TraceFeed, "flush",
+                        lambda self, silent=0: flushes.append(1) or real(self, silent))
+    runs = {}
+    for chunk in (TRACE_FEED_CHUNK, 3):
+        monkeypatch.setattr(c2b, "TRACE_FEED_CHUNK", chunk)
+        for record in ("full", "digest"):
+            flushes.clear()
+            runs[chunk, record] = run_c2b(STAR, inp, delta_hat=4, record=record), len(flushes)
+    for record in ("full", "digest"):
+        assert runs[3, record][1] > runs[TRACE_FEED_CHUNK, record][1]
+    full = runs[3, "full"][0]
+    assert len(full.trace.blocks) > len(runs[TRACE_FEED_CHUNK, "full"][0].trace.blocks)
+    want = runs[TRACE_FEED_CHUNK, "digest"][0].digest
+    assert full.digest == runs[3, "digest"][0].digest == want
+    assert full.trace.digest() == _canonical_digest(full.trace) == want
+    assert validate_trace(STAR, full.trace).ok
+
+
+def test_a_replay_the_core_cannot_finish_is_reported():
+    # Silence every confirming word a responder hears: the announcer still
+    # accepts its responder, the responder never hears the confirmation, and
+    # the core stops at the first window that closes one way only.  The
+    # auditor reports that as a violation; it does not raise.
+    inp = CongestRoundInput(_directed_messages(STAR, 3, 59), 3)
+    res = run_c2b(STAR, inp, delta_hat=4, record="full")
+    assert check_handshake_lemmas(res.trace, STAR, res, inp).ok
+    sr_rounds = 2 * res.schedule.w
+    log = res.decode_log
+    for sr, node in log[log["role"] == "confirming"][["super_round", "node"]].tolist():
+        j = STAR.index_of[node]
+        for t in range(sr * sr_rounds, (sr + 1) * sr_rounds):
+            block = next(b for b in res.trace.blocks if t < b.start_round + b.nrounds)
+            word, bit = divmod(t - block.start_round, 64)
+            block.noise[j, word] &= ~np.uint64(1 << bit)
+    report = check_handshake_lemmas(res.trace, STAR, res, inp)
+    assert not report.ok
+    assert [v for v in report.violations if v.startswith("replay stopped: ")] == [
+        report.violations[-1]]
+    assert "window closed asymmetrically" in report.violations[-1]

@@ -5,8 +5,8 @@ import pytest
 
 from beepnet import engine
 from beepnet._bits import pack_bool_rows
-from beepnet.engine import Trace, TraceDigest
-from beepnet.graphs import generate_random_graph
+from beepnet.engine import NodeAction, NodeProtocol, Trace, TraceDigest, run, validate_trace
+from beepnet.graphs import generate_random_graph, graph_from_edges
 
 
 def _sizes(n):
@@ -84,3 +84,39 @@ def test_a_silent_stretch_is_one_fresh_zero_block():
     reference.append_silent(131)
     first.noise[0, 0] = 0
     assert trace.digest() == reference.hexdigest()
+
+
+class _Beeper(NodeProtocol):
+    """Beeps in every round before `stop`, listens after, and calls itself
+    finished from round `done` on."""
+
+    def __init__(self, stop, done):
+        self.stop, self.done, self.seen = stop, done, 0
+
+    def act(self, round_index):
+        return NodeAction.BEEP if round_index < self.stop else NodeAction.LISTEN
+
+    def observe(self, round_index, feedback):
+        self.seen = round_index + 1
+
+    def finished(self):
+        return self.seen >= self.done
+
+    def output(self):
+        return self.seen
+
+
+def test_run_stops_at_the_round_budget():
+    g = graph_from_edges([(1, 2)])
+    res = run(g, {1: _Beeper(0, 100), 2: _Beeper(0, 1)}, max_rounds=70)
+    assert res.status == "budget-exceeded" and not res.ok
+    assert res.rounds == res.trace.total_rounds == 70
+    assert res.outputs == {1: 70, 2: 70}
+    assert validate_trace(g, res.trace).ok
+
+
+def test_a_finished_node_that_beeps_is_an_error():
+    # Node 2 is finished after round 0 but keeps beeping until round 3.
+    g = graph_from_edges([(1, 2)])
+    with pytest.raises(RuntimeError, match="^finished node 2 tried to beep in round 1$"):
+        run(g, {1: _Beeper(0, 5), 2: _Beeper(3, 1)}, max_rounds=10)

@@ -174,6 +174,22 @@ def test_report_bounds_ratio_one_for_exact_schedules():
     assert "learn-neighborhood" in text
 
 
+@pytest.mark.parametrize("protocol, shape", [
+    ("multihop-sim", lambda h, B, w, d: h * (B + w) * d ** (h + 2)),
+    ("multihop-broadcast", lambda h, B, w, d: h * (B + w) * d ** (h + 1) * w),
+])
+def test_report_bounds_over_multihop_records(protocol, shape):
+    # Rounds at seven times the h-hop shape: a flat ratio and slope 2.
+    ms = [make_metrics(protocol=protocol, delta=d, delta_hat=d, h=2, B=3, w=5,
+                       rounds_total=7 * shape(2, 3, 5, d)) for d in (2, 4, 8)]
+    rows, text = report_bounds(ms)
+    (row,) = rows
+    assert (row.protocol, row.points) == (protocol, 3)
+    assert row.ratio_min == pytest.approx(7.0) and row.ratio_max == pytest.approx(7.0)
+    assert row.slope == pytest.approx(2.0)
+    assert text.splitlines()[1].split() == [protocol, "3", "7.000", "7.000", "2.00"]
+
+
 def test_fit_degree_slope_recovers_a_square():
     ms = []
     for delta in (2, 4, 8):

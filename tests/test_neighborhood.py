@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+import beepnet.kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +132,42 @@ def test_decode_follows_the_beeping_neighbour_count(graph, delta_hat):
     assert res.collision_events == collisions
     assert res.neighborhoods == {u: frozenset(s) for u, s in learned.items()}
     _exact(graph, res)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_learning_across_chunks_matches_one_chunk(monkeypatch, blocks):
+    # A budget of one or three blocks a wire call spreads the schedule over
+    # many chunks and trace blocks; the result and the digest do not move.
+    g = generate_random_graph(14, 4, seed=33)
+    one_block = g.csr[1].size * 8
+    length = len(learning_family(g.n, g.c, 4))
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", length * one_block)
+    whole = run_learning_neighborhood(g, delta_hat=4)
+    assert len(whole.trace.blocks) == 1
+    real = beepnet.kernel.or_neighbor_patterns
+    gathered = []
+
+    def spy(indptr, indices, patterns):
+        gathered.append(indices.size * patterns.shape[1] * 8)
+        return real(indptr, indices, patterns)
+
+    monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", blocks * one_block)
+    res = run_learning_neighborhood(g, delta_hat=4)
+    assert len(gathered) == len(res.trace.blocks) == -(-len(res.family) // blocks)
+    assert max(gathered) <= blocks * one_block
+    assert sum(gathered) == len(res.family) * one_block
+    _exact(g, res)
+    assert res.collision_events == whole.collision_events > 0
+    assert (res.rounds, res.beeps_total) == (whole.rounds, whole.beeps_total)
+    assert res.trace.digest() == whole.trace.digest()
+    assert validate_trace(g, res.trace).ok
+
+
+@pytest.mark.parametrize("n, c, delta_hat", [(0, 1, 3), (5, 0, 3), (5, -1, 3), (5, 1, -1)])
+def test_schedule_length_rejects_bad_parameters(n, c, delta_hat):
+    with pytest.raises(ParameterError):
+        learning_schedule_length(n, c, delta_hat)
 
 
 def test_low_degree_bound_rejected():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beepnet import selectors
 from beepnet._bits import unpack_word_rows
 from beepnet.graphs import ParameterError
 from beepnet.selectors import (
@@ -199,11 +200,41 @@ def test_appending_sets_preserves_validity(extra):
     assert verify_avoiding_selector(grown, 6, 3, 1)
 
 
+TRACKED = Path(__file__).resolve().parent.parent / ".selector-cache"
+
+
 def test_sampled_verification_of_large_singleton():
+    # Past the exhaustive guard, a family holding every singleton is still
+    # exhaustive: each {e} isolates e in every subset.  A non-singleton
+    # family that large verifies by a sample.
     fam = build_strong_selector(24, 24, seed=1)
     assert fam.method == "singleton"
-    assert fam.verified == "sampled"
+    assert fam.verified == "exhaustive"
     assert subset_count(24, 24) > 10_000_000
+    tracked = load_family(TRACKED / "64-strong-9-0-s1.txt")
+    assert subset_count(64, 9) > 10_000_000
+    assert verify_family(tracked) == "sampled"
+
+
+def test_every_singleton_passes_without_counting(monkeypatch):
+    counted = []
+    real = selectors._isolation_counts
+    monkeypatch.setattr(selectors, "_isolation_counts",
+                        lambda *args: counted.append(1) or real(*args))
+    singles = [(e,) for e in range(1, 9)]
+    # the sets hold every singleton, so only the size cap can fail them
+    assert verify_family(_fam(8, "strong", 3, None, singles + [(1, 2, 3)])) == "exhaustive"
+    assert verify_family(_fam(8, "strong", 3, None, singles + [(1, 2, 3, 4)])) == "failed"
+    assert verify_family(_fam(8, "avoiding", 4, 2, singles + [tuple(range(1, 9))])) == (
+        "exhaustive")
+    assert not counted
+    # One singleton short, the family is counted.  {2, 5}, {3, 5} and {4, 5}
+    # isolate 5 in every subset of at most 3 elements, {2, 5} alone not in {2, 5}.
+    short = [f for f in singles if f != (5,)]
+    for extra, tier in (([(2, 5), (3, 5), (4, 5)], "exhaustive"), ([(2, 5)], "failed")):
+        assert verify_family(_fam(8, "strong", 3, None, short + extra)) == tier
+        assert oracle_strong(short + extra, 8, 3) == (tier == "exhaustive")
+    assert counted
 
 
 def test_parameter_errors():
@@ -412,7 +443,8 @@ def test_isolation_counts_match_a_per_subset_count(n, length):
 
 def test_verify_family_reports_its_tier():
     assert verify_family(build_strong_selector(8, 3, seed=2)) == "exhaustive"
-    assert verify_family(build_strong_selector(24, 24, seed=1)) == "sampled"
+    assert verify_family(build_strong_selector(24, 24, seed=1)) == "exhaustive"
+    assert verify_family(load_family(TRACKED / "64-strong-9-0-s1.txt")) == "sampled"
     gutted = _fam(8, "avoiding", 4, 2, [])
     assert verify_family(gutted) == "failed"
 
@@ -590,4 +622,18 @@ def test_an_undecodable_cache_entry_is_rebuilt(tmp_path, monkeypatch):
     clear_memory_cache()
     assert get_strong_selector(8, 3).sets == first.sets
     assert load_family(path).sets == first.sets      # the bad entry was rewritten
+    clear_memory_cache()
+
+
+def test_a_cache_entry_for_other_parameters_is_rebuilt(tmp_path, monkeypatch):
+    # The file at the (8, strong, 3) path is a valid family whose header
+    # says k = 2; the fetch builds the right family and rewrites the file.
+    monkeypatch.setenv("BEEPNET_CACHE_DIR", str(tmp_path))
+    clear_memory_cache()
+    path = tmp_path / "8-strong-3-0-s1.txt"
+    save_family(build_strong_selector(8, 2), path)
+    fam = get_strong_selector(8, 3)
+    assert (fam.k, fam.verified) == (3, "exhaustive")      # built, not loaded
+    assert fam.sets == build_strong_selector(8, 3).sets
+    assert load_family(path).k == 3
     clear_memory_cache()
