@@ -84,6 +84,8 @@ def run_id_dissemination(
     if graph.n == 1:
         return DisseminationResult(tables, 0, (0,) * h)
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
+    if delta_hat < 1:       # epoch 1 sends each node's own ID in delta_hat slots
+        raise ParameterError("degree bound must be at least 1")
     w = id_width(graph.n, graph.c)
     fresh: dict[int, list[int]] = {u: [u] for u in graph.ids}
     epoch_rounds: list[int] = []
@@ -181,9 +183,11 @@ def run_multihop_simulation(
     the table, but only when the destination's recorded distance fits the
     remaining epochs (entry epoch <= h - (i - 1)); everything else is
     dropped.  Items are framed on the wire as destination ID, source ID,
-    payload length, payload.  The per-edge bits of an epoch must stay
-    under (B + w) * delta_hat**h; going over means the routing logic is
-    broken and raises, as does a handshake audit violation in any epoch.
+    payload length in B.bit_length() bits, payload.  The per-edge bits of
+    an epoch must stay under (B + w) * delta_hat**h, or under
+    delta_hat**(h - 1) whole frames where that is more (only at
+    delta_hat = 1); going over means the routing logic is broken and
+    raises, as does a handshake audit violation in any epoch.
     """
     for s, d in inp.messages:
         for end in (s, d):
@@ -192,8 +196,9 @@ def run_multihop_simulation(
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
     w = id_width(graph.n, graph.c)
     diss = run_id_dissemination(graph, inp.h, delta_hat)
-    cap = (inp.B + w) * delta_hat**inp.h
-    lenbits = max(1, inp.B.bit_length())
+    lenbits = inp.B.bit_length()
+    cap = max((inp.B + w) * delta_hat**inp.h,
+              (2 * w + lenbits + inp.B) * delta_hat ** (inp.h - 1))
     delivered: dict[int, set[tuple[int, Bits]]] = {u: set() for u in graph.ids}
     holding: dict[int, list[tuple[int, int, Bits]]] = {u: [] for u in graph.ids}
     for (s, d), m in inp.messages.items():

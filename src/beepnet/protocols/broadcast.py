@@ -9,18 +9,19 @@ than the degree bound so that every neighbor gets a block where the
 receiver itself stays silent.
 
 The wire, _wire_chunks, also carries neighbourhood learning's ID words.
-It packs each node's message along t once, as ceil(width / 64) uint64
-words: in block i a node sends its message words where it is a member
-and zero words elsewhere, so one neighbor-OR call over a chunk of blocks
-returns the noise of every round of those blocks.  A chunk holds as many
-blocks as keep the call's gather within GATHER_BUDGET bytes, and at
-least one; chunks run in round order, and each enters the trace as one
-block of its rounds.  run_local_broadcast counts each receiver's
-neighbors per block over the padded graph.neighbor_table and names the
-lone one where the count is 1.  Every lone (block, receiver) cell reads
-its noise words masked to the rounds it listens in and compares them
-with its sender's words; each (receiver, neighbor) pair takes its
-message from a quiet cell, one where the receiver is outside the block.
+It lays a chunk of blocks lo..hi-1 out as its rounds, in trace order:
+bit (i - lo) * width + t of a node's words is block i, message bit t, 1
+where the node is in block i and its bit t is 1.  One neighbor-OR call
+over those words returns the noise of every round of the chunk, and the
+two enter the trace as one block, as they are.  A chunk holds as many
+blocks as fit in GATHER_BUDGET / (8 * slots) words a node, slots being
+the edge slots or n if that is more, and at least one block; chunks run
+in round order.  run_local_broadcast counts each receiver's neighbors
+per block over the padded graph.neighbor_table and names the lone one
+where the count is 1.  Every lone (block, receiver) cell compares the
+message bits it heard in the rounds it listens in with its sender's;
+each (receiver, neighbor) pair takes its message from a quiet cell, one
+where the receiver is outside the block.
 LocalBroadcastNode decodes the same schedule one node at a time, as an
 independent check.
 """
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernel
-from .._bits import (U64, is_bit_string, pack_bool_rows, unpack_word_cols, unpack_word_rows,
-                     words_for)
+from .._bits import is_bit_string, pack_bool_rows, unpack_word_rows
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
@@ -41,8 +41,8 @@ from ._common import family_membership, resolve_degree_bound
 
 Bits = tuple[int, ...]
 
-# Bytes one neighbor-OR call may gather, len(indices) * blocks * words * 8;
-# a chunk holds at least one block.
+# Bytes one neighbor-OR call may gather, len(indices) * words * 8; a chunk
+# holds at least one block.
 GATHER_BUDGET = 1 << 17
 
 
@@ -92,24 +92,25 @@ def _validate_input(graph: Graph, inp: LocalBroadcastInput) -> None:
             raise ParameterError(f"message for unknown node {u}")
 
 
-def _wire_chunks(graph: Graph, member: np.ndarray, words: np.ndarray, width: int,
-                 trace: Trace | None):
-    """Yield (lo, hi, noise) per chunk of blocks lo..hi-1, in round order;
-    noise holds the (n, hi - lo, nw) words each node heard.  member is the
-    (L, n) block membership, words the (n, nw) message words of width bits."""
-    n, nw = words.shape
+def _wire_chunks(graph: Graph, member: np.ndarray, bits: np.ndarray, trace: Trace | None):
+    """Yield (lo, hi, heard) per chunk of blocks lo..hi-1, in round order;
+    heard is the (n, hi - lo, width) bool noise of each node's rounds.
+    member is the (L, n) block membership, bits the (n, width) messages."""
+    n, width = bits.shape
     length = len(member)
     indptr, indices = graph.csr
-    chunk = max(1, GATHER_BUDGET // max(1, indices.size * nw * 8))
+    # every node counts as one slot at least, so that the chunk's (n, rounds)
+    # bool arrays stay within 8 * GATHER_BUDGET bytes on sparse graphs too
+    words = max(1, GATHER_BUDGET // (8 * max(n, indices.size)))
+    chunk = max(1, 64 * words // width)
     for lo in range(0, length, chunk):
         hi = min(lo + chunk, length)
-        patterns = np.where(member[lo:hi].T[:, :, None], words[:, None], U64(0)).reshape(n, -1)
+        nrounds = (hi - lo) * width
+        patterns = pack_bool_rows((member[lo:hi].T[:, :, None] & bits[:, None]).reshape(n, -1))
         noise = kernel.or_neighbor_patterns(indptr, indices, patterns)
         if trace is not None:
-            trace.append_block(pack_bool_rows(unpack_word_cols(patterns, width)),
-                               (hi - lo) * width,
-                               pack_bool_rows(unpack_word_cols(noise, width)))
-        yield lo, hi, noise.reshape(n, hi - lo, nw)
+            trace.append_block(patterns, nrounds, noise)
+        yield lo, hi, unpack_word_rows(noise, nrounds).reshape(n, hi - lo, width)
 
 
 def _lone_cells(member: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -141,55 +142,46 @@ def run_local_broadcast(
     n = graph.n
     member = family_membership(graph, fam)
 
-    bits = np.zeros((n, width), dtype=bool)
+    # Row j is node j's message; row n is the phantom node that pads
+    # graph.neighbor_table, which sends nothing.
+    bits = np.zeros((n + 1, width), dtype=bool)
     lengths = {}
     for u, m in inp.messages.items():
         j = graph.index_of[u]
         lengths[j] = len(m)
-        if m:
-            bits[j, : len(m)] = np.array(m, dtype=bool)
-    # Row j packs node j's message along t; row n is the phantom node that
-    # pads graph.neighbor_table, which sends nothing.
-    nw = words_for(width)
-    words = np.zeros((n + 1, nw), dtype=U64)
-    words[:n] = pack_bool_rows(bits)
-    full = pack_bool_rows(np.ones((1, width), dtype=bool))[0]     # bits t < width
+        bits[j, : len(m)] = m
 
     nbr = graph.neighbor_table
     blocks, receivers, slots = _lone_cells(member, nbr)
     senders = nbr[receivers, slots]
-    # A cell listens in the rounds where its receiver does not beep: its
-    # listen words drop words[beeper], the receiver's message where it is
-    # in the block and the phantom's zero row where it is not (a quiet
-    # cell, which hears every bit of the sender's message).
+    # A cell listens in the rounds where its receiver does not beep: it
+    # drops bits[beeper], the receiver's message where it is in the block
+    # and the phantom's zero row where it is not (a quiet cell, which hears
+    # every bit of the sender's message).
     beeper = np.where(member[blocks, receivers], receivers, n)
     quiet = beeper == n
     has_quiet = np.zeros(nbr.shape, dtype=bool)
     has_quiet[receivers[quiet], slots[quiet]] = True
 
-    got = np.zeros(nbr.shape + (nw,), dtype=U64)     # what each pair heard at a quiet cell
+    got = np.zeros(nbr.shape + (width,), dtype=bool)     # what each pair heard at a quiet cell
     trace = Trace(graph) if record else None
     ids = graph.ids
-    for lo, hi, noise in _wire_chunks(graph, member, words[:n], width, trace):
+    for lo, hi, noise in _wire_chunks(graph, member, bits[:n], trace):
         ca, cb = np.searchsorted(blocks, (lo, hi))
         cb_blocks, cb_receivers = blocks[ca:cb], receivers[ca:cb]
-        heard = noise[cb_receivers, cb_blocks - lo]                  # (cells, nw)
-        wrong = (heard ^ words[senders[ca:cb]]) & full & ~words[beeper[ca:cb]]
+        heard = noise[cb_receivers, cb_blocks - lo]                  # (cells, width)
+        wrong = (heard ^ bits[senders[ca:cb]]) & ~bits[beeper[ca:cb]]
         bad = np.flatnonzero(wrong.any(axis=1))
         if bad.size:
-            # t: each bad cell's first wrong message bit, the lowest set bit
-            # of its first nonzero word; chunks run in round order, so this
-            # chunk holds the earliest bad round
-            w = (wrong[bad] != 0).argmax(axis=1)
-            x = wrong[bad, w]
-            t = 64 * w + np.bitwise_count((x & (~x + U64(1))) - U64(1))
+            # t: each bad cell's first wrong message bit; chunks run in
+            # round order, so this chunk holds the earliest bad round
+            t = wrong[bad].argmax(axis=1)
             rounds = cb_blocks[bad] * width + t
             k = np.lexsort((cb_receivers[bad], rounds))[0]
-            r, s, tk = ids[cb_receivers[bad[k]]], ids[senders[ca + bad[k]]], int(t[k])
-            b = int(heard[bad[k], tk >> 6]) >> (tk & 63) & 1
+            r, s = ids[cb_receivers[bad[k]]], ids[senders[ca + bad[k]]]
             raise RuntimeError(
-                f"receiver {r} heard {b} from its lone beeping neighbor {s} in "
-                f"round {int(rounds[k])}, which does not match what {s} sent")
+                f"receiver {r} heard {int(heard[bad[k], t[k]])} from its lone beeping neighbor "
+                f"{s} in round {int(rounds[k])}, which does not match what {s} sent")
         q = quiet[ca:cb]
         got[cb_receivers[q], slots[ca:cb][q]] = heard[q]
 
@@ -200,10 +192,10 @@ def run_local_broadcast(
             f"channel never isolated neighbor {ids[nbr[r, slot]]} for receiver {ids[r]}")
 
     # each node beeps its set message bits once per block it is in
-    beeps_total = int(np.bitwise_count(words[:n]).sum(axis=1, dtype=np.int64) @ member.sum(axis=0))
+    beeps_total = int(bits[:n].sum(axis=1) @ member.sum(axis=0))
 
     # one byte per bit: pair (r, slot) heard its bits at (r * max degree + slot) * width
-    heard_bytes = unpack_word_rows(got.reshape(-1, nw), width).tobytes()
+    heard_bytes = got.tobytes()
     stride = nbr.shape[1] * width
     raw_output: dict[int, dict[int, Bits]] = {}
     output: dict[int, dict[int, Bits]] = {}

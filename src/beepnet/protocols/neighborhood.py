@@ -11,8 +11,8 @@ neighbor is eventually heard alone.
 
 This is local broadcast of each node's ID word, width 2w, on local
 broadcast's schedule and wire (broadcast._wire_chunks): each chunk of
-blocks is one neighbor-OR call and one trace block, and its heard words
-are decoded with one decode_extended_rows call as they arrive.  The
+blocks is one neighbor-OR call and one trace block, and its heard bits
+are packed into one word a block for one decode_extended_rows call.  The
 per-node machine (LearnNeighborhoodNode) encodes and decodes one word at
 a time with the scalar encode_extended and decode_extended.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._bits import bits_to_int
+from .._bits import bits_to_int, pack_bool_rows, unpack_word_rows
 from ..encoding import (
     decode_extended,
     decode_extended_rows,
@@ -63,12 +63,12 @@ def run_learning_neighborhood(graph: Graph, delta_hat: int | None = None) -> Lea
     fam = learning_family(graph.n, graph.c, delta_hat)
     w = id_width(graph.n, graph.c)
     member = family_membership(graph, fam)
-    words = encode_extended_rows(graph.ids, w)[:, None]     # one word of 2w rounds
+    bits = unpack_word_rows(encode_extended_rows(graph.ids, w)[:, None], 2 * w)
     trace = Trace(graph)
     collisions = 0
     found = [set() for _ in graph.ids]      # the IDs each node decoded
-    for lo, hi, noise in _wire_chunks(graph, member, words, 2 * w, trace):
-        heard = noise[:, :, 0]
+    for lo, hi, noise in _wire_chunks(graph, member, bits, trace):
+        heard = pack_bool_rows(noise.reshape(-1, 2 * w)).reshape(graph.n, hi - lo)
         valid, payload = decode_extended_rows(heard, w)
         listener = ~member[lo:hi].T
         collisions += int(np.count_nonzero(listener & ~valid & (heard != 0)))
@@ -76,7 +76,7 @@ def run_learning_neighborhood(graph: Graph, delta_hat: int | None = None) -> Lea
         for node, u in zip(j.tolist(), payload[j, i].tolist()):
             found[node].add(u)
     neighborhoods = dict(zip(graph.ids, map(frozenset, found)))
-    beeps = np.bitwise_count(words).sum(axis=1, dtype=np.int64) @ member.sum(axis=0)
+    beeps = bits.sum(axis=1) @ member.sum(axis=0)
     return LearningResult(neighborhoods, len(fam) * 2 * w, fam, trace, collisions, int(beeps))
 
 

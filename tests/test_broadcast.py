@@ -162,10 +162,11 @@ def test_the_trace_is_the_schedules_definition(monkeypatch, width):
     # Round i * width + t: the members of set i whose message bit t is 1
     # beep, and a node hears noise when one of its neighbours beeps.  Both
     # are derived from fam.sets and the messages alone, over a trace of
-    # several blocks.
+    # several blocks: one word a node a wire call holds 21 blocks of width
+    # 3, and a block of width 65 alone.
     g = generate_random_graph(10, 3, seed=9)
     msgs = _mixed_length_messages(g, width, seed=2)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 5)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8)
     res = run_local_broadcast(g, LocalBroadcastInput(msgs, width))
     assert len(res.trace.blocks) > 1
     padded = {u: msgs[u] + (0,) * (width - len(msgs[u])) for u in g.ids}
@@ -177,6 +178,40 @@ def test_the_trace_is_the_schedules_definition(monkeypatch, width):
         got = np.concatenate([unpack_word_rows(getattr(block, kind), block.nrounds)
                               for block in res.trace.blocks], axis=1)
         np.testing.assert_array_equal(got.T, want, err_msg=kind)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_wire_words_are_the_trace_words(monkeypatch, record):
+    # Width 8, three words a node a wire call: a call carries the 24 blocks
+    # that fill its words, each round once, in ceil(rounds / 64) words a
+    # node, and the words it sends and gets back are the trace block's.
+    g = generate_random_graph(32, 4, seed=9)
+    width = 8
+    msgs = _random_messages(g, width, seed=5)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 3)
+    real = beepnet.kernel.or_neighbor_patterns
+    calls = []
+
+    def spy(indptr, indices, patterns):
+        noise = real(indptr, indices, patterns)
+        calls.append((patterns, noise))
+        return noise
+
+    monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
+    res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), record=record)
+    assert len(calls) == -(-len(res.family) // 24) > 1
+    for k, (patterns, noise) in enumerate(calls):
+        rounds = min(24, len(res.family) - 24 * k) * width
+        assert patterns.shape == noise.shape == (g.n, -(-rounds // 64))
+        if record:
+            block = res.trace.blocks[k]
+            assert (block.start_round, block.nrounds) == (24 * k * width, rounds)
+            assert block.patterns is patterns and block.noise is noise
+    if record:
+        assert len(res.trace.blocks) == len(calls)
+        assert validate_trace(g, res.trace).ok
+    for u in g.ids:
+        assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
 
 
 def test_a_channel_that_drops_beeps_is_an_error(monkeypatch):
@@ -215,19 +250,21 @@ def _listening_lone_cells(g, fam, msgs, t):
 
 def _forge_wire(monkeypatch, width, flips):
     """Flip, for each (block b, receiver index r, message bit t) in flips, the
-    noise bit r hears in round b * width + t: bit t & 63 of word (b - lo) * nw
-    + (t >> 6) of the call whose chunk of blocks starts at lo."""
+    noise bit r hears in round b * width + t: bit (b - lo) * width + t of the
+    words of the call whose chunk of blocks starts at lo.  A call's chunk
+    fills its words to within one block, so with width <= 64 it holds
+    64 * words // width blocks, all but the last call."""
     real = beepnet.kernel.or_neighbor_patterns
-    nw = math.ceil(width / 64)
     lo = 0
 
     def forge(indptr, indices, patterns):
         nonlocal lo
         noise = real(indptr, indices, patterns)
-        hi = lo + patterns.shape[1] // nw
+        hi = lo + 64 * patterns.shape[1] // width
         for b, r, t in flips:
             if lo <= b < hi:
-                noise[r, (b - lo) * nw + (t >> 6)] ^= np.uint64(1) << np.uint64(t & 63)
+                word, bit = divmod((b - lo) * width + t, 64)
+                noise[r, word] ^= np.uint64(1) << np.uint64(bit)
         lo = hi
         return noise
 
@@ -236,13 +273,17 @@ def _forge_wire(monkeypatch, width, flips):
 
 def test_one_forged_lone_cell_is_named(monkeypatch):
     # Flip the one noise bit a receiver reads from its lone neighbour in one
-    # round; the error must name exactly that receiver, sender and round.
+    # round, in the second word of a later wire call; the error must name
+    # exactly that receiver, sender and round.  Two words a node a call hold
+    # 42 blocks of width 3.
     g = generate_random_graph(32, 4, seed=9)
-    width, t = 3, 1
+    width, t, chunk = 3, 1, 42
     msgs = _random_messages(g, width, seed=4)
     fam = broadcast_family(g.n, g.c, g.delta)
-    assert len(fam) > 64
-    cells = [c for c in _listening_lone_cells(g, fam, msgs, t) if c[0] >= 64 and c[0] % 64]
+    assert len(fam) > 2 * chunk
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 2)
+    cells = [c for c in _listening_lone_cells(g, fam, msgs, t)
+             if c[0] >= chunk and (c[0] % chunk) * width + t >= 64]
     b, r, receiver, sender = cells[len(cells) // 2]
     _forge_wire(monkeypatch, width, [(b, r, t)])
     with pytest.raises(RuntimeError, match=(
@@ -252,17 +293,17 @@ def test_one_forged_lone_cell_is_named(monkeypatch):
         run_local_broadcast(g, LocalBroadcastInput(msgs, width))
 
 
-@pytest.mark.parametrize("second_blocks", [(8, None), (1, 4)], ids=["later-chunk", "same-chunk"])
+@pytest.mark.parametrize("second_blocks", [(21, None), (1, 4)], ids=["later-chunk", "same-chunk"])
 def test_the_earliest_forged_round_is_named(monkeypatch, second_blocks):
-    # Four blocks a wire call.  A cell of block 0 is forged in the last
-    # message bit, and a cell of a later block in bit 0, in a later chunk or
-    # the same one: block 0's round, width - 1, comes first, and it is the
-    # one named.
+    # One word a node a wire call: 21 blocks of width 3.  A cell of block 0
+    # is forged in the last message bit, and a cell of a later block in bit
+    # 0, in a later chunk or the same one: block 0's round, width - 1, comes
+    # first, and it is the one named.
     g = generate_random_graph(32, 4, seed=9)
     width = 3
     msgs = _random_messages(g, width, seed=4)
     fam = broadcast_family(g.n, g.c, g.delta)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 4)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8)
     early = next(c for c in _listening_lone_cells(g, fam, msgs, width - 1) if c[0] == 0)
     lo, hi = second_blocks
     late = next(c for c in _listening_lone_cells(g, fam, msgs, 0)
@@ -279,13 +320,11 @@ def test_the_earliest_forged_round_is_named(monkeypatch, second_blocks):
 @pytest.mark.parametrize("record", [False, True])
 def test_wire_calls_stay_within_the_gather_budget(monkeypatch, record):
     # The runner streams: no neighbor-OR call gathers more than
-    # GATHER_BUDGET bytes, unless one block alone (nw words a node) is over
-    # it.  The two set budgets are under the family's total, so they need
-    # several calls.
+    # GATHER_BUDGET bytes, unless one block alone (ceil(width / 64) words a
+    # node) is over it, and no call wastes a whole word a node.  The two set
+    # budgets are under the family's total, so they need several calls.
     g = generate_random_graph(12, 3, seed=2)
-    width, nw = 70, 2
-    msgs = _random_messages(g, width, seed=1)
-    one_block = g.csr[1].size * nw * 8
+    slots = g.csr[1].size
     real = beepnet.kernel.or_neighbor_patterns
     gathered = []
 
@@ -294,19 +333,23 @@ def test_wire_calls_stay_within_the_gather_budget(monkeypatch, record):
         return real(indptr, indices, patterns)
 
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
-    for budget in (None, one_block // 2, 5 * one_block + 3):
-        if budget is not None:
+    default = beepnet.protocols.broadcast.GATHER_BUDGET
+    for width in (5, 70):
+        msgs = _random_messages(g, width, seed=1)
+        one_block = slots * math.ceil(width / 64) * 8
+        for budget in (default, slots * 8 // 2, 5 * slots * 8 + 3):
             monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", budget)
-        gathered.clear()
-        res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), record=record)
-        budget = beepnet.protocols.broadcast.GATHER_BUDGET
-        assert sum(gathered) == len(res.family) * one_block     # each block once
-        assert max(gathered) <= max(budget, one_block)
-        for u in g.ids:
-            assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
-        if record:
-            assert res.trace.total_rounds == res.rounds
-            assert validate_trace(g, res.trace).ok
+            gathered.clear()
+            res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), record=record)
+            assert max(gathered) <= max(budget, one_block)
+            dense = slots * 8 * math.ceil(res.rounds / 64)    # every round once
+            assert dense <= sum(gathered) < dense + len(gathered) * slots * 8
+            for u in g.ids:
+                assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
+            if record:
+                assert len(res.trace.blocks) == len(gathered)
+                assert res.trace.total_rounds == res.rounds
+                assert validate_trace(g, res.trace).ok
 
 
 def test_low_degree_bound_rejected():

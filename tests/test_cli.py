@@ -196,6 +196,24 @@ def test_run_rejects_bad_degree_bound(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "24", "--delta", "2", "--h", "1", "--B", "0"],
+    ["--n", "2", "--delta", "1", "--B", "2"],
+], ids=["delta2-B0", "delta1"])
+def test_multihop_sim_payload_cap_holds_one_whole_frame(capsys, argv):
+    # Below delta_hat = 3 (B = 0) or 2, (B + w) * delta_hat**h is under one
+    # frame of destination, source, length and payload; the cap makes room.
+    assert main(["run", "multihop-sim", *argv, "--seeds", "1"]) == 0
+    assert "ok=1/1" in capsys.readouterr().out
+
+
+def test_multihop_sim_rejects_a_zero_degree_bound(tmp_path, capsys):
+    graph_file = tmp_path / "edgeless.graph"
+    graph_file.write_text("3 0 1\n")
+    assert main(["run", "multihop-sim", "--graph", str(graph_file), "--delta", "0"]) == 2
+    assert capsys.readouterr().err == "error: degree bound must be at least 1\n"
+
+
 @pytest.mark.parametrize("body", [
     "3 2 1\n1 2\n",           # truncated: the header promises two edges
     "3 2 1\n1 2\n2 x\n",      # a non-integer ID

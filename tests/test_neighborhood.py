@@ -134,14 +134,16 @@ def test_decode_follows_the_beeping_neighbour_count(graph, delta_hat):
     _exact(graph, res)
 
 
-@pytest.mark.parametrize("blocks", [1, 3])
-def test_learning_across_chunks_matches_one_chunk(monkeypatch, blocks):
-    # A budget of one or three blocks a wire call spreads the schedule over
-    # many chunks and trace blocks; the result and the digest do not move.
+@pytest.mark.parametrize("words", [1, 3])
+def test_learning_across_chunks_matches_one_chunk(monkeypatch, words):
+    # A budget of one or three words a node a wire call (8 or 24 blocks of
+    # 2w = 8 rounds) spreads the schedule over many chunks and trace
+    # blocks; the result and the digest do not move.
     g = generate_random_graph(14, 4, seed=33)
-    one_block = g.csr[1].size * 8
+    width = 2 * id_width(g.n, g.c)
+    one_word = g.csr[1].size * 8
     length = len(learning_family(g.n, g.c, 4))
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", length * one_block)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", length * width * one_word)
     whole = run_learning_neighborhood(g, delta_hat=4)
     assert len(whole.trace.blocks) == 1
     real = beepnet.kernel.or_neighbor_patterns
@@ -152,16 +154,33 @@ def test_learning_across_chunks_matches_one_chunk(monkeypatch, blocks):
         return real(indptr, indices, patterns)
 
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", blocks * one_block)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", words * one_word)
     res = run_learning_neighborhood(g, delta_hat=4)
-    assert len(gathered) == len(res.trace.blocks) == -(-len(res.family) // blocks)
-    assert max(gathered) <= blocks * one_block
-    assert sum(gathered) == len(res.family) * one_block
+    chunk = 64 * words // width
+    assert len(gathered) == len(res.trace.blocks) == -(-len(res.family) // chunk)
+    assert max(gathered) <= words * one_word
+    assert sum(gathered) == one_word * -(-res.rounds // 64) == one_word * sum(
+        -(-block.nrounds // 64) for block in res.trace.blocks)
     _exact(g, res)
     assert res.collision_events == whole.collision_events > 0
     assert (res.rounds, res.beeps_total) == (whole.rounds, whole.beeps_total)
     assert res.trace.digest() == whole.trace.digest()
     assert validate_trace(g, res.trace).ok
+
+
+def test_learning_trace_keeps_its_rounds_dense(monkeypatch):
+    # A trace block packs its rounds into words back to back.  At n=1024
+    # (2w = 22 rounds a block) and one word a node a wire call, each call
+    # carries two blocks, 44 rounds in one word, so the trace holds at most
+    # 1.5 times the words its rounds fill, not one word per block.
+    g = generate_random_graph(1024, 4, seed=1)
+    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8)
+    res = run_learning_neighborhood(g)
+    words = sum(block.patterns.shape[1] for block in res.trace.blocks)
+    assert words <= 1.5 * -(-res.rounds // 64)
+    assert len(res.trace.blocks) == len(res.family) // 2
+    assert all(block.noise.shape == block.patterns.shape for block in res.trace.blocks)
+    _exact(g, res)
 
 
 @pytest.mark.parametrize("n, c, delta_hat", [(0, 1, 3), (5, 0, 3), (5, -1, 3), (5, 1, -1)])

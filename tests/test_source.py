@@ -39,6 +39,31 @@ def test_benchmark_span_targets_resolve():
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # An import left behind by a rewrite is dead weight that reads like a
+    # dependency.  A name counts as used where the module loads it (as a
+    # name or the head of an attribute chain) or lists it in __all__.
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused.extend(f"{path.relative_to(PACKAGE)}:{line} {name}"
+                      for name, line in imported.items() if name not in used)
+    assert not unused, f"imported names nobody uses: {unused}"
+
+
 def _references(tree: ast.AST) -> Counter:
     """Names, attribute names and imported names that tree mentions."""
     found: Counter = Counter()
