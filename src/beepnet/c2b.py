@@ -217,6 +217,7 @@ class CongestRoundInput:
     """Per directed edge (u, v), the bits u wants v to have; width caps them.
 
     Directions without an entry send the null payload (an empty string).
+    Receivers get width bits per direction, zero padding included.
     """
 
     messages: dict[tuple[int, int], tuple[int, ...]]
@@ -291,8 +292,8 @@ class _BuiltOnRead:
 
 @dataclass
 class C2BResult:
+    # receiver -> sender -> the width bits, a short message's zero padding too
     received: dict[int, dict[int, tuple[int, ...]]]
-    raw_received: dict[int, dict[int, tuple[int, ...]]]
     rounds: int
     schedule: C2BSchedule
     realization_log: list[RealizationRecord]
@@ -619,14 +620,11 @@ class _Handshake:
         nslots = len(self.slots)
         self.msg_words = np.empty((nslots, m), dtype=np.uint64)
         self.msg_words[:] = _message_word_rows([()], w, m)[0]
-        self.msg_len = np.zeros(nslots, dtype=np.int64)
         if inp.messages:
             ui, vi = np.array([(graph.index_of[u], graph.index_of[v])
                                for u, v in inp.messages]).T
-            messages = list(inp.messages.values())
-            e = self.slots(ui, vi)
-            self.msg_words[e] = _message_word_rows(messages, w, m)
-            self.msg_len[e] = [len(bits) for bits in messages]
+            self.msg_words[self.slots(ui, vi)] = _message_word_rows(
+                list(inp.messages.values()), w, m)
 
         self.unrealized = np.ones(nslots, dtype=bool)              # open links by slot
         self.announcing = np.zeros(n, dtype=bool)
@@ -859,25 +857,23 @@ def run_c2b(graph: Graph, inp: CongestRoundInput, delta_hat: int | None = None,
     residual = {ids[i]: frozenset(ids[j] for j in peer[owner == i].tolist())
                 for i in dict.fromkeys(owner.tolist())}
 
-    received, raw_received = _received(core, inp.width)
+    received = _received(core, inp.width)
     if not failed:
         want = 2 * len(graph.edges)
         got = int(core.recv_mask.sum())
         if got != want:
             raise RuntimeError(f"clean finish but {got} of {want} directions recorded")
 
-    return C2BResult(received, raw_received, sched.total_rounds, sched,
+    return C2BResult(received, sched.total_rounds, sched,
                      core.realization_log, partial(_decode_rows, core._decodes, core.ids_arr),
                      core.link_history, handshake, failed, residual, trace, dig, beeps_total)
 
 
-def _received(core: _Handshake, width: int) -> tuple[dict, dict]:
-    """The (received, raw_received) tables from the core's committed words:
-    per receiver and sender ID, the payload bits cut to the message's own
-    length, and the same bits padded to the width."""
+def _received(core: _Handshake, width: int) -> dict[int, dict[int, tuple[int, ...]]]:
+    """The received table from the core's committed words: per receiver
+    and sender ID, the width payload bits, zero padding included."""
     ids, w, m = core.ids, core.schedule.w, core.schedule.words_per_message
     received: dict[int, dict[int, tuple[int, ...]]] = {}
-    raw_received: dict[int, dict[int, tuple[int, ...]]] = {}
     got = np.flatnonzero(core.recv_mask)          # receiver first, then sender
     to_idx, from_idx = core.slots.owner[got], core.slots.peer[got]
     valid, payloads = decode_extended_rows(core.recv_pat[got], w)   # (K, m)
@@ -886,11 +882,9 @@ def _received(core: _Handshake, width: int) -> tuple[dict, dict]:
     # payloads big-endian, words in order, cut to the message width
     bits = (payloads[:, :, None] >> np.arange(w - 1, -1, -1)) & 1
     rows = bits.reshape(len(got), m * w)[:, :width].tolist()
-    lengths = core.msg_len[core.slots(from_idx, to_idx)].tolist()
-    for vi, ui, row, length in zip(to_idx.tolist(), from_idx.tolist(), rows, lengths):
-        raw_received.setdefault(ids[vi], {})[ids[ui]] = tuple(row)
-        received.setdefault(ids[vi], {})[ids[ui]] = tuple(row[:length])
-    return received, raw_received
+    for vi, ui, row in zip(to_idx.tolist(), from_idx.tolist(), rows):
+        received.setdefault(ids[vi], {})[ids[ui]] = tuple(row)
+    return received
 
 
 class C2BNode(NodeProtocol):
@@ -937,7 +931,7 @@ class C2BNode(NodeProtocol):
         self._last_round = schedule.total_rounds - 1
         self._done = self._last_round < 0
 
-        self.raw_received: dict[int, tuple[int, ...]] = {}
+        self.received: dict[int, tuple[int, ...]] = {}
         self.realizations: list[RealizationRecord] = []
 
     def _start_super_round(self, idx: ScheduleIndex) -> None:
@@ -1017,38 +1011,27 @@ class C2BNode(NodeProtocol):
                 if last_part:
                     self._commit_confirmed(idx)
 
-    def _try_accept(self) -> None:
+    def _decode_triple(self, heard: list[int]):
+        """(sender, addressee, payload bits) of a heard triple's words, each
+        None where a word fails to decode."""
         w = self.schedule.w
-        p0 = decode_extended(self._resp_heard[0], w)
-        p1 = decode_extended(self._resp_heard[1], w)
-        if p0 is None or p0 not in self.unrealized or p1 != self.node_id:
-            return
-        payloads = []
-        for t in range(2, self.schedule.half_parts):
-            val = decode_extended(self._resp_heard[t], w)
-            if val is None:
-                return
-            payloads.append(val)
-        self._confirm_target = p0
-        self._pending = _words_to_bits(payloads, w, self.schedule.width)
+        words = [decode_extended(word, w) for word in heard]
+        bits = None if None in words[2:] else _words_to_bits(words[2:], w, self.schedule.width)
+        return words[0], words[1], bits
+
+    def _try_accept(self) -> None:
+        p0, p1, bits = self._decode_triple(self._resp_heard)
+        if p0 in self.unrealized and p1 == self.node_id and bits is not None:
+            self._confirm_target, self._pending = p0, bits
 
     def _commit_confirmed(self, idx: ScheduleIndex) -> None:
-        w = self.schedule.w
-        q0 = decode_extended(self._conf_heard[0], w)
-        q1 = decode_extended(self._conf_heard[1], w)
-        if q0 != self.responsive or q1 != self.node_id:
-            return
-        payloads = []
-        for t in range(2, self.schedule.half_parts):
-            val = decode_extended(self._conf_heard[t], w)
-            if val is None:
-                return
-            payloads.append(val)
-        self._realize(q0, _words_to_bits(payloads, w, self.schedule.width), idx)
+        q0, q1, bits = self._decode_triple(self._conf_heard)
+        if q0 == self.responsive and q1 == self.node_id and bits is not None:
+            self._realize(q0, bits, idx)
 
     def _realize(self, peer: int, bits: tuple[int, ...], idx: ScheduleIndex) -> None:
         self.unrealized.discard(peer)
-        self.raw_received[peer] = bits
+        self.received[peer] = bits
         self.realizations.append(RealizationRecord(
             self.node_id, peer, idx.epoch, idx.phase, idx.subphase, idx.window))
 
@@ -1057,7 +1040,7 @@ class C2BNode(NodeProtocol):
 
     def output(self):
         return {
-            "received": dict(self.raw_received),
+            "received": dict(self.received),
             "realizations": tuple(self.realizations),
             "open": frozenset(self.unrealized),
         }

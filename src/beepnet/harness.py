@@ -147,9 +147,23 @@ class Metrics:
 
 
 def metrics_from_record(rec: dict) -> Metrics:
+    """The Metrics of a report record, once every field has its declared
+    type and _shape can use it; raises TypeError or ValueError."""
     rec = dict(rec)
     rec.pop("ok", None)
-    return Metrics(**rec)
+    m = Metrics(**rec)
+    for f in fields(m):
+        value = getattr(m, f.name)
+        kind = f.type.split("[")[0].split(" |")[0]      # "int | None" -> "int"
+        if type(value).__name__ != kind and not (value is None and f.type.endswith("None")):
+            raise TypeError(f"{f.name} is {value!r}, not {f.type}")
+        if kind == "int" and value is not None and not 0 <= value < 1 << 63:
+            raise ValueError(f"{f.name} {value} is outside [0, 2^63)")
+    if m.protocol not in PROTOCOLS or m.w < 1 or m.h < 1:
+        raise ValueError(f"protocol {m.protocol!r}, w {m.w} or h {m.h} is out of range")
+    if (m.h + 2) * math.log2(max(1, m.delta_hat)) > 1 << 16:
+        raise ValueError(f"delta_hat^(h + 2) for h {m.h} needs over 2^16 bits")
+    return m
 
 
 def _payload(rng: np.random.Generator, max_bits: int, exact: bool = False) -> Bits:
@@ -433,20 +447,20 @@ def load_report(path: str | Path) -> list[Metrics]:
 
 
 def _shape(m: Metrics) -> int:
-    """The growth shape a protocol's rounds are expected to track."""
-    logd = max(1, math.ceil(math.log2(max(2, m.delta_hat))))
+    """The growth shape a protocol's rounds are expected to track, with the
+    degree bound floored at 1."""
+    dh = max(1, m.delta_hat)
+    logd = max(1, math.ceil(math.log2(max(2, dh))))
     if m.protocol == "local-broadcast":
-        return max(1, m.B) * m.delta_hat**2 * m.w
-    if m.protocol == "learn-neighborhood":
-        return m.schedule_rounds or 1
-    if m.protocol == "cluster-gather":
+        return max(1, m.B) * dh**2 * m.w
+    if m.protocol in ("learn-neighborhood", "cluster-gather"):
         return m.schedule_rounds or 1
     if m.protocol == "c2b":
-        return m.delta_hat**2 * m.w**2 * logd
+        return dh**2 * m.w**2 * logd
     if m.protocol == "multihop-sim":
-        return m.h * (m.B + m.w) * m.delta_hat ** (m.h + 2)
+        return m.h * (m.B + m.w) * dh ** (m.h + 2)
     if m.protocol == "multihop-broadcast":
-        return m.h * (m.B + m.w) * m.delta_hat ** (m.h + 1) * m.w
+        return m.h * (m.B + m.w) * dh ** (m.h + 1) * m.w
     raise ParameterError(f"no shape for protocol {m.protocol!r}")
 
 
@@ -456,7 +470,7 @@ def _normalized(m: Metrics) -> float:
     If rounds track the shape, this grows like delta_hat squared, so the
     log-log slope in the degree bound lands near 2 for every protocol.
     """
-    return m.rounds_total * m.delta_hat**2 / _shape(m)
+    return m.rounds_total * max(1, m.delta_hat) ** 2 / _shape(m)
 
 
 @dataclass
@@ -469,14 +483,17 @@ class BoundRow:
 
 
 def fit_degree_slope(metrics: list[Metrics]) -> float | None:
-    """Log-log slope of normalized rounds against the degree bound."""
+    """Log-log slope of normalized rounds against the degree bound, floored
+    at 1.  A degree bound whose runs average no rounds has no logarithm and
+    is left out."""
     by_delta: dict[int, list[float]] = {}
     for m in metrics:
-        by_delta.setdefault(m.delta_hat, []).append(_normalized(m))
-    if len(by_delta) < 2:
+        by_delta.setdefault(max(1, m.delta_hat), []).append(_normalized(m))
+    points = [(d, statistics.fmean(ys)) for d, ys in sorted(by_delta.items())]
+    points = [p for p in points if p[1] > 0]
+    if len(points) < 2:
         return None
-    xs = np.log2(sorted(by_delta))
-    ys = np.log2([statistics.fmean(by_delta[d]) for d in sorted(by_delta)])
+    xs, ys = np.log2(points).T
     return float(np.polyfit(xs, ys, 1)[0])
 
 

@@ -240,9 +240,11 @@ def run_multihop_simulation(
         beeps += cres.beeps_total
         for rcv, table in cres.received.items():
             for bits in table.values():
-                pos = 0
-                while pos < len(bits):
+                pos = 0     # frames end at zero padding (no ID is 0) or a cut header
+                while len(bits) - pos >= 2 * w + lenbits:
                     dst = bits_to_int(bits[pos : pos + w])
+                    if dst == 0:
+                        break
                     src = bits_to_int(bits[pos + w : pos + 2 * w])
                     mlen = bits_to_int(bits[pos + 2 * w : pos + 2 * w + lenbits])
                     pos += 2 * w + lenbits

@@ -78,8 +78,7 @@ def local_broadcast_schedule_length(n: int, c: int, delta_hat: int, width: int) 
 
 @dataclass
 class LocalBroadcastResult:
-    output: dict[int, dict[int, Bits]]  # receiver -> sender -> message
-    raw_output: dict[int, dict[int, Bits]]  # same, before length truncation
+    output: dict[int, dict[int, Bits]]  # receiver -> sender -> width bits, zero padding too
     rounds: int
     family: SelectorFamily | None
     trace: Trace | None
@@ -136,7 +135,7 @@ def run_local_broadcast(
     width = inp.width
     if width == 0:
         empty = {u: {v: () for v in graph.neighbors_of(u)} for u in graph.ids}
-        return LocalBroadcastResult(empty, empty, 0, None, Trace(graph) if record else None)
+        return LocalBroadcastResult(empty, 0, None, Trace(graph) if record else None)
 
     fam = broadcast_family(graph.n, graph.c, delta_hat)
     n = graph.n
@@ -145,11 +144,8 @@ def run_local_broadcast(
     # Row j is node j's message; row n is the phantom node that pads
     # graph.neighbor_table, which sends nothing.
     bits = np.zeros((n + 1, width), dtype=bool)
-    lengths = {}
     for u, m in inp.messages.items():
-        j = graph.index_of[u]
-        lengths[j] = len(m)
-        bits[j, : len(m)] = m
+        bits[graph.index_of[u], : len(m)] = m
 
     nbr = graph.neighbor_table
     blocks, receivers, slots = _lone_cells(member, nbr)
@@ -197,16 +193,12 @@ def run_local_broadcast(
     # one byte per bit: pair (r, slot) heard its bits at (r * max degree + slot) * width
     heard_bytes = got.tobytes()
     stride = nbr.shape[1] * width
-    raw_output: dict[int, dict[int, Bits]] = {}
-    output: dict[int, dict[int, Bits]] = {}
-    for r, (u, neighbors) in enumerate(zip(ids, graph.neighbors)):
-        raw_u = raw_output[u] = {}
-        out_u = output[u] = {}
-        for v, at in zip(neighbors, range(r * stride, (r + 1) * stride, width)):
-            raw_u[v] = raw = tuple(heard_bytes[at:at + width])
-            out_u[v] = raw[: lengths.get(graph.index_of[v], 0)]
+    output = {
+        u: {v: tuple(heard_bytes[at:at + width])
+            for v, at in zip(neighbors, range(r * stride, (r + 1) * stride, width))}
+        for r, (u, neighbors) in enumerate(zip(ids, graph.neighbors))}
 
-    return LocalBroadcastResult(output, raw_output, width * len(fam), fam, trace, beeps_total)
+    return LocalBroadcastResult(output, width * len(fam), fam, trace, beeps_total)
 
 
 class LocalBroadcastNode(NodeProtocol):

@@ -14,6 +14,10 @@ max-depth steps every leader has folded its whole cluster.
 
 Leader broadcast runs the same machinery downward: a node relays its
 tree's value in the step after it first hears it from its parent.
+
+A receiver hears width bits from every neighbor in every slot, and an
+empty slot sounds like tree 0 with value 0.  Which neighbors sent in a
+slot comes from the runner's own messages dict, not from the channel.
 """
 
 from __future__ import annotations
@@ -225,7 +229,7 @@ def _run_tree_steps(
             traces.append(res.trace)
             for v in graph.ids:
                 for u, bits in res.output[v].items():
-                    if len(bits) != width:
+                    if u not in messages:
                         continue  # no message queued in this slot
                     t = bits_to_int(bits[:tbits])
                     heard.setdefault((t, v), []).append((u, bits_to_int(bits[tbits:])))

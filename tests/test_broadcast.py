@@ -29,6 +29,10 @@ def _random_messages(graph, width, seed):
     }
 
 
+def _padded(bits, width):
+    return tuple(bits) + (0,) * (width - len(bits))
+
+
 def test_single_edge():
     g = graph_from_edges([(1, 2)])
     res = run_local_broadcast(g, LocalBroadcastInput({1: (1,), 2: (0,)}, 1))
@@ -41,7 +45,7 @@ def test_width_zero_sends_nothing(record):
     g = graph_from_edges([(1, 2), (2, 3)])
     res = run_local_broadcast(g, LocalBroadcastInput({1: (), 2: ()}, 0), record=record)
     empty = {1: {2: ()}, 2: {1: (), 3: ()}, 3: {2: ()}}
-    assert res.output == res.raw_output == empty
+    assert res.output == empty
     assert (res.rounds, res.beeps_total, res.family) == (0, 0, None)
     assert res.rounds == local_broadcast_schedule_length(g.n, g.c, g.delta, 0)
     if record:
@@ -65,9 +69,21 @@ def test_short_messages_zero_padded_roundtrip():
     res = run_local_broadcast(g, LocalBroadcastInput(msgs, 3))
     for u in g.ids:
         for v in g.neighbors_of(u):
-            assert res.output[u][v] == msgs[v]
-            padded = msgs[v] + (0,) * (3 - len(msgs[v]))
-            assert res.raw_output[u][v] == padded
+            assert res.output[u][v] == _padded(msgs[v], 3)
+
+
+def test_receivers_cannot_tell_short_messages_from_padded_ones():
+    # the channel carries width bits per edge, so a message and the same
+    # message zero-padded to the width are heard alike
+    g = generate_random_graph(12, 4, seed=6)
+    short = _mixed_length_messages(g, 5, seed=3)
+    padded = {u: _padded(m, 5) for u, m in short.items()}
+    a = run_local_broadcast(g, LocalBroadcastInput(short, 5), delta_hat=4)
+    b = run_local_broadcast(g, LocalBroadcastInput(padded, 5), delta_hat=4)
+    assert any(len(m) < 5 for m in short.values())
+    assert a.output == b.output
+    assert (a.rounds, a.beeps_total) == (b.rounds, b.beeps_total)
+    assert a.trace.digest() == b.trace.digest()
 
 
 def test_schedule_length_formula():
@@ -150,8 +166,8 @@ def test_machine_route_matches_population(graph, width, delta_hat, messages):
     assert engine_res.ok
     assert engine_res.rounds == res.rounds
     for u in g.ids:
-        assert nodes[u].output() == res.raw_output[u]
-        assert res.output[u] == {v: msgs[v] for v in g.neighbors_of(u)}
+        assert nodes[u].output() == res.output[u]
+        assert res.output[u] == {v: _padded(msgs[v], width) for v in g.neighbors_of(u)}
     assert engine_res.trace.digest() == res.trace.digest()
     assert validate_trace(g, engine_res.trace).ok
     assert validate_trace(g, res.trace).ok

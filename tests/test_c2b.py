@@ -188,8 +188,8 @@ def test_single_edge_delivers_both_directions():
     inp = CongestRoundInput({(1, 3): (1, 0, 1), (3, 1): (0, 1)}, width=4)
     res = run_c2b(g, inp, record="full")
     assert not res.failed
-    assert res.received == {1: {3: (0, 1)}, 3: {1: (1, 0, 1)}}
-    assert res.raw_received[3][1] == (1, 0, 1, 0)
+    # the receivers hear width bits, a short message's zero padding included
+    assert res.received == {1: {3: (0, 1, 0, 0)}, 3: {1: (1, 0, 1, 0)}}
     assert res.rounds == build_schedule(2, 2, 1, width=4).total_rounds
     # one realization per side, same window
     assert len(res.realization_log) == 2
@@ -206,12 +206,27 @@ def test_star_delivery_and_null_payloads():
     res = run_c2b(STAR, inp, delta_hat=4)
     assert not res.failed
     for leaf in (1, 2, 4, 5):
-        assert res.received[leaf][3] == (1, leaf & 1)
+        assert res.received[leaf][3] == (1, leaf & 1, 0)
     assert res.received[3][1] == (0, 1, 1)
     # directions without an entry still realize and carry the empty payload
-    assert res.received[3][2] == ()
-    assert res.raw_received[3][2] == (0, 0, 0)
+    assert res.received[3][2] == (0, 0, 0)
     assert check_epoch_invariant(res.link_history, 4)
+
+
+def test_receivers_cannot_tell_short_messages_from_padded_ones():
+    # the committed words carry width bits per direction, so a message and
+    # the same message zero-padded to the width are received alike
+    g = generate_random_graph(10, 3, seed=9, c=1)
+    rng = np.random.default_rng(41)
+    short = {edge: bits[:int(rng.integers(0, 6))]
+             for edge, bits in _directed_messages(g, 5, 41).items()}
+    padded = {edge: bits + (0,) * (5 - len(bits)) for edge, bits in short.items()}
+    a = run_c2b(g, CongestRoundInput(short, 5), record="digest")
+    b = run_c2b(g, CongestRoundInput(padded, 5), record="digest")
+    assert any(len(bits) < 5 for bits in short.values())
+    assert not a.failed and a.received == b.received
+    assert flatten_received(a.received) == padded
+    assert (a.rounds, a.beeps_total, a.digest) == (b.rounds, b.beeps_total, b.digest)
 
 
 def test_zero_width_messages():
@@ -270,7 +285,7 @@ def test_words_past_sixteen_bits_deliver(tmp_path, monkeypatch):
     res = run_c2b(g, inp, record="full")
     assert res.schedule.w == 17
     assert not res.failed
-    assert flatten_received(res.received) == msgs
+    assert res.received == {60001: {5: (1, 0, 1, 1)}, 5: {60001: (0, 1, 1, 0)}}
     assert res.handshake.ok
     assert check_handshake_lemmas(res.trace, g, res, inp).ok
 
@@ -339,7 +354,7 @@ def _check_machines_match(graph, width, delta_hat, seed):
     assert res.rounds == pop.rounds
     assert res.trace.digest() == pop.digest
     got = {u: res.outputs[u]["received"] for u in graph.ids if res.outputs[u]["received"]}
-    assert got == pop.raw_received
+    assert got == pop.received
     mach_real = set().union(*(res.outputs[u]["realizations"] for u in graph.ids))
     assert mach_real == set(pop.realization_log)
     assert all(not res.outputs[u]["open"] for u in graph.ids)

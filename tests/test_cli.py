@@ -1,16 +1,22 @@
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beepnet
 from beepnet.cli import main
 from beepnet.graphs import ParameterError, graph_from_edges, load_graph
-from beepnet.harness import PROTOCOLS
+from beepnet.harness import PROTOCOLS, ExperimentConfig, Metrics, run_experiment
 from beepnet.multihop import load_layer_annotations
 from beepnet.selectors import (
     load_family,
@@ -295,6 +301,72 @@ def test_report_rejects_a_corrupt_record(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(["report", str(report)]) == 2
     assert f"error: {report} line {last + 1}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["local-broadcast", "multihop-broadcast"])
+def test_report_reads_a_one_node_report(tmp_path, capsys, protocol):
+    # a lone node has degree bound 0, which the shapes floor at 1
+    report = tmp_path / "r.txt"
+    assert main(["run", protocol, "--n", "1", "--delta", "0", "--seeds", "1,2",
+                 "--out", str(report)]) == 0
+    assert main(["report", str(report)]) == 0
+    assert protocol in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta_hat", "2"), ("rounds_total", None), ("w", 0), ("h", 0), ("B", -1),
+    ("delta_hat", 2**63), ("trace_checked", 1), ("protocol", "quicksort"),
+])
+def test_report_names_the_line_of_a_malformed_record(tmp_path, capsys, field, value):
+    report = tmp_path / "r.txt"
+    main(["run", "local-broadcast", "--n", "1", "--delta", "0", "--seeds", "1,2",
+          "--out", str(report)])
+    lines = report.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[field] = value
+    lines[2] = json.dumps(rec)
+    report.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {report} line 3: ")
+
+
+@functools.cache
+def _reports_of_every_protocol() -> tuple[tuple[str, ...], ...]:
+    """Three records of each protocol, one report each: one-node graphs
+    where the protocol runs on one, else two nodes."""
+    return tuple(
+        tuple(run_experiment(ExperimentConfig(
+            protocol=p, n=n, delta=n - 1, seeds=(1, 2, 3))).render().splitlines())
+        for p, n in zip(PROTOCOLS, (1, 1, 1, 2, 2, 1)))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(), max_size=2), st.sampled_from(PROTOCOLS),
+    st.sampled_from([0, 1, 2, -1, 2**63 - 1, 2**63]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(which=st.integers(0, len(PROTOCOLS) - 1), line=st.integers(1, 3),
+       field=st.sampled_from([f.name for f in fields(Metrics)] + ["ok", "extra"]),
+       value=JSON_VALUES)
+def test_report_exits_0_or_names_the_line_of_a_changed_field(which, line, field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, lines in enumerate(_reports_of_every_protocol()):
+            lines = list(lines)
+            if i == which:
+                rec = json.loads(lines[line])
+                rec[field] = value
+                lines[line] = json.dumps(rec)
+            paths.append(Path(tmp) / f"r{i}.txt")
+            paths[-1].write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["report", *map(str, paths)])
+    assert code == 0 or (code == 2 and err.getvalue().startswith(
+        f"error: {paths[which]} line {line + 1}: ")), (code, err.getvalue())
 
 
 def test_unknown_protocol_is_a_usage_error():

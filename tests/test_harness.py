@@ -205,3 +205,21 @@ def test_load_report_names_a_file_that_is_not_text(tmp_path):
     path.write_bytes(b"# beepnet report v1\n\xff\n")
     with pytest.raises(ParameterError, match=f"{path}: not UTF-8 text"):
         load_report(path)
+
+
+def test_load_report_refuses_a_degree_power_past_its_range(tmp_path):
+    # 4^(h + 2) at h = 40,000 would take the shape 80,004 bits
+    path = tmp_path / "report.jsonl"
+    path.write_text(make_metrics(protocol="multihop-sim", delta_hat=4, h=40_000).record_line())
+    with pytest.raises(ParameterError, match=f"{path} line 1: delta_hat"):
+        load_report(path)
+    path.write_text(make_metrics(protocol="multihop-sim", delta_hat=1, h=40_000).record_line())
+    assert load_report(path)[0].h == 40_000
+
+
+def test_fit_degree_slope_leaves_out_degree_bounds_without_rounds():
+    ms = [make_metrics(delta_hat=d, rounds_total=r) for d, r in ((0, 0), (2, 0), (4, 1000))]
+    assert fit_degree_slope(ms) is None
+    ms.append(make_metrics(delta_hat=8, rounds_total=4000))
+    assert fit_degree_slope(ms) == pytest.approx(
+        fit_degree_slope(ms[2:]), abs=1e-12)
