@@ -52,14 +52,19 @@ def is_bit_string(bits) -> bool:
     return countOf(bits, 0) + countOf(bits, 1) == len(bits)
 
 
+# Digit characters to bit values and back, for bytes.translate.
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def bits_to_int(bits) -> int:
     """Bit string to pattern int (bit j of the result is bits[j])."""
-    v = 0
-    for j, b in enumerate(bits):
-        if b:
-            v |= 1 << j
-    return v
+    return int(bytes(bits)[::-1].translate(_TO_DIGITS) or b"0", 2)
 
 
 def int_to_bits(value: int, length: int) -> tuple[int, ...]:
-    return tuple((value >> j) & 1 for j in range(length))
+    """The low `length` bits of value, bit j as element j (two's complement
+    for a negative value)."""
+    # a sentinel 1 above bit length-1 keeps the leading zeros; [:0:-1] drops it
+    digits = format(value & ((1 << length) - 1) | 1 << length, "b")[:0:-1]
+    return tuple(digits.encode().translate(_TO_BITS))

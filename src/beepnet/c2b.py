@@ -41,7 +41,6 @@ engine as an independent cross-check on small instances.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -427,6 +426,12 @@ class _EdgeSlots:
         return np.minimum(np.searchsorted(self._key, i * self._n + j), len(self) - 1)
 
 
+def _spot(where: tuple, sr: int) -> str:
+    """An audit message's place: (epoch, phase, subphase, window) and super-round."""
+    epoch, phase, subphase, window = where
+    return f"epoch {epoch} phase {phase} subphase {subphase} window {window} sr {sr}"
+
+
 class _Auditor:
     """Checks decode events and realizations against the raw channel.
 
@@ -460,10 +465,6 @@ class _Auditor:
         self._rows = 0
         self._pending: list[tuple] = []
 
-    def _spot(self, meta: ScheduleIndex) -> str:
-        return (f"epoch {meta.epoch} phase {meta.phase} "
-                f"subphase {meta.subphase} window {meta.window} sr {meta.super_round}")
-
     def on_super_round(self, spot: tuple, role: str, sr: int, patterns: np.ndarray,
                        noise: np.ndarray, obligated: np.ndarray,
                        decoded: np.ndarray, payloads: np.ndarray) -> None:
@@ -486,12 +487,12 @@ class _Auditor:
             pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending)))
         self.report.super_rounds += len(patterns)
         self.report.decode_events += int(np.count_nonzero(decoded))
-        first = [blk[0] for blk in blocks]
+        first = np.array([blk[0] for blk in blocks])
 
-        def spot(k: int) -> str:
-            start, where, role, sr = blocks[bisect_right(first, k) - 1]
-            part = None if role == "announcing" else k - start
-            return self._spot(ScheduleIndex(*where, role, part, sr + k - start, 0))
+        def spot(k: int, b: int) -> str:
+            """Where row k of the batch, which lies in block b, sits."""
+            start, where, _, sr = blocks[b]
+            return _spot(where, sr + k - start)
 
         # column n is the phantom node the table pads with: it never beeps
         words = np.zeros((len(patterns), self.graph.n + 1), dtype=np.uint64)
@@ -512,15 +513,19 @@ class _Auditor:
         valid, value = decode_extended_rows(sent, self.schedule.w)
         heard = decoded[ks, us]
         ids = self.graph.ids
-        for i in np.flatnonzero(obligated[ks, us] & ~beeping[ks, us] & valid
-                                & ~(heard & (payloads[ks, us] == value))).tolist():
-            self.report.violations.append(
-                f"{ids[us[i]]} missed the lone word {value[i]} from "
-                f"{ids[pk[i]]} at {spot(ks[i])}")
-        for i in np.flatnonzero(heard & (noise[ks, us] != sent)).tolist():
-            self.report.violations.append(
-                f"{ids[us[i]]} logged payload {payloads[ks[i], us[i]]} from a word its lone "
-                f"beeping neighbor {ids[pk[i]]} did not send, at {spot(ks[i])}")
+        missed = np.flatnonzero(obligated[ks, us] & ~beeping[ks, us] & valid
+                                & ~(heard & (payloads[ks, us] == value)))
+        forged = np.flatnonzero(heard & (noise[ks, us] != sent))
+        if missed.size or forged.size:
+            blk = np.searchsorted(first, ks, side="right") - 1
+            for i in missed.tolist():
+                self.report.violations.append(
+                    f"{ids[us[i]]} missed the lone word {value[i]} from "
+                    f"{ids[pk[i]]} at {spot(ks[i], blk[i])}")
+            for i in forged.tolist():
+                self.report.violations.append(
+                    f"{ids[us[i]]} logged payload {payloads[ks[i], us[i]]} from a word its "
+                    f"lone beeping neighbor {ids[pk[i]]} did not send, at {spot(ks[i], blk[i])}")
         ks, us = _cells(decoded & ~lone)
         if not ks.size:
             return
@@ -532,20 +537,20 @@ class _Auditor:
                 == np.where(near, words, np.uint64(0)).max(axis=1))
         blk = np.searchsorted(first, ks, side="right") - 1
         responding = np.array([role == "responding" for _, _, role, _ in blocks])[blk]
-        part = ks - np.array(first)[blk]
+        part = ks - first[blk]
         flag = responding & (part >= 1) & same
-        for k, u, c, p, f in zip(ks.tolist(), us.tolist(), cnt[group[ks], us].tolist(),
-                                 part.tolist(), flag.tolist()):
+        for k, b, u, c, p, f in zip(ks.tolist(), blk.tolist(), us.tolist(),
+                                    cnt[group[ks], us].tolist(), part.tolist(), flag.tolist()):
             if c == 0:
                 self.report.violations.append(
-                    f"{ids[u]} decoded with no beeping neighbor at {spot(k)}")
+                    f"{ids[u]} decoded with no beeping neighbor at {spot(k, b)}")
             elif f:
                 self.report.flagged.append(
                     f"{ids[u]} heard {c} identical responding words "
-                    f"(part {p}) at {spot(k)}")
+                    f"(part {p}) at {spot(k, b)}")
             else:
                 self.report.violations.append(
-                    f"{ids[u]} decoded a {c}-beeper pile-up at {spot(k)}")
+                    f"{ids[u]} decoded a {c}-beeper pile-up at {spot(k, b)}")
 
     def on_window(self, spot: tuple, sr: int, pairs: list[tuple[int, int]],
                   respond: np.ndarray, confirm: np.ndarray) -> None:
@@ -553,21 +558,17 @@ class _Auditor:
         of the window at spot, whose last super-round is sr."""
         ids, word, msg = self.graph.ids, self.id_word, self.msg_words
         vs, rs = np.array(pairs).T
-        out, back = self.slots(rs, vs), self.slots(vs, rs)
-
-        def at() -> str:
-            return self._spot(
-                ScheduleIndex(*spot, "confirming", self.schedule.half_parts - 1, sr, 0))
-
-        for (v, r), e_rv, e_vr in zip(pairs, out.tolist(), back.tolist()):
-            if (not np.array_equal(respond[:, r], [word[r], word[v], *msg[e_rv]])
-                    or respond[:, v].any()):
-                self.report.violations.append(
-                    f"realization {ids[v]}-{ids[r]} lacks its responding triple at {at()}")
-            if (not np.array_equal(confirm[:, v], [word[v], word[r], *msg[e_vr]])
-                    or confirm[:, r].any()):
-                self.report.violations.append(
-                    f"realization {ids[v]}-{ids[r]} lacks its confirming triple at {at()}")
+        # per pair, the responder's triple to its announcer and the announcer's back
+        want_r = np.vstack([word[rs], word[vs], msg[self.slots(rs, vs)].T])
+        want_c = np.vstack([word[vs], word[rs], msg[self.slots(vs, rs)].T])
+        bad_r = (respond[:, rs] != want_r).any(axis=0) | respond[:, vs].any(axis=0)
+        bad_c = (confirm[:, vs] != want_c).any(axis=0) | confirm[:, rs].any(axis=0)
+        for i in np.flatnonzero(bad_r | bad_c).tolist():
+            v, r = pairs[i]
+            for half, bad in (("responding", bad_r), ("confirming", bad_c)):
+                if bad[i]:
+                    self.report.violations.append(f"realization {ids[v]}-{ids[r]} lacks "
+                                                  f"its {half} triple at {_spot(spot, sr)}")
 
     def finish(self, realization_log: list[RealizationRecord]) -> HandshakeReport:
         self.flush()
@@ -603,7 +604,10 @@ class _Handshake:
     least k) changes only inside a phase with an announcer, and who may
     respond (an open link to the node it heard) only at a live window's
     close, so one membership scan after each live step finds the next
-    one.  Every block on the wire has a beeper, and ``idle`` gets each
+    one.  The responders' words are fixed for the whole phase when it is
+    announced: each one's slot to its announcer and its column of the
+    (half_parts, n) responding block; a window only masks that block with
+    the links still open.  Every block on the wire has a beeper, and ``idle`` gets each
     maximal silent stretch in one call: two idle calls are never adjacent.
     """
 
@@ -629,6 +633,10 @@ class _Handshake:
         self.unrealized = np.ones(nslots, dtype=bool)              # open links by slot
         self.announcing = np.zeros(n, dtype=bool)
         self.responsive = np.full(n, -1, dtype=np.int64)
+        # fixed for a phase by its announcement: each responsive node's slot to
+        # its announcer, and the (half_parts, n) words the responders send there
+        self.resp_slot = np.zeros(n, dtype=np.int64)
+        self.resp_words = np.zeros((schedule.half_parts, n), dtype=np.uint64)
         self.recv_pat = np.zeros((nslots, m), dtype=np.uint64)   # slot of receiver -> sender
         self.recv_mask = np.zeros(nslots, dtype=bool)
         # per block with a decode: (sr, role, flat (S, n) cells, payloads)
@@ -654,8 +662,7 @@ class _Handshake:
                     sched.phase_super_rounds(plan)):
                 self.announce((plan.index, j + 1, None, None), announcers)
                 for t, senders in self._live_steps(
-                        win_member, lambda: self._open(self.responsive),
-                        sched.window_super_rounds):
+                        win_member, self._responders, sched.window_super_rounds):
                     self.window((plan.index, j + 1, *spots[t]), senders)
             self.link_history.append(dict(zip(self.ids, self._open_counts().tolist())))
         self._end_silence()
@@ -693,13 +700,17 @@ class _Handshake:
         """Open links per node."""
         return np.bincount(self.slots.owner[self.unrealized], minlength=self.graph.n)
 
-    def _open(self, peer: np.ndarray) -> np.ndarray:
-        """Whether each node's link to peer[i] is still open; peer is a node
-        index or -1 for none.  A peer that is no neighbour has no link, so
-        the slot the lookup lands on must be the link itself."""
+    def _link(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slot of each link i -> j, and whether that link is still open;
+        j is a node index or -1 for none.  A j that is no neighbour of i has
+        no link, so the slot the lookup lands on must be the link itself."""
         slots = self.slots
-        e = slots(self.arange, peer)
-        return self.unrealized[e] & (slots.owner[e] == self.arange) & (slots.peer[e] == peer)
+        e = slots(i, j)
+        return e, self.unrealized[e] & (slots.owner[e] == i) & (slots.peer[e] == j)
+
+    def _responders(self) -> np.ndarray:
+        """Responsive nodes whose link to their announcer is still open."""
+        return (self.responsive >= 0) & self.unrealized[self.resp_slot]
 
     def _node_index(self, payload: np.ndarray) -> np.ndarray:
         """Index of the node whose ID each payload is, or -1 for none."""
@@ -720,7 +731,7 @@ class _Handshake:
         if cells.size:
             self._decodes.append((sr, role, cells, payload.ravel()[cells]))
         self.auditor.on_super_round(spot, role, sr, patterns, noise,
-                                    np.broadcast_to(listeners, decoded.shape), decoded, payload)
+                                    listeners[None].repeat(len(block), 0), decoded, payload)
         return patterns, noise, valid, payload
 
     def announce(self, spot: tuple, announcing: np.ndarray) -> None:
@@ -731,41 +742,49 @@ class _Handshake:
         _, _, valid, payload = self._hear(
             spot, "announcing", np.where(announcing, self.id_word, np.uint64(0))[None], eligible)
         heard = np.where(eligible & valid[0], self._node_index(payload[0]), -1)
-        self.responsive = np.where(self._open(heard), heard, -1)
+        self.resp_slot, is_open = self._link(self.arange, heard)
+        self.responsive = np.where(is_open, heard, -1)
+        # the columns of nodes that respond to nobody are never beeped
+        self.resp_words = np.vstack([self.id_word, self.id_word[heard],
+                                     self.msg_words[self.resp_slot].T])
 
     def window(self, spot: tuple, senders: np.ndarray) -> None:
         """Responders send <own id><announcer id><payload> and each announcer
         that hears one cleanly confirms in kind; the links that close both
         ways are realized.  A confirming half without a confirmer is silent."""
         responsive = self.responsive
-        target = np.maximum(responsive, 0)
+        block = np.where(senders, self.resp_words, np.uint64(0))
         listeners = self.announcing
         sent: list[np.ndarray] = []
         links: list[set[tuple[int, int]]] = []
         slots: list[np.ndarray] = []
         for role in ("responding", "confirming"):
-            if not senders.any():      # no announcer accepted, so nobody confirms
+            if not block[0].any():   # no sender (its ID word is never 0): nobody confirms
                 self._skip(self.schedule.half_parts)
                 return
-            words = np.vstack([self.id_word, self.id_word[target],
-                               self.msg_words[self.slots(self.arange, target)].T])
-            beeped, heard, valid, payload = self._hear(
-                spot, role, np.where(senders, words, np.uint64(0)), listeners)
-            peer = np.where(valid[0], self._node_index(payload[0]), -1)
-            accept = listeners & valid.all(axis=0) & (payload[1] == self.ids_arr)
-            if role == "responding":
-                accept &= self._open(peer)
-            else:
-                accept &= peer == responsive
-            rows = np.nonzero(accept)[0]
-            e = self.slots(rows, peer[rows])
+            beeped, heard, valid, payload = self._hear(spot, role, block, listeners)
+            rows = np.flatnonzero(listeners & valid.all(axis=0) & (payload[1] == self.ids_arr))
+            peer = self._node_index(payload[0, rows])    # whom each of those rows heard
+            if role == "responding":     # an announcer takes a link still open
+                e, keep = self._link(rows, peer)
+                e = e[keep]
+            else:                        # a responder takes its own announcer
+                keep = peer == responsive[rows]
+                e = self.resp_slot[rows[keep]]
+            rows, peer = rows[keep], peer[keep]
             self.recv_pat[e] = heard[2:, rows].T
             self.recv_mask[e] = True
             sent.append(beeped)
-            links.append({(int(i), int(peer[i])) for i in rows})
+            links.append(set(zip(rows.tolist(), peer.tolist())))
             slots.append(e)
-            # the announcers that accepted confirm; the other responsive nodes listen
-            senders, target, listeners = accept, np.maximum(peer, 0), (responsive >= 0) & ~accept
+            # the announcers that accepted confirm on the links they took;
+            # the other responsive nodes listen
+            block = np.zeros_like(block)
+            block[0, rows] = self.id_word[rows]
+            block[1, rows] = self.id_word[peer]
+            block[2:, rows] = self.msg_words[e].T
+            listeners = responsive >= 0
+            listeners[rows] = False
         self._close(spot, links, sent, slots)
 
     def _close(self, spot: tuple, links: list[set[tuple[int, int]]],

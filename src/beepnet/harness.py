@@ -168,7 +168,7 @@ def metrics_from_record(rec: dict) -> Metrics:
 
 def _payload(rng: np.random.Generator, max_bits: int, exact: bool = False) -> Bits:
     size = max_bits if exact else int(rng.integers(0, max_bits + 1))
-    return tuple(int(b) for b in rng.integers(0, 2, size=size))
+    return tuple(rng.integers(0, 2, size=size).tolist())
 
 
 def graph_for(config: ExperimentConfig, seed: int) -> Graph:

@@ -87,6 +87,7 @@ def run_id_dissemination(
     if delta_hat < 1:       # epoch 1 sends each node's own ID in delta_hat slots
         raise ParameterError("degree bound must be at least 1")
     w = id_width(graph.n, graph.c)
+    wmask = (1 << w) - 1
     fresh: dict[int, list[int]] = {u: [u] for u in graph.ids}
     epoch_rounds: list[int] = []
     beeps = 0
@@ -101,10 +102,10 @@ def run_id_dissemination(
                     f"node {u} picked up {len(ids)} fresh IDs before epoch {i}, "
                     f"over the {slots}-slot budget"
                 )
-            bits = list(int_to_bits(len(ids), prefix))
-            for v in ids:
-                bits.extend(int_to_bits(v, w))
-            messages[u] = tuple(bits)
+            value = len(ids)
+            for t, v in enumerate(ids):
+                value |= v << (prefix + t * w)
+            messages[u] = int_to_bits(value, prefix + len(ids) * w)
         res = run_local_broadcast(
             graph,
             LocalBroadcastInput(messages, width),
@@ -118,11 +119,9 @@ def run_id_dissemination(
             entries = tables[u].entries
             heard = res.output[u]
             for nb in sorted(heard):
-                bits = heard[nb]
-                count = bits_to_int(bits[:prefix])
-                for t in range(count):
-                    lo = prefix + t * w
-                    v = bits_to_int(bits[lo : lo + w])
+                value = bits_to_int(heard[nb])
+                for t in range(value & ((1 << prefix) - 1)):
+                    v = (value >> (prefix + t * w)) & wmask
                     if v == u or v in entries:
                         continue
                     entries[v] = (nb, i)
@@ -197,8 +196,9 @@ def run_multihop_simulation(
     w = id_width(graph.n, graph.c)
     diss = run_id_dissemination(graph, inp.h, delta_hat)
     lenbits = inp.B.bit_length()
-    cap = max((inp.B + w) * delta_hat**inp.h,
-              (2 * w + lenbits + inp.B) * delta_hat ** (inp.h - 1))
+    head = 2 * w + lenbits
+    wmask, lenmask = (1 << w) - 1, (1 << lenbits) - 1
+    cap = max((inp.B + w) * delta_hat**inp.h, (head + inp.B) * delta_hat ** (inp.h - 1))
     delivered: dict[int, set[tuple[int, Bits]]] = {u: set() for u in graph.ids}
     holding: dict[int, list[tuple[int, int, Bits]]] = {u: [] for u in graph.ids}
     for (s, d), m in inp.messages.items():
@@ -208,6 +208,7 @@ def run_multihop_simulation(
     peaks: list[int] = []
     for i in range(1, inp.h + 1):
         limit = inp.h - (i - 1)
+        # per edge: its frames as one int, each laid above the last, and their bits
         outgoing: dict[tuple[int, int], list[int]] = {}
         for u in graph.ids:
             entries = diss.tables[u].entries
@@ -215,14 +216,14 @@ def run_multihop_simulation(
                 hop = entries.get(dst)
                 if hop is None or hop[1] > limit:
                     continue
-                frame = outgoing.setdefault((u, hop[0]), [])
-                frame.extend(int_to_bits(dst, w))
-                frame.extend(int_to_bits(src, w))
-                frame.extend(int_to_bits(len(m), lenbits))
-                frame.extend(m)
+                frames = outgoing.setdefault((u, hop[0]), [0, 0])
+                frame = dst | src << w | len(m) << 2 * w | bits_to_int(m) << head
+                frames[0] |= frame << frames[1]
+                frames[1] += head + len(m)
             holding[u] = []
-        payloads = {edge: tuple(bits) for edge, bits in outgoing.items()}
-        peak = max((len(b) for b in payloads.values()), default=0)
+        payloads = {edge: int_to_bits(value, length)
+                    for edge, (value, length) in outgoing.items()}
+        peak = max((length for _, length in outgoing.values()), default=0)
         if peak > cap:
             raise RuntimeError(f"epoch {i} edge payload of {peak} bits breaks the {cap}-bit cap")
         peaks.append(peak)
@@ -240,14 +241,15 @@ def run_multihop_simulation(
         beeps += cres.beeps_total
         for rcv, table in cres.received.items():
             for bits in table.values():
+                value = bits_to_int(bits)
                 pos = 0     # frames end at zero padding (no ID is 0) or a cut header
-                while len(bits) - pos >= 2 * w + lenbits:
-                    dst = bits_to_int(bits[pos : pos + w])
+                while len(bits) - pos >= head:
+                    dst = (value >> pos) & wmask
                     if dst == 0:
                         break
-                    src = bits_to_int(bits[pos + w : pos + 2 * w])
-                    mlen = bits_to_int(bits[pos + 2 * w : pos + 2 * w + lenbits])
-                    pos += 2 * w + lenbits
+                    src = (value >> (pos + w)) & wmask
+                    mlen = (value >> (pos + 2 * w)) & lenmask
+                    pos += head
                     m = bits[pos : pos + mlen]
                     pos += mlen
                     if dst == rcv:
@@ -310,6 +312,7 @@ def run_multihop_local_broadcast(
     w = id_width(graph.n, graph.c)
     lenbits = max(1, B.bit_length())
     countbits = max(1, graph.n.bit_length())
+    wmask, lenmask = (1 << w) - 1, (1 << lenbits) - 1
     repetition_rounds: list[int] = []
     beeps = 0
     for j in range(1, h + 1):
@@ -324,12 +327,11 @@ def run_multihop_local_broadcast(
                     f"node {u} holds {len(items)} pairs before repetition {j}, "
                     f"over the {slots}-slot budget"
                 )
-            bits = list(int_to_bits(len(items), countbits))
+            value, pos = len(items), countbits
             for s, m in items:
-                bits.extend(int_to_bits(s, w))
-                bits.extend(int_to_bits(len(m), lenbits))
-                bits.extend(m)
-            msgs[u] = tuple(bits)
+                value |= (s | len(m) << w | bits_to_int(m) << (w + lenbits)) << pos
+                pos += w + lenbits + len(m)
+            msgs[u] = int_to_bits(value, pos)
         res = run_local_broadcast(
             graph,
             LocalBroadcastInput(msgs, width),
@@ -342,11 +344,11 @@ def run_multihop_local_broadcast(
             mine = known[u]
             for nb in sorted(res.output[u]):
                 bits = res.output[u][nb]
-                count = bits_to_int(bits[:countbits])
+                value = bits_to_int(bits)
                 pos = countbits
-                for _ in range(count):
-                    s = bits_to_int(bits[pos : pos + w])
-                    mlen = bits_to_int(bits[pos + w : pos + w + lenbits])
+                for _ in range(value & ((1 << countbits) - 1)):
+                    s = (value >> pos) & wmask
+                    mlen = (value >> (pos + w)) & lenmask
                     pos += w + lenbits
                     m = bits[pos : pos + mlen]
                     pos += mlen

@@ -636,6 +636,70 @@ def test_the_auditor_holds_a_realization_to_its_triples():
         for half in ("responding", "confirming")]
 
 
+def test_the_auditor_names_every_tampered_realization_of_a_window():
+    g = graph_from_edges([(1, 2), (2, 3), (3, 4)])
+    msgs = _directed_messages(g, 3, 5)
+    sched = build_schedule(g.n, 1, 2, width=3)
+    auditor = _Handshake(g, sched, CongestRoundInput(msgs, 3)).auditor
+    w, m = sched.w, sched.words_per_message
+    respond = np.zeros((sched.half_parts, g.n), dtype=np.uint64)
+    confirm = np.zeros_like(respond)
+    pairs = [(g.index_of[2], g.index_of[1]), (g.index_of[3], g.index_of[4])]
+    for v, r in pairs:                                 # announcer v, responder r
+        vid, rid = g.ids[v], g.ids[r]
+        respond[:, r] = [encode_extended(rid, w), encode_extended(vid, w),
+                         *_message_words(msgs[(rid, vid)], w, m)]
+        confirm[:, v] = [encode_extended(vid, w), encode_extended(rid, w),
+                         *_message_words(msgs[(vid, rid)], w, m)]
+    auditor.on_window((1, 1, 2, 3), 40, pairs, respond, confirm)
+    assert auditor.report.violations == []
+    confirm[-1, pairs[0][0]] ^= np.uint64(1)           # 2 confirms a word it was not sent
+    respond[1, pairs[1][1]] = encode_extended(2, w)    # 4 addresses the wrong announcer
+    confirm[0, pairs[1][1]] = encode_extended(4, w)    # and beeps while it listens
+    auditor.on_window((1, 1, 2, 3), 40, pairs, respond, confirm)
+    at = "at epoch 1 phase 1 subphase 2 window 3 sr 40"
+    assert auditor.report.violations == [
+        f"realization 2-1 lacks its confirming triple {at}",
+        f"realization 3-4 lacks its responding triple {at}",
+        f"realization 3-4 lacks its confirming triple {at}"]
+
+
+def test_a_realized_responder_beeps_nothing_later_in_its_phase():
+    # the star's centre realizes its links in four windows of one phase; the
+    # responders' words are fixed when the phase is announced, so only the
+    # open-link mask keeps a responder whose link closed off the wire
+    msgs = _directed_messages(STAR, 3, 31)
+    sched = build_schedule(STAR.n, 1, 4, width=3)
+    core = _Handshake(STAR, sched, CongestRoundInput(msgs, 3))
+    blocks = []
+
+    def wire(sr, block):
+        noise = np.zeros_like(block)
+        for v, nbrs in enumerate(STAR.neighbors):
+            for u in nbrs:
+                noise[:, v] |= block[:, STAR.index_of[u]]
+        blocks.append((sched.describe(sr * 2 * sched.w), block))
+        return block, noise
+
+    core.run(wire, lambda sr, count: None)
+    announcers, realized = {}, {}
+    for idx, block in blocks:
+        if idx.role == "announcing":
+            announcers[idx.epoch, idx.phase] = set(np.flatnonzero(block[0]).tolist())
+    for rec in core.realization_log:
+        node = STAR.index_of[rec.node]
+        if node not in announcers[rec.epoch, rec.phase]:
+            realized.setdefault((rec.epoch, rec.phase), {})[node] = (rec.subphase, rec.window)
+    assert max(len(set(at.values())) for at in realized.values()) >= 2
+    later = 0
+    for idx, block in blocks:
+        for node, at in realized.get((idx.epoch, idx.phase), {}).items():
+            if idx.role != "announcing" and (idx.subphase, idx.window) > at:
+                later += 1
+                assert not block[:, node].any(), (idx, STAR.ids[node])
+    assert later
+
+
 @pytest.fixture(scope="module")
 def star_trace():
     return _star_run()[1].trace

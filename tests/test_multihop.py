@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beepnet import multihop
+from beepnet._bits import int_to_bits
+from beepnet.encoding import id_width
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 from beepnet.multihop import (
     MultihopInput,
@@ -187,6 +190,51 @@ def test_simulation_lower_bound_graph_delivers_leaf_to_core():
     frame = 2 * 5 + 4 + 8
     assert res.payload_peaks == (2 * frame, 6 * frame, 6 * frame)
     assert res.payload_cap == (8 + 5) * 4**3
+
+
+def test_simulation_frames_are_built_field_by_field(monkeypatch):
+    exchanges = []
+    real_run_c2b = multihop.run_c2b
+
+    def spy(graph, inp, **kwargs):
+        exchanges.append(dict(inp.messages))
+        return real_run_c2b(graph, inp, **kwargs)
+
+    monkeypatch.setattr(multihop, "run_c2b", spy)
+    h, B = 2, 2
+    msgs = {(1, 4): (1, 0), (1, 5): (1,), (2, 4): (), (4, 1): (0, 1), (5, 3): (1, 1)}
+    res = run_multihop_simulation(STAR, MultihopInput(h=h, B=B, messages=msgs))
+    w, lenbits = id_width(STAR.n, STAR.c), B.bit_length()
+    # route the items hop by hop, held in the order the runner holds them:
+    # by source, then by the sender they arrived from and their frame order
+    holding = {u: [(s, d, m) for (s, d), m in msgs.items() if s == u] for u in STAR.ids}
+    delivered = {u: set() for u in STAR.ids}
+    assert len(exchanges) == h
+    for i, payloads in enumerate(exchanges, 1):
+        items = {}
+        for u in STAR.ids:
+            for s, d, m in holding[u]:
+                hop, dist = res.tables[u].entries[d]
+                if dist <= h - (i - 1):
+                    items.setdefault((u, hop), []).append((s, d, m))
+        assert payloads == {
+            edge: sum((int_to_bits(d, w) + int_to_bits(s, w) + int_to_bits(len(m), lenbits) + m
+                       for s, d, m in frames), ())
+            for edge, frames in items.items()}
+        holding = {u: [] for u in STAR.ids}
+        for u, v in sorted(items, key=lambda edge: (edge[1], edge[0])):
+            for s, d, m in items[(u, v)]:
+                if d == v:
+                    delivered[v].add((s, m))
+                else:
+                    holding[v].append((s, d, m))
+    # 1 -> 3 and then 3 -> 4 each carry two frames, then zero padding to the cap
+    two = 2 * (2 * w + lenbits)
+    assert len(exchanges[0][(1, 3)]) == two + 3 and len(exchanges[1][(3, 4)]) == two + 2
+    assert res.payload_peaks == (two + 3, two + 2) and res.payload_cap > two + 3
+    assert res.delivered == delivered
+    assert delivered == {1: {(4, (0, 1))}, 2: set(), 3: {(5, (1, 1))},
+                         4: {(1, (1, 0)), (2, ())}, 5: {(1, (1,))}}
 
 
 def test_simulation_repeat_runs_agree():
