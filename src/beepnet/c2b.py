@@ -258,28 +258,22 @@ DECODE_DTYPE = np.dtype([("super_round", np.int64), ("node", np.int64), ("role",
                          ("part", np.int64), ("payload", np.int64)])
 
 
-@dataclass
-class HandshakeReport:
-    violations: list[str] = field(default_factory=list)
-    flagged: list[str] = field(default_factory=list)
-    super_rounds: int = 0
-    decode_events: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class _BuiltOnRead:
     """A dataclass field that may be given a zero-argument builder in place
-    of its value: the first read calls the builder and keeps the value."""
+    of its value: the first read calls the builder and keeps the value.
+    The field's default is the builder given here, or none without one."""
+
+    def __init__(self, default=None):
+        self.default = default
 
     def __set_name__(self, owner, name):
         self.key = "_" + name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.key)      # so the field takes no default
+            if self.default is None:
+                raise AttributeError(self.key)      # so the field takes no default
+            return self.default
         value = obj.__dict__[self.key]
         if callable(value):
             value = obj.__dict__[self.key] = value()
@@ -287,6 +281,19 @@ class _BuiltOnRead:
 
     def __set__(self, obj, value):
         obj.__dict__[self.key] = value
+
+
+@dataclass
+class HandshakeReport:
+    violations: list[str] = field(default_factory=list)
+    # the identical-word pile-ups, built on first read
+    flagged: list[str] = _BuiltOnRead(list)
+    super_rounds: int = 0
+    decode_events: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass
@@ -432,6 +439,17 @@ def _spot(where: tuple, sr: int) -> str:
     return f"epoch {epoch} phase {phase} subphase {subphase} window {window} sr {sr}"
 
 
+def _flag_strings(ids: tuple[int, ...], flags: list[tuple]) -> list[str]:
+    """The auditor's flagged pile-ups as messages, batch by batch, cell by cell."""
+    out = []
+    for blocks, *cells in flags:
+        for k, b, u, count, p in zip(*(a.tolist() for a in cells)):
+            start, where, _, sr = blocks[b]
+            out.append(f"{ids[u]} heard {count} identical responding words "
+                       f"(part {p}) at {_spot(where, sr + k - start)}")
+    return out
+
+
 class _Auditor:
     """Checks decode events and realizations against the raw channel.
 
@@ -448,8 +466,15 @@ class _Auditor:
     first row in the batch, its place in the schedule, its role and its
     first super-round; a row's part and super-round follow from its offset
     in the block.  Beeping neighbours are read through graph.neighbor_table,
-    whose padding names a phantom node n that never beeps.  The report is
-    complete once flush() or finish() has run.
+    whose padding names a phantom node n that never beeps, and counted once
+    per group of consecutive rows with the same beepers (the parts of a
+    half-window), which is also where each listener's lone beeper is found.
+    Closed windows are buffered too and checked together, in one array
+    pass, at the start of the next flush; check_windows() runs that pass
+    alone.  Violations are written as they are found; the flagged
+    pile-ups are kept as arrays per batch and become strings the first
+    time report.flagged is read.  The report is complete once flush() or
+    finish() has run.
     """
 
     def __init__(self, graph: Graph, schedule: C2BSchedule, id_word: np.ndarray,
@@ -460,10 +485,16 @@ class _Auditor:
         self.msg_words = msg_words
         self.slots = slots
         self.table = graph.neighbor_table
-        self.report = HandshakeReport()
         self._blocks: list[tuple[int, tuple, str, int]] = []   # (first row, spot, role, sr)
         self._rows = 0
         self._pending: list[tuple] = []
+        self._windows: list[tuple] = []    # on_window's arguments, in closing order
+        # per batch with a flagged pile-up: its blocks, then the flagged
+        # cells' rows, blocks, listeners, beeper counts and parts; the
+        # report's builder holds this list, not the auditor
+        self._flags: list[tuple] = []
+        self._build_flagged = partial(_flag_strings, graph.ids, self._flags)
+        self.report = HandshakeReport(flagged=self._build_flagged)
 
     def on_super_round(self, spot: tuple, role: str, sr: int, patterns: np.ndarray,
                        noise: np.ndarray, obligated: np.ndarray,
@@ -478,14 +509,19 @@ class _Auditor:
             self.flush()
 
     def flush(self) -> None:
-        """Check the blocks fed since the last flush, joined along the rows."""
+        """Check the windows closed and the blocks fed since the last flush,
+        the blocks joined along the rows."""
+        self.check_windows()
         if not self._pending:
             return
-        blocks, self._blocks, self._rows = self._blocks, [], 0
+        blocks, self._blocks, rows, self._rows = self._blocks, [], self._rows, 0
         pending, self._pending = self._pending, []
-        patterns, noise, obligated, decoded, payloads = (
-            pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending)))
-        self.report.super_rounds += len(patterns)
+        # column n is the phantom node the table pads with: it never beeps
+        words = np.zeros((rows, self.graph.n + 1), dtype=np.uint64)
+        patterns = np.concatenate([blk[0] for blk in pending], out=words[:, :-1])
+        noise, obligated, decoded, payloads = map(np.concatenate,
+                                                  zip(*(blk[1:] for blk in pending)))
+        self.report.super_rounds += rows
         self.report.decode_events += int(np.count_nonzero(decoded))
         first = np.array([blk[0] for blk in blocks])
 
@@ -494,21 +530,23 @@ class _Auditor:
             start, where, _, sr = blocks[b]
             return _spot(where, sr + k - start)
 
-        # column n is the phantom node the table pads with: it never beeps
-        words = np.zeros((len(patterns), self.graph.n + 1), dtype=np.uint64)
-        words[:, :-1] = patterns
         beeping = words != 0
         # the beepers of a half-window are the same in each of its parts, so
-        # count only over the rows whose beepers differ from the row above;
-        # row k takes its counts from the group[k]-th of those rows
+        # count and find lone beepers only over the rows whose beepers differ
+        # from the row above; row k takes its group[k]-th of those rows' results
         fresh = np.ones(len(beeping), dtype=bool)
         fresh[1:] = (beeping[1:] != beeping[:-1]).any(axis=1)
         group = np.cumsum(fresh) - 1
         near = beeping[fresh][:, self.table]      # (fresh row, node, table column)
         cnt = np.count_nonzero(near, axis=2)
-        lone = (cnt == 1)[group]
-        ks, us = _cells(lone)
-        pk = self.table[us, near[group[ks], us].argmax(axis=1)]
+        single = cnt == 1
+        gs, gus = _cells(single)
+        sender = np.zeros_like(cnt)
+        sender[gs, gus] = self.table[gus, near[gs, gus].argmax(axis=1)]
+        lone = single[group]
+        # only a listener that decodes or must decode can miss or forge a word
+        ks, us = _cells(lone & (obligated | decoded))
+        pk = sender[group[ks], us]
         sent = patterns[ks, pk]
         valid, value = decode_extended_rows(sent, self.schedule.w)
         heard = decoded[ks, us]
@@ -539,36 +577,55 @@ class _Auditor:
         responding = np.array([role == "responding" for _, _, role, _ in blocks])[blk]
         part = ks - first[blk]
         flag = responding & (part >= 1) & same
-        for k, b, u, c, p, f in zip(ks.tolist(), blk.tolist(), us.tolist(),
-                                    cnt[group[ks], us].tolist(), part.tolist(), flag.tolist()):
-            if c == 0:
+        c = cnt[group[ks], us]
+        if flag.any():
+            self._flags.append((blocks, ks[flag], blk[flag], us[flag], c[flag], part[flag]))
+            self.report.flagged = self._build_flagged     # built again when next read
+        bad = np.flatnonzero(~flag)
+        for k, b, u, count in zip(ks[bad].tolist(), blk[bad].tolist(), us[bad].tolist(),
+                                  c[bad].tolist()):
+            if count == 0:
                 self.report.violations.append(
                     f"{ids[u]} decoded with no beeping neighbor at {spot(k, b)}")
-            elif f:
-                self.report.flagged.append(
-                    f"{ids[u]} heard {c} identical responding words "
-                    f"(part {p}) at {spot(k, b)}")
             else:
                 self.report.violations.append(
-                    f"{ids[u]} decoded a {c}-beeper pile-up at {spot(k, b)}")
+                    f"{ids[u]} decoded a {count}-beeper pile-up at {spot(k, b)}")
 
     def on_window(self, spot: tuple, sr: int, pairs: list[tuple[int, int]],
                   respond: np.ndarray, confirm: np.ndarray) -> None:
-        """respond and confirm: the (half_parts, n) words beeped in each half
-        of the window at spot, whose last super-round is sr."""
-        ids, word, msg = self.graph.ids, self.id_word, self.msg_words
+        """Buffer a closed window for check_windows: respond and confirm are
+        the (half_parts, n) words beeped in each half of the window at spot,
+        whose last super-round is sr; they are kept, not copied."""
+        self._windows.append((spot, sr, pairs, respond, confirm))
+
+    def check_windows(self) -> None:
+        """Check every realized pair of the buffered windows in one array
+        pass; messages come in window order, then pair order, the
+        responding half before the confirming half."""
+        if not self._windows:
+            return
+        windows, self._windows = self._windows, []
+        ids, word = self.graph.ids, self.id_word
+        spots, srs, pairs, respond, confirm = zip(*windows)
+        widx = np.repeat(np.arange(len(windows)), [len(p) for p in pairs])
+        pairs = [pair for window in pairs for pair in window]
         vs, rs = np.array(pairs).T
-        # per pair, the responder's triple to its announcer and the announcer's back
-        want_r = np.vstack([word[rs], word[vs], msg[self.slots(rs, vs)].T])
-        want_c = np.vstack([word[vs], word[rs], msg[self.slots(vs, rs)].T])
-        bad_r = (respond[:, rs] != want_r).any(axis=0) | respond[:, vs].any(axis=0)
-        bad_c = (confirm[:, vs] != want_c).any(axis=0) | confirm[:, rs].any(axis=0)
+        # both halves of every window, (2 * window, part, node): per pair, the
+        # responder sends its triple to its quiet announcer, then the other
+        # way round
+        halves = np.stack(respond + confirm)
+        at = np.concatenate([widx, widx + len(windows)])
+        src, dst = np.concatenate([rs, vs]), np.concatenate([vs, rs])
+        want = np.column_stack([word[src], word[dst], self.msg_words[self.slots(src, dst)]])
+        wrong = (halves[at, :, src] != want).any(axis=1) | halves[at, :, dst].any(axis=1)
+        bad_r, bad_c = wrong.reshape(2, -1)
         for i in np.flatnonzero(bad_r | bad_c).tolist():
             v, r = pairs[i]
+            where = _spot(spots[widx[i]], srs[widx[i]])
             for half, bad in (("responding", bad_r), ("confirming", bad_c)):
                 if bad[i]:
-                    self.report.violations.append(f"realization {ids[v]}-{ids[r]} lacks "
-                                                  f"its {half} triple at {_spot(spot, sr)}")
+                    self.report.violations.append(
+                        f"realization {ids[v]}-{ids[r]} lacks its {half} triple at {where}")
 
     def finish(self, realization_log: list[RealizationRecord]) -> HandshakeReport:
         self.flush()
@@ -1134,12 +1191,16 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     _validate_input(graph, inp)      # the core's word tables have rows for edges only
     pat, noi = _trace_super_round_words(trace, schedule)
     core = _Handshake(graph, schedule, inp)
-    report = core.auditor.report
+    auditor = core.auditor
+    report = auditor.report
 
+    # the windows closed so far are checked before each message of the
+    # replay's own, so violations stay in the order things happened
     def replay(sr: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         end = sr + len(block)
         beeped = pat[:, sr:end].T.astype(np.uint64)
         for k in np.nonzero((block != beeped).any(axis=1))[0]:
+            auditor.check_windows()
             report.violations.append(
                 f"the trace does not beep the scheduled words at sr {sr + k}")
         return beeped, noi[:, sr:end].T.astype(np.uint64)
@@ -1147,6 +1208,7 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     def silent(sr: int, count: int) -> None:
         beeping = np.flatnonzero(pat[:, sr:sr + count].any(axis=0))
         if beeping.size:
+            auditor.check_windows()
             report.violations.append(
                 f"the trace beeps in super-rounds {sr + beeping[0]}..{sr + beeping[-1]}, "
                 f"which the schedule leaves silent")
@@ -1154,9 +1216,10 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     try:
         core.run(replay, silent)
     except RuntimeError as exc:
-        core.auditor.flush()
+        auditor.flush()
         report.violations.append(f"replay stopped: {exc}")
         return report
+    auditor.check_windows()     # the log comparison comes after every window's checks
     # the logs as multisets of rows; decode rows come out sorted
     claimed = np.asarray(result.decode_log, dtype=DECODE_DTYPE)
     derived = _decode_rows(core._decodes, core.ids_arr)
@@ -1175,4 +1238,4 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
                 report.violations.append(f"{name} log claims {rec}, which the trace does not give")
             elif count < 0:
                 report.violations.append(f"{name} log omits {rec}, which the trace gives")
-    return core.auditor.finish(result.realization_log)
+    return auditor.finish(result.realization_log)

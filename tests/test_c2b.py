@@ -536,6 +536,44 @@ def test_a_decode_of_distinct_piled_up_words_is_a_violation():
     assert len(rep.flagged) == 1
 
 
+def _h_hop_run():
+    # 40-bit messages of 4 bits: the padding words that the responders of one
+    # announcer send are identical
+    g = build_lower_bound_graph(6, 2)
+    inp = CongestRoundInput(_directed_messages(g, 4, 3), 40)
+    return g, inp, run_c2b(g, inp, record="full")
+
+
+@pytest.mark.parametrize("run, batch, count, first, last", [
+    (lambda: (STAR, *_star_run()), AUDIT_BATCH, 1,
+     "3 heard 2 identical responding words (part 1) at epoch 1 phase 3 subphase 1 window 1 sr 388",
+     None),
+    *[(_h_hop_run, batch, 40,
+       "3 heard 2 identical responding words (part 1) at epoch 1 phase 1 subphase 1 window 1 sr 2",
+       "5 heard 2 identical responding words (part 11) at epoch 1 phase 5 subphase 1 window 6 "
+       "sr 8200") for batch in (AUDIT_BATCH, 64)],
+], ids=["star", "h-hop", "h-hop-in-7-batches"])
+def test_flagged_pile_ups_read_the_same_every_time(monkeypatch, run, batch, count, first, last):
+    monkeypatch.setattr(c2b, "AUDIT_BATCH", batch)
+    graph, inp, res = run()
+    flagged = res.handshake.flagged
+    assert len(flagged) == count
+    assert flagged[0] == first and flagged[-1] == (last or first)
+    assert res.handshake.flagged == flagged
+    assert check_handshake_lemmas(res.trace, graph, res, inp).flagged == flagged
+
+
+def test_a_run_formats_no_flag_until_one_is_read(monkeypatch):
+    spots = []
+    real = c2b._spot
+    monkeypatch.setattr(c2b, "_spot", lambda *at: spots.append(at) or real(*at))
+    _, _, res = _h_hop_run()
+    assert res.handshake.ok and spots == []
+    assert len(res.handshake.flagged) == len(spots) == 40
+    res.handshake.flagged
+    assert len(spots) == 40
+
+
 def _audit_pile_ups():
     """Feed the auditor 100 phases of blocks, seven rows a phase, with
     pile-ups and phantom decodes at fixed places; return the rows fed and
@@ -627,10 +665,12 @@ def test_the_auditor_holds_a_realization_to_its_triples():
     respond[:, r] = [encode_extended(1, w), encode_extended(3, w), *_message_words(msgs[(1, 3)], w, m)]
     confirm[:, v] = [encode_extended(3, w), encode_extended(1, w), *_message_words(msgs[(3, 1)], w, m)]
     auditor.on_window((1, 2, 1, 1), 99, [(v, r)], respond, confirm)
+    auditor.flush()
     assert auditor.report.violations == []
     respond[0, v] = encode_extended(3, w)              # the announcer beeps while it listens
     confirm[2, v] ^= np.uint64(1)                      # and confirms a word it was not sent
     auditor.on_window((1, 2, 1, 1), 99, [(v, r)], respond, confirm)
+    auditor.flush()
     assert auditor.report.violations == [
         f"realization 3-1 lacks its {half} triple at epoch 1 phase 2 subphase 1 window 1 sr 99"
         for half in ("responding", "confirming")]
@@ -652,16 +692,85 @@ def test_the_auditor_names_every_tampered_realization_of_a_window():
         confirm[:, v] = [encode_extended(vid, w), encode_extended(rid, w),
                          *_message_words(msgs[(vid, rid)], w, m)]
     auditor.on_window((1, 1, 2, 3), 40, pairs, respond, confirm)
+    auditor.flush()
     assert auditor.report.violations == []
     confirm[-1, pairs[0][0]] ^= np.uint64(1)           # 2 confirms a word it was not sent
     respond[1, pairs[1][1]] = encode_extended(2, w)    # 4 addresses the wrong announcer
     confirm[0, pairs[1][1]] = encode_extended(4, w)    # and beeps while it listens
     auditor.on_window((1, 1, 2, 3), 40, pairs, respond, confirm)
+    auditor.flush()
     at = "at epoch 1 phase 1 subphase 2 window 3 sr 40"
     assert auditor.report.violations == [
         f"realization 2-1 lacks its confirming triple {at}",
         f"realization 3-4 lacks its responding triple {at}",
         f"realization 3-4 lacks its confirming triple {at}"]
+
+
+def _xor_trace_word(trace, rows, node_id, sr, w, mask):
+    """XOR mask into node_id's super-round sr word of the trace's rows
+    ("patterns" or "noise"); bit t is round sr * 2w + t."""
+    node = trace.graph.index_of[node_id]
+    for t in range(2 * w):
+        if mask >> t & 1:
+            r = sr * 2 * w + t
+            block = next(b for b in trace.blocks if r < b.start_round + b.nrounds)
+            word, bit = divmod(r - block.start_round, 64)
+            getattr(block, rows)[node, word] ^= np.uint64(1 << bit)
+
+
+def _forge_last_window_confirmation(res):
+    """In the star run's last window (3 announces, 1 responds), make 1 hear
+    3's message word, part 2 of the confirming half, as another valid word;
+    return the confirming half's last super-round."""
+    w, log = res.schedule.w, res.decode_log
+    sr, _, _, _, payload = log[(log["node"] == 1) & (log["role"] == "confirming")
+                               & (log["part"] == 2)][-1].tolist()
+    _xor_trace_word(res.trace, "noise", 1, sr, w,
+                    encode_extended(payload, w) ^ encode_extended(payload ^ 1, w))
+    return sr
+
+
+def test_a_forged_later_part_names_its_lone_sender():
+    # 3 beeps alone in all three parts of the confirming half, so the parts
+    # share one beeper group; each part's word must still be its own row's
+    inp, res = _star_run()
+    assert res.schedule.half_parts == 3
+    sr = _forge_last_window_confirmation(res)
+    rep = check_handshake_lemmas(res.trace, STAR, res, inp)
+    assert [v for v in rep.violations if "did not send" in v] == [
+        "1 logged payload 2 from a word its lone beeping neighbor 3 did not send, "
+        f"at epoch 1 phase 3 subphase 1 window 5 sr {sr}"]
+
+
+@pytest.mark.parametrize("batch", [AUDIT_BATCH, 3])
+def test_replay_violations_keep_their_order(monkeypatch, batch):
+    # the last window's responder beeps a message word its announcer did not
+    # hear, and its confirmation is forged: with batch = 3 every confirming
+    # half closes a batch just before its window does
+    monkeypatch.setattr(c2b, "AUDIT_BATCH", batch)
+    inp, res = _star_run()
+    w = res.schedule.w
+    confirmed = _forge_last_window_confirmation(res)
+    responded = confirmed - w
+    _xor_trace_word(res.trace, "patterns", 1, responded, w, 1)
+    rep = check_handshake_lemmas(res.trace, STAR, res, inp)
+    at = "at epoch 1 phase 3 subphase 1 window 5 sr"
+    replayed = [f"the trace does not beep the scheduled words at sr {responded}"]
+    window = [f"realization 3-1 lacks its responding triple {at} {confirmed}"]
+    logs = [f"decode log omits DecodeRecord(super_round={confirmed}, node=1, "
+            "role='confirming', part=2, payload=2), which the trace gives",
+            f"decode log claims DecodeRecord(super_round={confirmed}, node=1, "
+            "role='confirming', part=2, payload=3), which the trace does not give"]
+    responding = [f"3 logged payload 6 from a word its lone beeping neighbor 1 did not send, "
+                  f"{at} {responded}"]
+    confirming = [f"1 missed the lone word 3 from 3 {at} {confirmed}",
+                  f"1 logged payload 2 from a word its lone beeping neighbor 3 did not send, "
+                  f"{at} {confirmed}"]
+    if batch == AUDIT_BATCH:     # one batch, flushed by finish after the log comparison
+        want = replayed + window + logs + confirming[:1] + responding + confirming[1:]
+    else:
+        want = replayed + responding + confirming + window + logs
+    assert rep.violations == want
 
 
 def test_a_realized_responder_beeps_nothing_later_in_its_phase():
