@@ -41,6 +41,7 @@ engine as an independent cross-check on small instances.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -1138,38 +1139,6 @@ def check_epoch_invariant(link_history: list[dict[int, int]], delta_hat: int) ->
     return True
 
 
-def _trace_super_round_words(trace: Trace, schedule: C2BSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """(n, S) pattern and noise words per super-round, from a recorded trace.
-
-    Each super-round's 2w round bits are packed into the narrowest unsigned
-    dtype that holds them, one trace block at a time, so beyond the current
-    block the call needs at most a byte per recorded node-round.  Blocks
-    need not start on a super-round.
-    """
-    n = trace.graph.n
-    sr_rounds = 2 * schedule.w
-    S = trace.total_rounds // sr_rounds
-    nbytes = (sr_rounds + 7) // 8
-    itemsize = 1 << (nbytes - 1).bit_length()
-
-    def words(rows: str) -> np.ndarray:
-        out = np.zeros((n, S, itemsize), dtype=np.uint8)
-        done = 0
-        carry = np.zeros((n, 0), dtype=bool)    # rounds of an unfinished super-round
-        for block in trace.blocks:
-            bits = np.concatenate(
-                [carry, unpack_word_rows(getattr(block, rows), block.nrounds)], axis=1)
-            whole = bits.shape[1] // sr_rounds
-            out[:, done:done + whole, :nbytes] = np.packbits(
-                bits[:, :whole * sr_rounds].reshape(n, whole, sr_rounds),
-                axis=2, bitorder="little")
-            done += whole
-            carry = bits[:, whole * sr_rounds:]
-        return out.view(f"<u{itemsize}")[:, :, 0]
-
-    return words("patterns"), words("noise")
-
-
 def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
                            inp: CongestRoundInput) -> HandshakeReport:
     """Replay a recorded run against its logs, from the wire upward.
@@ -1180,37 +1149,64 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     beep exactly the words the schedule has the population send.  The logs
     are then held to what the replay derived.  Identical-word pile-ups in
     the responding half are reported as flags, everything else lands in
-    violations.
+    violations.  Only the rounds of the core's live blocks are unpacked,
+    and of a silent stretch only the words with a beep.  Raises
+    ParameterError unless each trace block starts where the last one
+    ended and holds one row per node.
     """
     schedule = result.schedule
     if trace.graph is not graph and trace.graph.ids != graph.ids:
         raise ParameterError("trace and graph disagree on the node set")
+    at = 0
+    for block in trace.blocks:
+        if block.start_round != at or {len(block.patterns), len(block.noise)} != {graph.n}:
+            raise ParameterError(f"trace block at round {block.start_round} should start "
+                                 f"at round {at} and hold {graph.n} rows")
+        at += block.nrounds
     if trace.total_rounds != schedule.total_rounds:
         raise ParameterError(
             f"trace has {trace.total_rounds} rounds, schedule wants {schedule.total_rounds}")
     _validate_input(graph, inp)      # the core's word tables have rows for edges only
-    pat, noi = _trace_super_round_words(trace, schedule)
     core = _Handshake(graph, schedule, inp)
     auditor = core.auditor
     report = auditor.report
+    sr_rounds, starts = 2 * schedule.w, [block.start_round for block in trace.blocks]
+
+    def spans(rows: str, sr: int, count: int):
+        """Per block holding rounds of super-rounds sr..sr+count-1: the first
+        of those rounds, the block's `rows` words that hold them, and the
+        bits of those words where they start and end."""
+        a, b = sr * sr_rounds, (sr + count) * sr_rounds
+        for block in trace.blocks[bisect_right(starts, a) - 1:bisect_left(starts, b)]:
+            lo, hi = max(a - block.start_round, 0), min(b - block.start_round, block.nrounds)
+            yield (block.start_round + lo, getattr(block, rows)[:, lo // 64:(hi + 63) // 64],
+                   lo % 64, hi - lo // 64 * 64)
+
+    def read(rows: str, sr: int, count: int) -> np.ndarray:
+        """The (count, n) words of super-rounds sr..sr+count-1 in the trace's rows."""
+        bits = np.concatenate([unpack_word_rows(words, end)[:, skip:]
+                               for _, words, skip, end in spans(rows, sr, count)], axis=1)
+        return pack_bool_rows(bits.reshape(-1, sr_rounds)).reshape(graph.n, count).T
 
     # the windows closed so far are checked before each message of the
     # replay's own, so violations stay in the order things happened
     def replay(sr: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        end = sr + len(block)
-        beeped = pat[:, sr:end].T.astype(np.uint64)
+        beeped = read("patterns", sr, len(block))
         for k in np.nonzero((block != beeped).any(axis=1))[0]:
             auditor.check_windows()
             report.violations.append(
                 f"the trace does not beep the scheduled words at sr {sr + k}")
-        return beeped, noi[:, sr:end].T.astype(np.uint64)
+        return beeped, read("noise", sr, len(block))
 
     def silent(sr: int, count: int) -> None:
-        beeping = np.flatnonzero(pat[:, sr:sr + count].any(axis=0))
+        # only words with a beep are unpacked
+        rounds = [first + np.flatnonzero(unpack_word_rows(words, end)[:, skip:].any(axis=0))
+                  for first, words, skip, end in spans("patterns", sr, count) if words.any()]
+        beeping = np.concatenate([np.empty(0, dtype=np.int64), *rounds]) // sr_rounds
         if beeping.size:
             auditor.check_windows()
             report.violations.append(
-                f"the trace beeps in super-rounds {sr + beeping[0]}..{sr + beeping[-1]}, "
+                f"the trace beeps in super-rounds {beeping[0]}..{beeping[-1]}, "
                 f"which the schedule leaves silent")
 
     try:

@@ -18,6 +18,20 @@ def _selector_cache():
     yield
 
 
+def set_trace_bit(trace, rows, node, t, value=None):
+    """Set node index node's bit of round t in the trace's rows ("patterns"
+    or "noise") to value, or flip it when value is None; return the block
+    that holds it."""
+    block = next(b for b in trace.blocks if t < b.start_round + b.nrounds)
+    word, bit = divmod(t - block.start_round, 64)
+    words, mask = getattr(block, rows), np.uint64(1 << bit)
+    if value is None:
+        words[node, word] ^= mask
+    else:
+        words[node, word] = words[node, word] & ~mask | (mask if value else 0)
+    return block
+
+
 @pytest.fixture(scope="session")
 def flip_noise_bit():
     """Flip one recorded noise bit, validate the trace in full, restore the bit.
@@ -25,12 +39,10 @@ def flip_noise_bit():
     Returns the flipped block's start round and the report's mismatches.
     """
     def flip(graph, trace, node, t):
-        block = next(b for b in trace.blocks if t < b.start_round + b.nrounds)
-        word, bit = divmod(t - block.start_round, 64)
-        block.noise[node, word] ^= np.uint64(1 << bit)
+        block = set_trace_bit(trace, "noise", node, t)
         try:
             report = validate_trace(graph, trace, sample_rounds=0)
         finally:
-            block.noise[node, word] ^= np.uint64(1 << bit)
+            set_trace_bit(trace, "noise", node, t)
         return block.start_round, report.mismatches
     return flip

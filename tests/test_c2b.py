@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beepnet import c2b, harness
+from beepnet._bits import pack_bool_rows, unpack_word_rows
 from beepnet.c2b import (
     AUDIT_BATCH,
     TRACE_FEED_CHUNK,
@@ -23,7 +24,6 @@ from beepnet.c2b import (
     subphase_parameters,
     _message_word_rows,
     _message_words,
-    _trace_super_round_words,
     _Handshake,
     _TraceFeed,
 )
@@ -33,6 +33,7 @@ from beepnet.engine import run, trace_from_beeps, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
 from beepnet.multihop import MultihopInput, build_lower_bound_graph, run_multihop_local_broadcast
 from beepnet.protocols.broadcast import LocalBroadcastInput
+from conftest import set_trace_bit
 
 STAR = graph_from_edges([(1, 3), (2, 3), (3, 4), (3, 5)])
 
@@ -420,6 +421,21 @@ def test_replay_rejects_a_message_off_the_edges():
         check_handshake_lemmas(res.trace, STAR, res, CongestRoundInput({(1, 2): (1,)}, 3))
 
 
+@pytest.mark.parametrize("fault", ["lost-row", "shifted"])
+def test_a_malformed_trace_is_rejected_before_the_replay(fault):
+    inp, res = _star_run()
+    # a silent block inside the trace, which no live step reads
+    block = next(b for b in res.trace.blocks[1:-1] if not b.patterns.any())
+    at = block.start_round
+    if fault == "lost-row":
+        block.patterns = block.patterns[1:]
+    else:
+        block.start_round += 1
+    with pytest.raises(ParameterError, match=f"trace block at round {block.start_round} "
+                                             f"should start at round {at} and hold 5 rows"):
+        check_handshake_lemmas(res.trace, STAR, res, inp)
+
+
 def test_forged_realization_is_a_violation():
     inp, res = _star_run()
     bad = dataclasses.replace(res)
@@ -477,10 +493,7 @@ def test_flipped_trace_beep_is_a_violation(where):
         "last-part": int(log["super_round"][(log["role"] == "responding")
                                             & (log["part"] == last)][0]),
     }[where]
-    r = sr * 2 * res.schedule.w
-    block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
-    word, bit = divmod(r - block.start_round, 64)
-    block.patterns[0, word] ^= np.uint64(1 << bit)
+    set_trace_bit(res.trace, "patterns", 0, sr * 2 * res.schedule.w)
     rep = check_handshake_lemmas(res.trace, STAR, res, inp)
     if where == "silent":
         assert any(v.startswith("the trace beeps in") for v in rep.violations)
@@ -504,9 +517,7 @@ def test_tampered_noise_of_a_decoding_listener_is_a_violation(fault, want):
     mask = fault(payload, w)
     for t in range(2 * w):
         if mask >> t & 1:
-            block = next(b for b in res.trace.blocks if start + t < b.start_round + b.nrounds)
-            word, bit = divmod(start + t - block.start_round, 64)
-            block.noise[node, word] ^= np.uint64(1 << bit)
+            block = set_trace_bit(res.trace, "noise", node, start + t)
     rep = check_handshake_lemmas(res.trace, STAR, res, inp)
     assert any(want in v for v in rep.violations), rep.violations
     report = validate_trace(STAR, res.trace)
@@ -519,17 +530,13 @@ def test_a_decode_of_distinct_piled_up_words_is_a_violation():
     w, hub, sr = res.schedule.w, STAR.index_of[3], 389
     # part 2 of the window flagged in test_honest_trace_passes_the_audit: two
     # leaves beep different payload words to 3, so 3 hears their OR
-    pat, noise = _trace_super_round_words(res.trace, res.schedule)
-    a, b = (int(pat[STAR.index_of[u], sr]) for u in (1, 5))
-    assert a != b and int(noise[hub, sr]) == a | b
+    a, b = (_trace_word(res.trace, "patterns", u, sr, w) for u in (1, 5))
+    assert a != b and _trace_word(res.trace, "noise", 3, sr, w) == a | b
     # forge 3's noise into the first leaf's word, which decodes
     flip = (a | b) ^ a
     for t in range(2 * w):
         if flip >> t & 1:
-            r = sr * 2 * w + t
-            block = next(blk for blk in res.trace.blocks if r < blk.start_round + blk.nrounds)
-            word, bit = divmod(r - block.start_round, 64)
-            block.noise[hub, word] ^= np.uint64(1 << bit)
+            set_trace_bit(res.trace, "noise", hub, sr * 2 * w + t)
     rep = check_handshake_lemmas(res.trace, STAR, res, inp)
     assert ("3 decoded a 2-beeper pile-up at epoch 1 phase 3 subphase 1 window 1 sr 389"
             in rep.violations)
@@ -712,10 +719,16 @@ def _xor_trace_word(trace, rows, node_id, sr, w, mask):
     node = trace.graph.index_of[node_id]
     for t in range(2 * w):
         if mask >> t & 1:
-            r = sr * 2 * w + t
-            block = next(b for b in trace.blocks if r < b.start_round + b.nrounds)
-            word, bit = divmod(r - block.start_round, 64)
-            getattr(block, rows)[node, word] ^= np.uint64(1 << bit)
+            set_trace_bit(trace, rows, node, sr * 2 * w + t)
+
+
+def _trace_word(trace, rows, node_id, sr, w):
+    """node_id's super-round sr word of the trace's rows, unpacked from
+    every block in turn; bit t is round sr * 2w + t."""
+    node = trace.graph.index_of[node_id]
+    bits = np.concatenate([unpack_word_rows(getattr(b, rows)[node:node + 1], b.nrounds)[0]
+                           for b in trace.blocks])
+    return int(pack_bool_rows(bits[None, sr * 2 * w:(sr + 1) * 2 * w])[0, 0])
 
 
 def _forge_last_window_confirmation(res):
@@ -839,18 +852,21 @@ def test_a_beep_forged_into_a_silent_block_is_a_mismatch(star_trace):
         f"noise mismatch in block at round {block.start_round}, first at node index {first}"]
 
 
-def test_replay_words_cost_under_two_bytes_per_node_round():
-    g = generate_random_graph(12, 3, seed=4, c=1)
-    res = run_c2b(g, CongestRoundInput(_directed_messages(g, 6, 104), 6), record="full")
+def test_the_h_hop_worst_case_replays_in_a_few_megabytes():
+    # 8,138,100 rounds, nearly all silent: the replay reads only the rounds
+    # of live blocks, where unpacking every round took about 900 MB
+    g = build_lower_bound_graph(6, 3)
+    inp = CongestRoundInput(_directed_messages(g, 4, 3), 40)
+    res = run_c2b(g, inp, record="full")
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        pat, noise = _trace_super_round_words(res.trace, res.schedule)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        rep = check_handshake_lemmas(res.trace, g, res, inp)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pat.shape == noise.shape == (g.n, res.schedule.total_super_rounds)
-    assert peak < 2 * g.n * res.rounds
+    assert rep.ok
+    assert rep.flagged == res.handshake.flagged
+    assert peak < 32 << 20
 
 
 def test_a_cleanly_decoded_non_neighbour_opens_no_link(monkeypatch):
@@ -863,11 +879,7 @@ def test_a_cleanly_decoded_non_neighbour_opens_no_link(monkeypatch):
     sr = int(log["super_round"][log["role"] == "announcing"][0])
     word = encode_extended(2, w)
     for t in range(2 * w):
-        r = sr * 2 * w + t
-        block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
-        col, bit = divmod(r - block.start_round, 64)
-        mask = np.uint64(1 << bit)
-        block.noise[leaf, col] = (block.noise[leaf, col] & ~mask) | (mask if word >> t & 1 else 0)
+        set_trace_bit(res.trace, "noise", leaf, sr * 2 * w + t, word >> t & 1)
     cores, responsive = [], []
     announce = _Handshake.announce
 
@@ -958,10 +970,7 @@ def test_a_beep_deep_in_a_silent_stretch_is_named(channel_calls):
     sr, count = next((sr, count) for kind, sr, count, *_ in channel_calls
                      if kind == "idle" and count >= 2 * phase)
     forged = sr + count // 2
-    r = forged * 2 * sched.w
-    block = next(b for b in res.trace.blocks if r < b.start_round + b.nrounds)
-    word, bit = divmod(r - block.start_round, 64)
-    block.patterns[0, word] ^= np.uint64(1 << bit)
+    set_trace_bit(res.trace, "patterns", 0, forged * 2 * sched.w)
     rep = check_handshake_lemmas(res.trace, STAR, res, inp)
     assert [v for v in rep.violations if v.startswith("the trace beeps in")] == [
         f"the trace beeps in super-rounds {forged}..{forged}, which the schedule leaves silent"]
@@ -1102,9 +1111,7 @@ def test_a_replay_the_core_cannot_finish_is_reported():
     for sr, node in log[log["role"] == "confirming"][["super_round", "node"]].tolist():
         j = STAR.index_of[node]
         for t in range(sr * sr_rounds, (sr + 1) * sr_rounds):
-            block = next(b for b in res.trace.blocks if t < b.start_round + b.nrounds)
-            word, bit = divmod(t - block.start_round, 64)
-            block.noise[j, word] &= ~np.uint64(1 << bit)
+            set_trace_bit(res.trace, "noise", j, t, 0)
     report = check_handshake_lemmas(res.trace, STAR, res, inp)
     assert not report.ok
     assert [v for v in report.violations if v.startswith("replay stopped: ")] == [

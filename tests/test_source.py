@@ -162,11 +162,13 @@ def _code_references(tree: ast.AST) -> Counter:
 
 def test_revalidation_names_no_producer_code():
     # Revalidation shares no code with the path that produced a run: the
-    # trace oracle, the handshake auditor with the edge slots it is handed,
-    # the neighbour table they read, and the code they reach in their own
-    # module name neither the kernel nor the CSR it gathers over.
+    # trace oracle, the handshake replay with its trace reader, the auditor
+    # with the edge slots it is handed, the neighbour table they read, and
+    # the code they reach in their own module name neither the kernel nor
+    # the CSR it gathers over.
     for module, dotted in (("engine.py", "validate_trace"), ("c2b.py", "_Auditor"),
-                           ("c2b.py", "_EdgeSlots"), ("graphs.py", "Graph.neighbor_table")):
+                           ("c2b.py", "_EdgeSlots"), ("c2b.py", "check_handshake_lemmas"),
+                           ("graphs.py", "Graph.neighbor_table")):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         defs = {node.name: node for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
