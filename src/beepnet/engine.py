@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from itertools import compress
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from beepnet._bits import U64, pack_bool_rows, words_for
 from beepnet.graphs import Graph
 
 TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
+_READ_BUDGET = 1 << 17    # bytes of trace words that one validate_trace gather may read
 _ZEROS = bytes(1 << 16)   # TraceDigest.append_silent feeds silent rounds from slices of this
 
 
@@ -37,9 +37,9 @@ class Feedback(Enum):
     NOT_LISTENING = "B"
 
 
-# step and validate_trace name the members through these module globals, which
-# spares an Enum attribute lookup per node and round.
-_LISTEN, _BEEP = NodeAction.LISTEN, NodeAction.BEEP
+# run names the members through these module globals, which spares an Enum
+# attribute lookup per node and round.
+_BEEP = NodeAction.BEEP
 _SILENCE, _NOISE, _NOT_LISTENING = Feedback.SILENCE, Feedback.NOISE, Feedback.NOT_LISTENING
 
 
@@ -66,21 +66,24 @@ class NodeProtocol:
         return None
 
 
-def step(graph: Graph, actions: dict[int, NodeAction]) -> dict[int, Feedback]:
-    """One synchronous round, straight from the channel definition.
+def step(graph: Graph, beepers: set[int]) -> set[int]:
+    """One synchronous round, straight from the channel definition: the
+    listeners that hear noise when the nodes in beepers beep.
 
     Kept deliberately naive: set logic over the edge-list neighbour tuples
     (graph.neighbors_of), no arrays and no kernel. The noisy set is the union
-    of the beepers' neighbours, so a round costs O(sum of the beepers'
-    degrees) plus one membership test per node. The fast paths are checked
-    against this in validate_trace and the unit tests.
+    of the beepers' neighbours less the beepers, so a round costs O(sum of
+    the beepers' degrees). Every other listener hears silence, and a
+    beeper hears nothing. run() hears the channel through this, and
+    validate_trace replays a sample of a recorded trace's rounds through it
+    (its full pass checks every round against graph.neighbor_table
+    instead). The unit tests hold it to the channel definition.
     """
-    beepers = {u for u, a in actions.items() if a == _BEEP}
-    noisy = set()
+    noisy: set[int] = set()
     for u in beepers:
         noisy.update(graph.neighbors_of(u))
-    return {u: _NOT_LISTENING if u in beepers else _NOISE if u in noisy else _SILENCE
-            for u in graph.ids}
+    noisy.difference_update(beepers)
+    return noisy
 
 
 @dataclass
@@ -217,9 +220,11 @@ def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int) -> Ru
             if p.finished() and a != NodeAction.LISTEN:
                 raise RuntimeError(f"finished node {u} tried to beep in round {rounds}")
             actions[u] = a
-        feedback = step(graph, actions)
+        beepers = {u for u, a in actions.items() if a == _BEEP}
+        noisy = step(graph, beepers)
         for u in graph.ids:
-            protocols[u].observe(rounds, feedback[u])
+            protocols[u].observe(rounds, _NOT_LISTENING if u in beepers
+                                 else _NOISE if u in noisy else _SILENCE)
         chunk_actions.append(actions)
         if len(chunk_actions) == 64:
             _flush(trace, chunk_actions)
@@ -252,72 +257,139 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> Valid
     The full pass rebuilds every block's noise from graph.neighbor_table
     (built from the edge list, not from the CSR the kernel gathers over):
     a node's noise words are the OR of its neighbours' beep words, taken
-    one table column at a time, with the padding column standing for a
-    phantom node whose words are zero.  The first nrounds bits must equal
-    the recorded noise; the bits past them in the last word are ignored.
+    one table column at a time, with the table's padding index n standing
+    for a phantom node whose words are zero.  The first nrounds bits must
+    equal the recorded noise; the bits past them in the last word are
+    ignored.
     A block whose beep and noise words are all zero is consistent as it
     stands (no beeper, no noise) and skips the OR; its rounds still count
-    as checked.
+    as checked.  The other blocks are ORed side by side in batches of at
+    most _READ_BUDGET bytes of words (a wider block forms a batch alone),
+    and each bad block is named with its first bad node index, in block
+    order.
 
     The sampled pass replays min(sample_rounds, total) distinct rounds,
     drawn with numpy's default_rng(0), through step(): the recorded
-    beepers go in, and the feedback that comes out (B, N or S per node) must
-    equal the recorded one. It walks the sorted picks and the blocks
-    together and reads each picked round's beep and noise column once.
+    beepers go in, and the listeners it says hear noise must be exactly
+    the recorded ones, which is the same as every node's feedback (B, N
+    or S) matching.  Each block's picked words are read in gathers of at
+    most _READ_BUDGET bytes, one gather when its picks fit.
 
-    Raises ValueError when the trace's blocks do not have one row per node
-    of graph.
+    Raises ValueError naming the block when a block does not have one row
+    per node of graph, when its patterns and noise are not both of shape
+    (n, words_for(nrounds)), or when it does not start where the last one
+    ended.
     """
+    at = 0
     for block in trace.blocks:
         for rows in (block.patterns.shape[0], block.noise.shape[0]):
             if rows != graph.n:
                 raise ValueError(
                     f"graph has {graph.n} nodes but the trace block at round "
                     f"{block.start_round} has {rows} rows")
-    table = graph.neighbor_table
-    mismatches: list[str] = []
-    full = 0
-    for block in trace.blocks:
-        full += block.nrounds
+        shape = (graph.n, words_for(block.nrounds))
+        if block.patterns.shape != shape or block.noise.shape != shape:
+            raise ValueError(
+                f"trace block at round {block.start_round} holds {block.nrounds} rounds "
+                f"in patterns of shape {block.patterns.shape} and noise of shape "
+                f"{block.noise.shape}, not {shape}")
+        if block.start_round != at:
+            raise ValueError(
+                f"trace block at round {block.start_round} should start at round {at}")
+        at += block.nrounds
+    mismatches = _noise_mismatches(graph, trace.blocks)
+    sampled = min(sample_rounds, at) if at else 0
+    if sampled:
+        picks = sorted(np.random.default_rng(0).choice(at, sampled, replace=False).tolist())
+        mismatches += _replay_mismatches(graph, trace.blocks, picks)
+    return ValidationReport(ok=not mismatches, rounds_checked_full=at,
+                            rounds_checked_sampled=sampled, mismatches=mismatches)
+
+
+def _live_batches(blocks: list[TraceBlock], width: int):
+    """Yield runs of consecutive blocks with a beep or noise word, each of at
+    most width words a row in all, or a single wider block."""
+    batch: list[TraceBlock] = []
+    words = 0
+    for block in blocks:
         if not (block.patterns.any() or block.noise.any()):
             continue
-        words = np.vstack([block.patterns, np.zeros_like(block.patterns[:1])])
+        cols = block.patterns.shape[1]
+        if batch and words + cols > width:
+            yield batch
+            batch, words = [], 0
+        batch.append(block)
+        words += cols
+    if batch:
+        yield batch
+
+
+def _noise_mismatches(graph: Graph, blocks: list[TraceBlock]) -> list[str]:
+    """validate_trace's full pass over blocks of checked shape."""
+    n, table = graph.n, graph.neighbor_table
+    mismatches = []
+    for batch in _live_batches(blocks, max(1, _READ_BUDGET // (8 * (n + 1)))):
+        spans, width = [], 0
+        for block in batch:
+            spans.append((block, width, width + block.patterns.shape[1]))
+            width += block.patterns.shape[1]
+        words = np.zeros((n + 1, width), dtype=U64)    # row n: the phantom node
+        for block, lo, hi in spans:
+            words[:n, lo:hi] = block.patterns
         want = words[table[:, 0]]
         for col in table.T[1:]:
             want |= words[col]
-        # round t is bit t % 64 of word t // 64; the last word may run past nrounds
-        kept = np.array([(1 << min(64, max(0, block.nrounds - 64 * k))) - 1
-                         for k in range(want.shape[1])], dtype=U64)
-        bad = np.flatnonzero(((want ^ block.noise) & kept).any(axis=1))
-        if bad.size:
-            mismatches.append(
-                f"noise mismatch in block at round {block.start_round}, "
-                f"first at node index {int(bad[0])}")
+        for block, lo, hi in spans:
+            want[:, lo:hi] ^= block.noise
+            # round t is bit t % 64 of word t // 64; the last word may run past nrounds
+            want[:, hi - 1] &= U64((1 << (block.nrounds - 64 * (hi - lo - 1))) - 1)
+        if want.any():
+            for block, lo, hi in spans:
+                bad = np.flatnonzero(want[:, lo:hi].any(axis=1))
+                if bad.size:
+                    mismatches.append(
+                        f"noise mismatch in block at round {block.start_round}, "
+                        f"first at node index {int(bad[0])}")
+    return mismatches
 
-    total = trace.total_rounds
-    sampled = 0
-    if total:
-        rng = np.random.default_rng(0)
-        count = min(sample_rounds, total)
-        picks = sorted(int(x) for x in rng.choice(total, count, replace=False))
-        ids = graph.ids
-        blocks = iter(trace.blocks)
-        block = next(blocks)
-        for t in picks:
-            while t >= block.start_round + block.nrounds:
-                block = next(blocks)
-            word, bit = divmod(t - block.start_round, 64)
-            shift = U64(bit)
-            beeps = ((block.patterns[:, word] >> shift) & U64(1)).tolist()
-            heard = ((block.noise[:, word] >> shift) & U64(1)).tolist()
-            actions = dict.fromkeys(ids, _LISTEN)
-            actions.update(dict.fromkeys(compress(ids, beeps), _BEEP))
-            got_fb = dict.fromkeys(ids, _SILENCE)
-            got_fb.update(dict.fromkeys(compress(ids, heard), _NOISE))
-            got_fb.update(dict.fromkeys(compress(ids, beeps), _NOT_LISTENING))
-            if step(graph, actions) != got_fb:
-                mismatches.append(f"feedback mismatch at round {t}")
-            sampled += 1
-    return ValidationReport(ok=not mismatches, rounds_checked_full=full,
-                            rounds_checked_sampled=sampled,
-                            mismatches=mismatches)
+
+def _replay_mismatches(graph: Graph, blocks: list[TraceBlock], picks: list[int]) -> list[str]:
+    """validate_trace's sampled pass: replay the sorted rounds picks through
+    step(), reading the picked bits of each block in bounded gathers."""
+    ids, mismatches = graph.ids, []
+    per = max(1, _READ_BUDGET // (8 * (graph.n + 1)))
+    for block, rounds in _picks_by_block(blocks, picks):
+        for j in range(0, len(rounds), per):
+            chunk = rounds[j:j + per]
+            # round t is bit t % 64 of word t // 64 of its block
+            offsets = [t - block.start_round for t in chunk]
+            word = [off >> 6 for off in offsets]
+            bit = np.array([[off & 63] for off in offsets], dtype=U64)
+            for t, b, h in zip(chunk, _bit_rows(block.patterns, word, bit),
+                               _bit_rows(block.noise, word, bit)):
+                beepers = {ids[i] for i in b.nonzero()[0].tolist()}
+                if {ids[i] for i in h.nonzero()[0].tolist()} - beepers != step(graph, beepers):
+                    mismatches.append(f"feedback mismatch at round {t}")
+    return mismatches
+
+
+def _picks_by_block(blocks: list[TraceBlock], picks: list[int]):
+    """Yield (block, its rounds among the sorted picks) for each block that holds some."""
+    it = iter(blocks)
+    block, rounds = next(it), []
+    for t in picks:
+        while t >= block.start_round + block.nrounds:
+            if rounds:
+                yield block, rounds
+                rounds = []
+            block = next(it)
+        rounds.append(t)
+    yield block, rounds
+
+
+def _bit_rows(words: np.ndarray, word: list[int], bit: np.ndarray) -> np.ndarray:
+    """(picks, n) array whose row k holds bit bit[k] of word word[k] of every node."""
+    rows = words.T[word]
+    rows >>= bit
+    rows &= U64(1)
+    return rows

@@ -48,9 +48,6 @@ class HopTable:
         """The table as (target, next hop, epoch) triples."""
         return {(v, w, i) for v, (w, i) in self.entries.items()}
 
-    def epoch_learned(self, v: int) -> int:
-        return self.entries[v][1]
-
 
 @dataclass
 class DisseminationResult:

@@ -244,7 +244,7 @@ def test_gate_multihop_delivery_and_tables():
             reach = {v: k for v, k in balls[u].items() if k >= 1}
             assert res.tables[u].known() == frozenset(reach), (n, u)
             for v, k in reach.items():
-                assert res.tables[u].epoch_learned(v) == k, (n, u, v)
+                assert res.tables[u].entries[v][1] == k, (n, u, v)
         assert max(res.payload_peaks) <= res.payload_cap
 
     # the layered worst case: every leaf talks to every core node

@@ -8,7 +8,7 @@ import beepnet.engine
 import beepnet.kernel
 from beepnet._bits import pack_bool_rows, unpack_word_rows
 from beepnet.c2b import CongestRoundInput, run_c2b
-from beepnet.engine import Feedback, NodeAction, Trace, run, step, validate_trace
+from beepnet.engine import Feedback, Trace, run, step, validate_trace
 from beepnet.graphs import Graph, generate_random_graph, graph_from_edges
 from beepnet.kernel import expand_patterns, or_neighbor_patterns
 from beepnet.protocols import (
@@ -16,6 +16,7 @@ from beepnet.protocols import (
     LocalBroadcastNode,
     run_local_broadcast,
 )
+from conftest import set_trace_bit
 
 
 def _isolate(graph: Graph, every: int) -> Graph:
@@ -163,9 +164,9 @@ def _beeper_sets(graph, rng):
 def test_step_matches_the_channel_definition(graph):
     rng = np.random.default_rng(graph.n)
     for beepers in _beeper_sets(graph, rng):
-        actions = {u: NodeAction.BEEP if u in beepers else NodeAction.LISTEN
-                   for u in graph.ids}
-        assert step(graph, actions) == _definition_feedback(graph, beepers), sorted(beepers)
+        noisy = {u for u, fb in _definition_feedback(graph, beepers).items()
+                 if fb is Feedback.NOISE}
+        assert step(graph, beepers) == noisy, sorted(beepers)
 
 
 def _flip(block, kind, node, col):
@@ -244,9 +245,9 @@ def test_validation_steps_once_per_sampled_round(monkeypatch):
     calls = []
     real = beepnet.engine.step
 
-    def counted(graph, actions):
+    def counted(graph, beepers):
         calls.append(1)
-        return real(graph, actions)
+        return real(graph, beepers)
 
     monkeypatch.setattr(beepnet.engine, "step", counted)
     for g, trace in _recorded_traces():
@@ -272,3 +273,97 @@ def test_a_trace_of_another_graph_is_rejected():
             validate_trace(other, trace)
         with pytest.raises(ValueError, match="graph has 10 nodes .* has 16"):
             validate_trace(other, trace, sample_rounds=0)
+
+
+def _live_blocks_trace():
+    """A local broadcast trace of three live blocks (two selector blocks a
+    wire call) of 2, 2 and 1 words, and its graph."""
+    g, _, inp = _broadcast_setup(n=16, delta=4, width=3, seed=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 2)
+        trace = run_local_broadcast(g, inp).trace
+    return g, trace
+
+
+@pytest.mark.parametrize("together", [False, True])
+def test_the_full_pass_names_bad_blocks_in_order_across_batches(monkeypatch, together):
+    g, trace = _live_blocks_trace()
+    live = [b for b in trace.blocks if b.patterns.any() or b.noise.any()]
+    first, last = live[0], live[-1]
+    assert [b.patterns.shape[1] for b in live] == [2, 2, 1]
+    # one block a batch, or every live block in one batch
+    width = 5 if together else 2
+    monkeypatch.setattr(beepnet.engine, "_READ_BUDGET", 8 * (g.n + 1) * width)
+    batches = list(beepnet.engine._live_batches(trace.blocks, width))
+    assert len(batches) == (1 if together else len(live))
+    assert validate_trace(g, trace, sample_rounds=0).ok
+    for node, t in ((9, first.start_round), (4, first.start_round + first.nrounds - 1),
+                    (11, last.start_round), (2, trace.total_rounds - 1)):
+        set_trace_bit(trace, "noise", node, t)
+    report = validate_trace(g, trace, sample_rounds=0)
+    assert report.mismatches == [
+        f"noise mismatch in block at round {first.start_round}, first at node index 4",
+        f"noise mismatch in block at round {last.start_round}, first at node index 2",
+    ]
+
+
+def _word_edge_trace():
+    """A 16-node trace of one 130-round block (words of 64, 64 and 2
+    rounds) and one 70-round block after it."""
+    g = generate_random_graph(16, 4, seed=5)
+    rng = np.random.default_rng(5)
+    beeps = rng.random((g.n, 200)) < 0.2
+    noise = unpack_word_rows(or_neighbor_patterns(*g.csr, pack_bool_rows(beeps)), 200)
+    trace = Trace(g)
+    for lo, hi in ((0, 130), (130, 200)):
+        trace.append_block(pack_bool_rows(beeps[:, lo:hi]), hi - lo,
+                           pack_bool_rows(noise[:, lo:hi]))
+    return g, trace, beeps
+
+
+@pytest.mark.parametrize("budget", ["default", "one-pick-a-gather"])
+def test_sampled_replay_reads_the_last_bit_of_a_word_and_a_partial_word(monkeypatch, budget):
+    g, trace, beeps = _word_edge_trace()
+    if budget != "default":
+        monkeypatch.setattr(beepnet.engine, "_READ_BUDGET", 8 * (g.n + 1))
+    total = trace.total_rounds
+    assert validate_trace(g, trace, sample_rounds=total).ok
+    # bit 63 of word 0 and of word 1, the last partial word of the first
+    # block, and bit 63 of the second block's first word
+    forged = (63, 127, 129, 130 + 63)
+    for t in forged:
+        node = int(np.flatnonzero(~beeps[:, t])[0])      # a listener in round t
+        set_trace_bit(trace, "noise", node, t)
+    report = validate_trace(g, trace, sample_rounds=total)
+    assert report.rounds_checked_sampled == total
+    assert report.mismatches == [
+        "noise mismatch in block at round 0, first at node index "
+        f"{min(int(np.flatnonzero(~beeps[:, t])[0]) for t in forged[:3])}",
+        "noise mismatch in block at round 130, first at node index "
+        f"{int(np.flatnonzero(~beeps[:, forged[3]])[0])}",
+        *(f"feedback mismatch at round {t}" for t in forged),
+    ]
+
+
+def _misshape(trace, case):
+    n = trace.graph.n
+    if case == "few-words":          # 200 rounds stored in one word
+        trace.append_block(np.zeros((n, 1), np.uint64), 200, np.zeros((n, 1), np.uint64))
+    elif case == "extra-word":
+        trace.append_block(np.zeros((n, 2), np.uint64), 64, np.zeros((n, 2), np.uint64))
+    elif case == "unequal-shapes":
+        trace.append_block(np.zeros((n, 2), np.uint64), 100, np.zeros((n, 1), np.uint64))
+    else:                            # a block that leaves a gap after the last one
+        trace.append_silent(10)
+        trace.blocks[-1].start_round += 1
+
+
+@pytest.mark.parametrize("case", ["few-words", "extra-word", "unequal-shapes", "shifted"])
+def test_a_misshapen_trace_block_is_rejected(case):
+    g, trace, _ = _word_edge_trace()
+    _misshape(trace, case)
+    want = (r"trace block at round 201 should start at round 200" if case == "shifted"
+            else r"trace block at round 200 holds \d+ rounds in patterns of shape")
+    for sample_rounds in (0, 64, 10_000):
+        with pytest.raises(ValueError, match=want):
+            validate_trace(g, trace, sample_rounds=sample_rounds)
