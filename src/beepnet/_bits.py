@@ -12,8 +12,6 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
-from operator import countOf
-
 import numpy as np
 
 U64 = np.uint64
@@ -45,11 +43,6 @@ def unpack_word_cols(words: np.ndarray, nbits: int) -> np.ndarray:
     bits of each field are unpacked."""
     fields = unpack_word_rows(words.reshape(-1, words_for(nbits)), nbits)
     return fields.reshape(len(words), -1)
-
-
-def is_bit_string(bits) -> bool:
-    """Whether every entry equals 0 or 1, by the test `b in (0, 1)` makes."""
-    return countOf(bits, 0) + countOf(bits, 1) == len(bits)
 
 
 # Digit characters to bit values and back, for bytes.translate.

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import is_bit_string, pack_bool_rows, unpack_word_cols, unpack_word_rows
+from ._bits import pack_bool_rows, unpack_word_cols, unpack_word_rows
 from .encoding import (
     decode_extended,
     decode_extended_rows,
@@ -60,7 +60,7 @@ from .encoding import (
 from .engine import Feedback, NodeAction, NodeProtocol, Trace, TraceDigest
 from .graphs import Graph, ParameterError
 from .kernel import active as kernel
-from .protocols._common import family_membership, resolve_degree_bound
+from .protocols._common import check_bit_string, family_membership, resolve_degree_bound
 from .selectors import DEFAULT_SEED, SelectorFamily, get_avoiding_selector
 
 TRACE_FEED_CHUNK = 512       # live super-rounds that fill a recorded trace block
@@ -227,10 +227,7 @@ class CongestRoundInput:
         if self.width < 0:
             raise ParameterError("message width must be nonnegative")
         for (u, v), bits in self.messages.items():
-            if len(bits) > self.width:
-                raise ParameterError(f"message {u}->{v} longer than width {self.width}")
-            if not is_bit_string(bits):
-                raise ParameterError(f"message {u}->{v} has non-bit entries")
+            check_bit_string(f"message {u}->{v}", bits, self.width)
 
 
 class RealizationRecord(NamedTuple):
@@ -1150,19 +1147,13 @@ def check_handshake_lemmas(trace: Trace, graph: Graph, result: C2BResult,
     are then held to what the replay derived.  Identical-word pile-ups in
     the responding half are reported as flags, everything else lands in
     violations.  Only the rounds of the core's live blocks are unpacked,
-    and of a silent stretch only the words with a beep.  Raises
-    ParameterError unless each trace block starts where the last one
-    ended and holds one row per node.
+    and of a silent stretch only the words with a beep.  Trace.check
+    first rejects a misshapen trace with a ParameterError naming the block.
     """
     schedule = result.schedule
     if trace.graph is not graph and trace.graph.ids != graph.ids:
         raise ParameterError("trace and graph disagree on the node set")
-    at = 0
-    for block in trace.blocks:
-        if block.start_round != at or {len(block.patterns), len(block.noise)} != {graph.n}:
-            raise ParameterError(f"trace block at round {block.start_round} should start "
-                                 f"at round {at} and hold {graph.n} rows")
-        at += block.nrounds
+    trace.check(graph.n)
     if trace.total_rounds != schedule.total_rounds:
         raise ParameterError(
             f"trace has {trace.total_rounds} rounds, schedule wants {schedule.total_rounds}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from beepnet import kernel
 from beepnet._bits import U64, pack_bool_rows, words_for
-from beepnet.graphs import Graph
+from beepnet.graphs import Graph, ParameterError
 
 TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
 _READ_BUDGET = 1 << 17    # bytes of trace words that one validate_trace gather may read
@@ -106,14 +106,27 @@ class Trace:
         last = self.blocks[-1]
         return last.start_round + last.nrounds
 
-    def append_block(self, patterns: np.ndarray, nrounds: int,
-                     noise: np.ndarray | None = None) -> TraceBlock:
-        if noise is None:
-            indptr, indices = self.graph.csr
-            noise = kernel.or_neighbor_patterns(indptr, indices, patterns)
+    def append_block(self, patterns: np.ndarray, nrounds: int, noise: np.ndarray) -> TraceBlock:
         block = TraceBlock(self.total_rounds, nrounds, patterns, noise)
         self.blocks.append(block)
         return block
+
+    def check(self, n: int) -> None:
+        """Raise ParameterError naming the first block that does not start
+        where the last one ended, or whose patterns and noise are not both
+        (n, words_for(nrounds)) words."""
+        at = 0
+        for block in self.blocks:
+            if block.start_round != at:
+                raise ParameterError(
+                    f"trace block at round {block.start_round} should start at round {at}")
+            shape = (n, words_for(block.nrounds))
+            if block.patterns.shape != shape or block.noise.shape != shape:
+                raise ParameterError(
+                    f"trace block at round {block.start_round} holds {block.nrounds} rounds "
+                    f"in patterns of shape {block.patterns.shape} and noise of shape "
+                    f"{block.noise.shape}, not {shape}")
+            at += block.nrounds
 
     def append_silent(self, nrounds: int) -> None:
         """Append nrounds rounds in which no node beeps or hears noise, as one
@@ -237,10 +250,11 @@ def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int) -> Ru
 
 
 def _flush(trace: Trace, chunk: list[dict[int, NodeAction]]) -> None:
-    ids = trace.graph.ids
-    beeps = np.array([[actions[u] == NodeAction.BEEP for actions in chunk] for u in ids],
+    graph = trace.graph
+    beeps = np.array([[actions[u] == NodeAction.BEEP for actions in chunk] for u in graph.ids],
                      dtype=bool)
-    trace.append_block(pack_bool_rows(beeps), len(chunk))
+    patterns = pack_bool_rows(beeps)
+    trace.append_block(patterns, len(chunk), kernel.or_neighbor_patterns(*graph.csr, patterns))
 
 
 @dataclass
@@ -275,34 +289,17 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> Valid
     or S) matching.  Each block's picked words are read in gathers of at
     most _READ_BUDGET bytes, one gather when its picks fit.
 
-    Raises ValueError naming the block when a block does not have one row
-    per node of graph, when its patterns and noise are not both of shape
-    (n, words_for(nrounds)), or when it does not start where the last one
-    ended.
+    Trace.check(graph.n) first rejects a misshapen trace with a
+    ParameterError naming the block.
     """
-    at = 0
-    for block in trace.blocks:
-        for rows in (block.patterns.shape[0], block.noise.shape[0]):
-            if rows != graph.n:
-                raise ValueError(
-                    f"graph has {graph.n} nodes but the trace block at round "
-                    f"{block.start_round} has {rows} rows")
-        shape = (graph.n, words_for(block.nrounds))
-        if block.patterns.shape != shape or block.noise.shape != shape:
-            raise ValueError(
-                f"trace block at round {block.start_round} holds {block.nrounds} rounds "
-                f"in patterns of shape {block.patterns.shape} and noise of shape "
-                f"{block.noise.shape}, not {shape}")
-        if block.start_round != at:
-            raise ValueError(
-                f"trace block at round {block.start_round} should start at round {at}")
-        at += block.nrounds
+    trace.check(graph.n)
+    total = trace.total_rounds
     mismatches = _noise_mismatches(graph, trace.blocks)
-    sampled = min(sample_rounds, at) if at else 0
+    sampled = min(sample_rounds, total) if total else 0
     if sampled:
-        picks = sorted(np.random.default_rng(0).choice(at, sampled, replace=False).tolist())
+        picks = sorted(np.random.default_rng(0).choice(total, sampled, replace=False).tolist())
         mismatches += _replay_mismatches(graph, trace.blocks, picks)
-    return ValidationReport(ok=not mismatches, rounds_checked_full=at,
+    return ValidationReport(ok=not mismatches, rounds_checked_full=total,
                             rounds_checked_sampled=sampled, mismatches=mismatches)
 
 

@@ -179,15 +179,6 @@ def graph_for(config: ExperimentConfig, seed: int) -> Graph:
     return generate_random_graph(config.n, config.delta, seed, config.c)
 
 
-def _check_trace(graph: Graph, trace, failures: list[str]) -> bool:
-    if trace is None:
-        return False
-    rep = validate_trace(graph, trace)
-    if not rep.ok:
-        failures.extend(f"trace: {m}" for m in rep.mismatches[:4])
-    return True
-
-
 def _run_local_broadcast(config, graph, dh, seed, rng, failures):
     msgs = {u: _payload(rng, config.B, exact=True) for u in graph.ids}
     res = run_local_broadcast(graph, LocalBroadcastInput(msgs, config.B), dh)
@@ -195,18 +186,13 @@ def _run_local_broadcast(config, graph, dh, seed, rng, failures):
         res.output[v][u] == msgs[u] for v in graph.ids for u in graph.neighbors_of(v)
     )
     expected = 2 * len(graph.edges)
-    sched = local_broadcast_schedule_length(graph.n, graph.c, dh, config.B)
-    if res.rounds != sched:
-        failures.append(f"rounds {res.rounds} != schedule {sched}")
-    checked = _check_trace(graph, res.trace, failures)
     return dict(
         rounds_total=res.rounds,
-        schedule_rounds=sched,
+        schedule_rounds=local_broadcast_schedule_length(graph.n, graph.c, dh, config.B),
         beeps_total=res.beeps_total,
         delivered_count=int(delivered),
         expected_count=expected,
-        trace_checked=checked,
-    )
+    ), [res.trace]
 
 
 def _run_learning(config, graph, dh, seed, rng, failures):
@@ -214,20 +200,14 @@ def _run_learning(config, graph, dh, seed, rng, failures):
     delivered = sum(
         res.neighborhoods[u] == frozenset(graph.neighbors_of(u)) for u in graph.ids
     )
-    sched = learning_schedule_length(graph.n, graph.c, dh)
-    if res.rounds != sched:
-        failures.append(f"rounds {res.rounds} != schedule {sched}")
-    w = id_width(graph.n, graph.c)
-    checked = _check_trace(graph, res.trace, failures)
     return dict(
         rounds_total=res.rounds,
-        schedule_rounds=sched,
-        super_rounds=res.rounds // (2 * w),
+        schedule_rounds=learning_schedule_length(graph.n, graph.c, dh),
+        super_rounds=res.rounds // (2 * id_width(graph.n, graph.c)),
         beeps_total=res.beeps_total,
         delivered_count=int(delivered),
         expected_count=graph.n,
-        trace_checked=checked,
-    )
+    ), [res.trace]
 
 
 def _run_gathering(config, graph, dh, seed, rng, failures):
@@ -243,21 +223,14 @@ def _run_gathering(config, graph, dh, seed, rng, failures):
         want = sum(data[v] for v in cluster)
         if res.values[layout.leaders[i]] == want:
             delivered += 1
-    sched = gathering_schedule_length(graph, layout, agg.value_bits, dh)
-    if res.rounds != sched:
-        failures.append(f"rounds {res.rounds} != schedule {sched}")
-    checked = False
-    for trace in res.traces:
-        checked = _check_trace(graph, trace, failures) or checked
     return dict(
         rounds_total=res.rounds,
-        schedule_rounds=sched,
+        schedule_rounds=gathering_schedule_length(graph, layout, agg.value_bits, dh),
         super_rounds=res.steps,
         beeps_total=res.beeps_total,
         delivered_count=delivered,
         expected_count=nclusters,
-        trace_checked=checked,
-    )
+    ), res.traces
 
 
 def _run_c2b(config, graph, dh, seed, rng, failures):
@@ -280,9 +253,6 @@ def _run_c2b(config, graph, dh, seed, rng, failures):
         failures.append("epoch invariant violated")
     if res.handshake.violations:
         failures.append(f"handshake: {res.handshake.violations[0]}")
-    if res.rounds != sched.total_rounds:
-        failures.append(f"rounds {res.rounds} != schedule {sched.total_rounds}")
-    checked = _check_trace(graph, res.trace, failures)
     link_epochs = [
         sorted([int(u), int(k)] for u, k in epoch.items()) for epoch in res.link_history
     ]
@@ -295,8 +265,7 @@ def _run_c2b(config, graph, dh, seed, rng, failures):
         expected_count=len(msgs),
         link_epochs=link_epochs,
         digest=res.digest,
-        trace_checked=checked,
-    )
+    ), [] if res.trace is None else [res.trace]
 
 
 def _run_multihop_sim(config, graph, dh, seed, rng, failures):
@@ -323,7 +292,7 @@ def _run_multihop_sim(config, graph, dh, seed, rng, failures):
         beeps_total=res.beeps_total,
         delivered_count=int(delivered),
         expected_count=len(msgs),
-    )
+    ), []
 
 
 def _run_multihop_broadcast(config, graph, dh, seed, rng, failures):
@@ -343,7 +312,7 @@ def _run_multihop_broadcast(config, graph, dh, seed, rng, failures):
         beeps_total=res.beeps_total,
         delivered_count=delivered,
         expected_count=expected,
-    )
+    ), []
 
 
 _RUNNERS = {
@@ -357,15 +326,16 @@ _RUNNERS = {
 
 
 # Metric fields a runner leaves out because its protocol does not measure them.
-_UNMEASURED = dict(
-    schedule_rounds=None, super_rounds=None, link_epochs=None, digest=None,
-    trace_checked=False,
-)
+_UNMEASURED = dict(schedule_rounds=None, super_rounds=None, link_epochs=None, digest=None)
 # What a run that aborted with an invariant violation reports.
 _ABORTED = dict(rounds_total=0, beeps_total=0, delivered_count=0, expected_count=1)
 
 
 def run_single(config: ExperimentConfig, seed: int) -> Metrics:
+    """One seed's metrics.  A runner returns its metric fields and the
+    traces it recorded, appending its own failures; a run that did not
+    abort is then held to its schedule, if it has one, and each trace is
+    revalidated."""
     start = time.perf_counter()
     graph = graph_for(config, seed)
     rng = np.random.default_rng(seed)
@@ -374,10 +344,16 @@ def run_single(config: ExperimentConfig, seed: int) -> Metrics:
         dh = graph.n - 1 if config.protocol == "learn-neighborhood" else graph.delta
     failures: list[str] = []
     try:
-        payload = _RUNNERS[config.protocol](config, graph, dh, seed, rng, failures)
+        payload, traces = _RUNNERS[config.protocol](config, graph, dh, seed, rng, failures)
     except RuntimeError as exc:
-        payload = _ABORTED
+        payload, traces = _ABORTED, []
         failures.append(f"aborted: {exc}")
+    else:
+        rounds, sched = payload["rounds_total"], payload.get("schedule_rounds")
+        if sched is not None and rounds != sched:
+            failures.append(f"rounds {rounds} != schedule {sched}")
+        for trace in traces:
+            failures.extend(f"trace: {m}" for m in validate_trace(graph, trace).mismatches[:4])
     if config.max_rounds is not None and payload["rounds_total"] > config.max_rounds:
         failures.append(
             f"rounds {payload['rounds_total']} over the {config.max_rounds} budget"
@@ -392,6 +368,7 @@ def run_single(config: ExperimentConfig, seed: int) -> Metrics:
         B=config.B,
         h=config.h,
         w=id_width(graph.n, graph.c),
+        trace_checked=bool(traces),
         failures=failures,
         wall_clock=time.perf_counter() - start,
         **{**_UNMEASURED, **payload},

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._bits import bits_to_int, int_to_bits, is_bit_string
+from ._bits import bits_to_int, int_to_bits
 from .c2b import CongestRoundInput, run_c2b
 from .encoding import id_width
 from .graphs import Graph, ParameterError, graph_from_edges, read_text
-from .protocols._common import resolve_degree_bound
+from .protocols._common import check_bit_string, resolve_degree_bound
 from .protocols.broadcast import LocalBroadcastInput, run_local_broadcast
 
 Bits = tuple[int, ...]
@@ -40,13 +40,6 @@ class HopTable:
 
     node: int
     entries: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    def known(self) -> frozenset[int]:
-        return frozenset(self.entries)
-
-    def triples(self) -> set[tuple[int, int, int]]:
-        """The table as (target, next hop, epoch) triples."""
-        return {(v, w, i) for v, (w, i) in self.entries.items()}
 
 
 @dataclass
@@ -147,12 +140,7 @@ class MultihopInput:
         for (s, d), bits in self.messages.items():
             if s == d:
                 raise ParameterError(f"node {s} addressing itself")
-            if len(bits) > self.B:
-                raise ParameterError(
-                    f"payload {s}->{d} is {len(bits)} bits, over the bound {self.B}"
-                )
-            if not is_bit_string(bits):
-                raise ParameterError(f"payload {s}->{d} is not a bit string")
+            check_bit_string(f"payload {s}->{d}", bits, self.B)
 
 
 @dataclass
@@ -295,10 +283,7 @@ def run_multihop_local_broadcast(
     for u, bits in messages.items():
         if u not in graph.index_of:
             raise ParameterError(f"message source {u} not in the graph")
-        if len(bits) > B:
-            raise ParameterError(f"payload of {u} is {len(bits)} bits, over the bound {B}")
-        if not is_bit_string(bits):
-            raise ParameterError(f"payload of {u} is not a bit string")
+        check_bit_string(f"payload of {u}", bits, B)
     known: dict[int, dict[int, Bits]] = {u: {} for u in graph.ids}
     for u, m in messages.items():
         known[u][u] = tuple(m)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import countOf
+
 import numpy as np
 
 from .._bits import unpack_word_rows
@@ -18,6 +20,15 @@ def family_membership(graph: Graph, fam: SelectorFamily) -> np.ndarray:
     """
     rows = fam.element_words[np.asarray(graph.ids) - 1]
     return np.ascontiguousarray(unpack_word_rows(rows, len(fam)).T)
+
+
+def check_bit_string(label: str, bits, limit: int) -> None:
+    """Raise ParameterError naming label unless bits has at most limit
+    entries, each equal to 0 or 1 by the test `b in (0, 1)` makes."""
+    if len(bits) > limit:
+        raise ParameterError(f"{label} is {len(bits)} bits, over the bound {limit}")
+    if countOf(bits, 0) + countOf(bits, 1) != len(bits):
+        raise ParameterError(f"{label} is not a bit string")
 
 
 def resolve_degree_bound(graph: Graph, delta_hat: int | None, default: int) -> int:

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernel
-from .._bits import is_bit_string, pack_bool_rows, unpack_word_rows
+from .._bits import pack_bool_rows, unpack_word_rows
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
 from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
-from ._common import family_membership, resolve_degree_bound
+from ._common import check_bit_string, family_membership, resolve_degree_bound
 
 Bits = tuple[int, ...]
 
@@ -55,10 +55,7 @@ class LocalBroadcastInput:
         if self.width < 0:
             raise ParameterError("message width must be nonnegative")
         for u, bits in self.messages.items():
-            if len(bits) > self.width:
-                raise ParameterError(f"message of node {u} longer than width {self.width}")
-            if not is_bit_string(bits):
-                raise ParameterError(f"message of node {u} is not a bit string")
+            check_bit_string(f"message of node {u}", bits, self.width)
 
 
 def broadcast_family(n: int, c: int, delta_hat: int) -> SelectorFamily:

@@ -165,7 +165,7 @@ def test_message_inputs_accept_exactly_the_bits(bits, ok):
     # every entry must equal 0 or 1, as `b in (0, 1)` has it: bools and
     # 1.0 pass, anything else is rejected with the input's own message
     checks = [
-        (lambda: CongestRoundInput({(1, 3): bits}, 4), "message 1->3 has non-bit entries"),
+        (lambda: CongestRoundInput({(1, 3): bits}, 4), "message 1->3 is not a bit string"),
         (lambda: LocalBroadcastInput({1: bits}, 4), "message of node 1 is not a bit string"),
         (lambda: MultihopInput(1, 4, {(1, 3): bits}), "payload 1->3 is not a bit string"),
     ]
@@ -421,18 +421,25 @@ def test_replay_rejects_a_message_off_the_edges():
         check_handshake_lemmas(res.trace, STAR, res, CongestRoundInput({(1, 2): (1,)}, 3))
 
 
-@pytest.mark.parametrize("fault", ["lost-row", "shifted"])
+@pytest.mark.parametrize("fault", ["lost-row", "shifted", "few-words", "extra-word"])
 def test_a_malformed_trace_is_rejected_before_the_replay(fault):
     inp, res = _star_run()
-    # a silent block inside the trace, which no live step reads
-    block = next(b for b in res.trace.blocks[1:-1] if not b.patterns.any())
-    at = block.start_round
+    # the longest silent block, of which the replay unpacks no word
+    block = max((b for b in res.trace.blocks if not b.patterns.any()), key=lambda b: b.nrounds)
+    at, (n, words) = block.start_round, block.patterns.shape
+    assert words > 1
+    want = f"trace block at round {at} holds {block.nrounds} rounds in patterns of shape"
     if fault == "lost-row":
         block.patterns = block.patterns[1:]
-    else:
+    elif fault == "shifted":
         block.start_round += 1
-    with pytest.raises(ParameterError, match=f"trace block at round {block.start_round} "
-                                             f"should start at round {at} and hold 5 rows"):
+        want = f"trace block at round {at + 1} should start at round {at}"
+    elif fault == "few-words":     # the block's rounds stored in one word
+        block.patterns, block.noise = block.patterns[:, :1], block.noise[:, :1]
+    else:                          # a word of beeps past the block's rounds
+        block.patterns = np.hstack([block.patterns, np.ones((n, 1), np.uint64)])
+        block.noise = np.hstack([block.noise, np.zeros((n, 1), np.uint64)])
+    with pytest.raises(ParameterError, match=want):
         check_handshake_lemmas(res.trace, STAR, res, inp)
 
 

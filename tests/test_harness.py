@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from beepnet import harness
+from beepnet.engine import ValidationReport
 from beepnet.graphs import ParameterError, graph_from_edges
 from beepnet.harness import (
     ExperimentConfig,
@@ -81,6 +83,7 @@ def test_learning_metrics_exact():
     assert m.ok
     assert m.delivered_count == 10
     assert m.rounds_total == m.schedule_rounds == m.super_rounds * 2 * m.w
+    assert m.trace_checked
 
 
 def test_an_aborted_seed_reports_the_bound_it_ran_with(monkeypatch):
@@ -97,6 +100,47 @@ def test_an_aborted_seed_reports_the_bound_it_ran_with(monkeypatch):
     assert m.delta_hat == 9
     assert (m.rounds_total, m.schedule_rounds, m.super_rounds, m.digest, m.trace_checked) == (
         0, None, None, None, False)
+
+
+@pytest.mark.parametrize("protocol, schedule", [
+    ("local-broadcast", "local_broadcast_schedule_length"),
+    ("learn-neighborhood", "learning_schedule_length"),
+    ("cluster-gather", "gathering_schedule_length"),
+    ("c2b", "build_schedule"),
+    ("multihop-sim", None),
+    ("multihop-broadcast", None),
+])
+def test_run_single_checks_the_schedule_then_the_traces(monkeypatch, protocol, schedule):
+    # run_single holds every protocol with a schedule to it once, after the
+    # runner's own checks and before it revalidates the traces
+    if schedule is not None:
+        real = getattr(harness, schedule)
+
+        def one_more(*args):
+            s = real(*args)
+            if isinstance(s, int):
+                return s + 1
+            return SimpleNamespace(total_rounds=s.total_rounds + 1,
+                                   total_super_rounds=s.total_super_rounds)
+
+        monkeypatch.setattr(harness, schedule, one_more)
+    checked = []
+
+    def forged(graph, trace):
+        checked.append(trace)
+        return ValidationReport(False, 0, 0, ["forged"])
+
+    monkeypatch.setattr(harness, "validate_trace", forged)
+    cfg = ExperimentConfig(protocol=protocol, n=10, delta=3, B=2, h=2, seeds=(4,))
+    m = run_single(cfg, 4)
+    assert m.trace_checked == bool(checked)
+    if schedule is None:
+        assert (m.failures, checked, m.schedule_rounds) == ([], [], None)
+    else:
+        rounds = [f for f in m.failures if f.startswith("rounds ")]
+        assert rounds == [f"rounds {m.rounds_total} != schedule {m.rounds_total + 1}"]
+        assert checked and m.schedule_rounds == m.rounds_total + 1
+        assert m.failures[-1 - len(checked):] == rounds + ["trace: forged"] * len(checked)
 
 
 def test_c2b_metrics_carry_link_history_and_digest():

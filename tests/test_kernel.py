@@ -268,10 +268,11 @@ def test_a_trace_of_another_graph_is_rejected():
     silent = Trace(g)
     silent.append_block(np.zeros((g.n, 1), dtype=np.uint64), 64,
                         np.zeros((g.n, 1), dtype=np.uint64))
+    want = r"trace block at round 0 .* patterns of shape \(16, \d+\) .* not \(10, \d+\)"
     for trace in (silent, live):
-        with pytest.raises(ValueError, match="graph has 10 nodes .* has 16"):
+        with pytest.raises(ValueError, match=want):
             validate_trace(other, trace)
-        with pytest.raises(ValueError, match="graph has 10 nodes .* has 16"):
+        with pytest.raises(ValueError, match=want):
             validate_trace(other, trace, sample_rounds=0)
 
 

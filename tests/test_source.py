@@ -77,6 +77,45 @@ def _references(tree: ast.AST) -> Counter:
     return found
 
 
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scopes_where(match) -> list[tuple[str, str]]:
+    """(file, innermost def, class or lambda around it) of each node of the
+    package that match accepts, with `<module>` for top-level code."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope in ast.walk(tree):
+            if not isinstance(scope, _SCOPES):
+                continue
+            todo = list(ast.iter_child_nodes(scope))
+            while todo:
+                node = todo.pop()
+                if isinstance(node, _SCOPES):
+                    continue
+                if match(node):
+                    found.append((str(path.relative_to(PACKAGE)), getattr(scope, "name", "<module>")))
+                todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_each_run_check_lives_once():
+    # run_single revalidates the traces of every protocol, and Trace.check
+    # is the one block-layout gate that validate_trace and the handshake
+    # replay call, so a second copy of either check fails here.
+    def names_validate_trace(node):
+        return "validate_trace" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    def says_block_layout(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(part in node.value for part in (
+                    "trace block at round", "should start at round", "in patterns of shape")))
+
+    assert _scopes_where(names_validate_trace) == [("harness.py", "run_single")]
+    assert set(_scopes_where(says_block_layout)) == {("engine.py", "check")}
+
+
 def test_every_top_level_definition_has_a_user():
     # A function or class in src/beepnet must be named somewhere other than
     # its own body: in package code, in a test, or as a benchmark span
@@ -166,7 +205,8 @@ def test_revalidation_names_no_producer_code():
     # with the edge slots it is handed, the neighbour table they read, and
     # the code they reach in their own module name neither the kernel nor
     # the CSR it gathers over.
-    for module, dotted in (("engine.py", "validate_trace"), ("c2b.py", "_Auditor"),
+    for module, dotted in (("engine.py", "validate_trace"), ("engine.py", "Trace.check"),
+                           ("c2b.py", "_Auditor"),
                            ("c2b.py", "_EdgeSlots"), ("c2b.py", "check_handshake_lemmas"),
                            ("graphs.py", "Graph.neighbor_table")):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
