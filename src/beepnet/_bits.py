@@ -16,6 +16,12 @@ import numpy as np
 
 U64 = np.uint64
 
+# Bytes of uint64 words that one gather may read: a local-broadcast wire
+# chunk's neighbour-OR call (len(indices) * words * 8) and each batch or
+# sampled read of validate_trace.  A single block over it is read alone.
+# Callers read it through the module at call time, so one patch sets both.
+GATHER_BYTES = 1 << 17
+
 
 def words_for(nbits: int) -> int:
     return (nbits + 63) // 64 if nbits > 0 else 1

@@ -63,9 +63,8 @@ from .kernel import active as kernel
 from .protocols._common import check_bit_string, family_membership, resolve_degree_bound
 from .selectors import DEFAULT_SEED, SelectorFamily, get_avoiding_selector
 
-TRACE_FEED_CHUNK = 512       # live super-rounds that fill a recorded trace block
-AUDIT_BATCH = 512            # live super-rounds that fill an audit batch
-AUDIT_CELLS = 1 << 19       # super-rounds times (n + 1) that fill one, for large n
+LIVE_BATCH = 512        # live super-rounds that fill a recorded trace block or an audit batch
+AUDIT_CELLS = 1 << 19   # super-rounds times (n + 1) that fill an audit batch, for large n
 
 
 class ScheduleIndex(NamedTuple):
@@ -346,7 +345,7 @@ class _TraceFeed:
 
     Live super-rounds arrive as (S, n) blocks of beeped and noise words of
     sr_rounds rounds, repacked into the 64-round words of one trace block
-    once TRACE_FEED_CHUNK or more are buffered. A silent stretch enters
+    once LIVE_BATCH or more are buffered. A silent stretch enters
     either sink as one append_silent call: the digest builds no arrays for
     it, a full trace keeps it as one zero block. Both sinks hash the same
     canonical stream.
@@ -369,7 +368,7 @@ class _TraceFeed:
         self._beeps.append(patterns)
         self._noise.append(noise)
         self._live += len(patterns)
-        if self._live >= TRACE_FEED_CHUNK:
+        if self._live >= LIVE_BATCH:
             self.flush()
 
     def _to_cols(self, bunch: list[np.ndarray]) -> np.ndarray:
@@ -454,7 +453,7 @@ class _Auditor:
     Fed the core's (S, n) blocks of consecutive super-rounds (either live
     from the population runner or replayed from a saved trace), with the
     listeners' decodes already made, and checks the buffered blocks once
-    AUDIT_BATCH or more super-rounds, or AUDIT_CELLS or more super-round
+    LIVE_BATCH or more super-rounds, or AUDIT_CELLS or more super-round
     by node cells (rows times n + 1), have arrived: that a lone
     full-word beeper is always decoded by every obligated listener, that
     every logged decode had a lone beeper behind it whose word the listener
@@ -503,7 +502,7 @@ class _Auditor:
         self._blocks.append((self._rows, spot, role, sr))
         self._rows += len(patterns)
         self._pending.append((patterns, noise, obligated, decoded, payloads))
-        if self._rows >= AUDIT_BATCH or self._rows * (self.graph.n + 1) >= AUDIT_CELLS:
+        if self._rows >= LIVE_BATCH or self._rows * (self.graph.n + 1) >= AUDIT_CELLS:
             self.flush()
 
     def flush(self) -> None:

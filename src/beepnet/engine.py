@@ -17,12 +17,11 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from beepnet import kernel
+from beepnet import _bits, kernel
 from beepnet._bits import U64, pack_bool_rows, words_for
 from beepnet.graphs import Graph, ParameterError
 
-TRACE_BLOCK_ROUNDS = 64   # rounds per block of a trace built from action matrices
-_READ_BUDGET = 1 << 17    # bytes of trace words that one validate_trace gather may read
+TRACE_BLOCK_ROUNDS = 64   # rounds per block of the traces of run and trace_from_beeps
 _ZEROS = bytes(1 << 16)   # TraceDigest.append_silent feeds silent rounds from slices of this
 
 
@@ -214,12 +213,14 @@ def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int) -> Ru
 
     protocols maps node ID to its machine. Rounds are executed one at a time
     with the naive channel rule; use the schedule-level runners for anything
-    performance critical.
+    performance critical. The trace records the channel that step()
+    computed, with no kernel call: each round's beepers, and as noise the
+    listeners step() says hear it plus the beepers with a beeping neighbour.
     """
     if set(protocols) != set(graph.ids):
         raise ValueError("protocols must cover exactly the node set")
     trace = Trace(graph)
-    chunk_actions: list[dict[int, NodeAction]] = []
+    chunk: list[tuple[set[int], set[int]]] = []    # per round: (beepers, heard noise)
     rounds = 0
     status = "ok"
     while not all(p.finished() for p in protocols.values()):
@@ -238,23 +239,24 @@ def run(graph: Graph, protocols: dict[int, NodeProtocol], max_rounds: int) -> Ru
         for u in graph.ids:
             protocols[u].observe(rounds, _NOT_LISTENING if u in beepers
                                  else _NOISE if u in noisy else _SILENCE)
-        chunk_actions.append(actions)
-        if len(chunk_actions) == 64:
-            _flush(trace, chunk_actions)
-            chunk_actions = []
+        noisy.update(u for u in beepers if not beepers.isdisjoint(graph.neighbors_of(u)))
+        chunk.append((beepers, noisy))
+        if len(chunk) == TRACE_BLOCK_ROUNDS:
+            _flush(trace, chunk)
+            chunk = []
         rounds += 1
-    if chunk_actions:
-        _flush(trace, chunk_actions)
+    if chunk:
+        _flush(trace, chunk)
     outputs = {u: protocols[u].output() for u in graph.ids}
     return RunResult(status=status, rounds=rounds, trace=trace, outputs=outputs)
 
 
-def _flush(trace: Trace, chunk: list[dict[int, NodeAction]]) -> None:
-    graph = trace.graph
-    beeps = np.array([[actions[u] == NodeAction.BEEP for actions in chunk] for u in graph.ids],
-                     dtype=bool)
-    patterns = pack_bool_rows(beeps)
-    trace.append_block(patterns, len(chunk), kernel.or_neighbor_patterns(*graph.csr, patterns))
+def _flush(trace: Trace, chunk: list[tuple[set[int], set[int]]]) -> None:
+    """Append chunk's (beepers, heard noise) rounds as one block."""
+    ids = trace.graph.ids
+    beeps = np.array([[u in beepers for beepers, _ in chunk] for u in ids], dtype=bool)
+    heard = np.array([[u in noisy for _, noisy in chunk] for u in ids], dtype=bool)
+    trace.append_block(pack_bool_rows(beeps), len(chunk), pack_bool_rows(heard))
 
 
 @dataclass
@@ -278,7 +280,7 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> Valid
     A block whose beep and noise words are all zero is consistent as it
     stands (no beeper, no noise) and skips the OR; its rounds still count
     as checked.  The other blocks are ORed side by side in batches of at
-    most _READ_BUDGET bytes of words (a wider block forms a batch alone),
+    most _bits.GATHER_BYTES bytes of words (a wider block forms a batch alone),
     and each bad block is named with its first bad node index, in block
     order.
 
@@ -287,7 +289,7 @@ def validate_trace(graph: Graph, trace: Trace, sample_rounds: int = 64) -> Valid
     beepers go in, and the listeners it says hear noise must be exactly
     the recorded ones, which is the same as every node's feedback (B, N
     or S) matching.  Each block's picked words are read in gathers of at
-    most _READ_BUDGET bytes, one gather when its picks fit.
+    most _bits.GATHER_BYTES bytes, one gather when its picks fit.
 
     Trace.check(graph.n) first rejects a misshapen trace with a
     ParameterError naming the block.
@@ -325,7 +327,7 @@ def _noise_mismatches(graph: Graph, blocks: list[TraceBlock]) -> list[str]:
     """validate_trace's full pass over blocks of checked shape."""
     n, table = graph.n, graph.neighbor_table
     mismatches = []
-    for batch in _live_batches(blocks, max(1, _READ_BUDGET // (8 * (n + 1)))):
+    for batch in _live_batches(blocks, max(1, _bits.GATHER_BYTES // (8 * (n + 1)))):
         spans, width = [], 0
         for block in batch:
             spans.append((block, width, width + block.patterns.shape[1]))
@@ -354,7 +356,7 @@ def _replay_mismatches(graph: Graph, blocks: list[TraceBlock], picks: list[int])
     """validate_trace's sampled pass: replay the sorted rounds picks through
     step(), reading the picked bits of each block in bounded gathers."""
     ids, mismatches = graph.ids, []
-    per = max(1, _READ_BUDGET // (8 * (graph.n + 1)))
+    per = max(1, _bits.GATHER_BYTES // (8 * (graph.n + 1)))
     for block, rounds in _picks_by_block(blocks, picks):
         for j in range(0, len(rounds), per):
             chunk = rounds[j:j + per]

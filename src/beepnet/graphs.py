@@ -190,6 +190,17 @@ def load_graph(path) -> Graph:
 
 
 def save_graph(graph: Graph, path) -> None:
+    """Write graph in the on-disk format.
+
+    load_graph takes the node set from the edges, or 1..n when there are
+    none, so a node on no edge is refused with a ParameterError naming it,
+    unless the graph is edgeless with IDs 1..n: load_graph would read any
+    other such file back as another graph, or not at all."""
+    carried = {x for e in graph.edges for x in e} or set(range(1, graph.n + 1))
+    lost = [u for u in graph.ids if u not in carried]
+    if lost:
+        raise ParameterError(f"node {lost[0]} is on no edge; a graph file holds such a node "
+                             f"only in an edgeless graph with IDs 1..n")
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {len(graph.edges)} {graph.c}\n")
         for u, v in graph.edges:

@@ -50,15 +50,6 @@ from .selectors import DEFAULT_SEED
 
 Bits = tuple[int, ...]
 
-PROTOCOLS = (
-    "local-broadcast",
-    "learn-neighborhood",
-    "cluster-gather",
-    "c2b",
-    "multihop-sim",
-    "multihop-broadcast",
-)
-
 # full traces are only kept (and re-validated) below this round count
 TRACE_ROUNDS_LIMIT = 400_000
 
@@ -323,6 +314,7 @@ _RUNNERS = {
     "multihop-sim": _run_multihop_sim,
     "multihop-broadcast": _run_multihop_broadcast,
 }
+PROTOCOLS = tuple(_RUNNERS)
 
 
 # Metric fields a runner leaves out because its protocol does not measure them.

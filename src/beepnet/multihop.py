@@ -15,7 +15,7 @@ complete bipartite core fanning out into (delta-1)-ary trees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ._bits import bits_to_int, int_to_bits
@@ -29,22 +29,13 @@ Bits = tuple[int, ...]
 
 
 @dataclass
-class HopTable:
-    """Routing entries of one node: target ID -> (next-hop neighbor, epoch).
-
-    The epoch a target was first heard about equals its distance, and the
-    recorded neighbor is the first step of a shortest path toward it.  A
-    target never gets a second entry; when several neighbors reveal it in
-    the same epoch the smallest neighbor ID wins.
-    """
-
-    node: int
-    entries: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-
-@dataclass
 class DisseminationResult:
-    tables: dict[int, HopTable]
+    # node -> {target ID: (next-hop neighbor, epoch)}.  The epoch a target
+    # was first heard about equals its distance, and the neighbor is the
+    # first step of a shortest path toward it.  A target never gets a
+    # second entry; when several neighbors reveal it in the same epoch the
+    # smallest neighbor ID wins.
+    tables: dict[int, dict[int, tuple[int, int]]]
     rounds: int
     epoch_rounds: tuple[int, ...]
     beeps_total: int = 0
@@ -70,7 +61,7 @@ def run_id_dissemination(
     """
     if h < 1:
         raise ParameterError("hop radius must be at least 1")
-    tables = {u: HopTable(u) for u in graph.ids}
+    tables: dict[int, dict[int, tuple[int, int]]] = {u: {} for u in graph.ids}
     if graph.n == 1:
         return DisseminationResult(tables, 0, (0,) * h)
     delta_hat = resolve_degree_bound(graph, delta_hat, graph.delta)
@@ -106,7 +97,7 @@ def run_id_dissemination(
         beeps += res.beeps_total
         next_fresh: dict[int, list[int]] = {u: [] for u in graph.ids}
         for u in graph.ids:
-            entries = tables[u].entries
+            entries = tables[u]
             heard = res.output[u]
             for nb in sorted(heard):
                 value = bits_to_int(heard[nb])
@@ -146,7 +137,7 @@ class MultihopInput:
 @dataclass
 class MultihopResult:
     delivered: dict[int, set[tuple[int, Bits]]]
-    tables: dict[int, HopTable]
+    tables: dict[int, dict[int, tuple[int, int]]]    # as DisseminationResult.tables
     rounds: int
     dissemination_rounds: int
     forwarding_rounds: int
@@ -196,7 +187,7 @@ def run_multihop_simulation(
         # per edge: its frames as one int, each laid above the last, and their bits
         outgoing: dict[tuple[int, int], list[int]] = {}
         for u in graph.ids:
-            entries = diss.tables[u].entries
+            entries = diss.tables[u]
             for src, dst, m in holding[u]:
                 hop = entries.get(dst)
                 if hop is None or hop[1] > limit:

@@ -14,7 +14,7 @@ bit (i - lo) * width + t of a node's words is block i, message bit t, 1
 where the node is in block i and its bit t is 1.  One neighbor-OR call
 over those words returns the noise of every round of the chunk, and the
 two enter the trace as one block, as they are.  A chunk holds as many
-blocks as fit in GATHER_BUDGET / (8 * slots) words a node, slots being
+blocks as fit in _bits.GATHER_BYTES / (8 * slots) words a node, slots being
 the edge slots or n if that is more, and at least one block; chunks run
 in round order.  run_local_broadcast counts each receiver's neighbors
 per block over the padded graph.neighbor_table and names the lone one
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import kernel
+from .. import _bits, kernel
 from .._bits import pack_bool_rows, unpack_word_rows
 from ..engine import Feedback, NodeAction, NodeProtocol, Trace
 from ..graphs import Graph, ParameterError
@@ -40,10 +40,6 @@ from ..selectors import DEFAULT_SEED, SelectorFamily, get_strong_selector
 from ._common import check_bit_string, family_membership, resolve_degree_bound
 
 Bits = tuple[int, ...]
-
-# Bytes one neighbor-OR call may gather, len(indices) * words * 8; a chunk
-# holds at least one block.
-GATHER_BUDGET = 1 << 17
 
 
 @dataclass
@@ -96,8 +92,8 @@ def _wire_chunks(graph: Graph, member: np.ndarray, bits: np.ndarray, trace: Trac
     length = len(member)
     indptr, indices = graph.csr
     # every node counts as one slot at least, so that the chunk's (n, rounds)
-    # bool arrays stay within 8 * GATHER_BUDGET bytes on sparse graphs too
-    words = max(1, GATHER_BUDGET // (8 * max(n, indices.size)))
+    # bool arrays stay within 8 * GATHER_BYTES bytes on sparse graphs too
+    words = max(1, _bits.GATHER_BYTES // (8 * max(n, indices.size)))
     chunk = max(1, 64 * words // width)
     for lo in range(0, length, chunk):
         hi = min(lo + chunk, length)

@@ -25,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import json
 import math
 
 import numpy as np
 
 from .._bits import bits_to_int, int_to_bits
 from ..engine import Trace
-from ..graphs import Graph, ParameterError, read_text
+from ..graphs import Graph, ParameterError
 from ._common import resolve_degree_bound
 from .broadcast import LocalBroadcastInput, broadcast_family, run_local_broadcast
 
@@ -380,31 +379,3 @@ def generate_cluster_layout(graph: Graph, nclusters: int, seed: int) -> ClusterL
     )
     return ClusterLayout(layout.clusters, layout.leaders, layout.parents, _max_depth(layout))
 
-
-def save_layout(layout: ClusterLayout, path) -> None:
-    doc = {
-        "depth_bound": layout.depth_bound,
-        "clusters": [
-            {
-                "leader": layout.leaders[i],
-                "members": sorted(layout.clusters[i]),
-                "parents": {str(c): p for c, p in sorted(layout.parents[i].items())},
-            }
-            for i in range(len(layout.clusters))
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_layout(path) -> ClusterLayout:
-    text = read_text(path)
-    try:
-        doc = json.loads(text)
-        clusters = tuple(frozenset(c["members"]) for c in doc["clusters"])
-        leaders = tuple(c["leader"] for c in doc["clusters"])
-        parents = tuple({int(k): v for k, v in c["parents"].items()} for c in doc["clusters"])
-        return ClusterLayout(clusters, leaders, parents, doc["depth_bound"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"{path}: not a layout file ({exc})") from exc

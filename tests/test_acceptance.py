@@ -242,9 +242,9 @@ def test_gate_multihop_delivery_and_tables():
         assert res.delivered == want, (n, delta, h)
         for u in graph.ids:
             reach = {v: k for v, k in balls[u].items() if k >= 1}
-            assert res.tables[u].entries.keys() == reach.keys(), (n, u)
+            assert res.tables[u].keys() == reach.keys(), (n, u)
             for v, k in reach.items():
-                assert res.tables[u].entries[v][1] == k, (n, u, v)
+                assert res.tables[u][v][1] == k, (n, u, v)
         assert max(res.payload_peaks) <= res.payload_cap
 
     # the layered worst case: every leaf talks to every core node

@@ -10,7 +10,7 @@ from beepnet._bits import unpack_word_rows
 from beepnet.encoding import id_width
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
-from beepnet.protocols import (
+from beepnet.protocols.broadcast import (
     LocalBroadcastInput,
     LocalBroadcastNode,
     broadcast_family,
@@ -182,7 +182,7 @@ def test_the_trace_is_the_schedules_definition(monkeypatch, width):
     # 3, and a block of width 65 alone.
     g = generate_random_graph(10, 3, seed=9)
     msgs = _mixed_length_messages(g, width, seed=2)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", g.csr[1].size * 8)
     res = run_local_broadcast(g, LocalBroadcastInput(msgs, width))
     assert len(res.trace.blocks) > 1
     padded = {u: msgs[u] + (0,) * (width - len(msgs[u])) for u in g.ids}
@@ -204,7 +204,7 @@ def test_wire_words_are_the_trace_words(monkeypatch, record):
     g = generate_random_graph(32, 4, seed=9)
     width = 8
     msgs = _random_messages(g, width, seed=5)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 3)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", g.csr[1].size * 8 * 3)
     real = beepnet.kernel.or_neighbor_patterns
     calls = []
 
@@ -297,7 +297,7 @@ def test_one_forged_lone_cell_is_named(monkeypatch):
     msgs = _random_messages(g, width, seed=4)
     fam = broadcast_family(g.n, g.c, g.delta)
     assert len(fam) > 2 * chunk
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 2)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", g.csr[1].size * 8 * 2)
     cells = [c for c in _listening_lone_cells(g, fam, msgs, t)
              if c[0] >= chunk and (c[0] % chunk) * width + t >= 64]
     b, r, receiver, sender = cells[len(cells) // 2]
@@ -319,7 +319,7 @@ def test_the_earliest_forged_round_is_named(monkeypatch, second_blocks):
     width = 3
     msgs = _random_messages(g, width, seed=4)
     fam = broadcast_family(g.n, g.c, g.delta)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", g.csr[1].size * 8)
     early = next(c for c in _listening_lone_cells(g, fam, msgs, width - 1) if c[0] == 0)
     lo, hi = second_blocks
     late = next(c for c in _listening_lone_cells(g, fam, msgs, 0)
@@ -336,7 +336,7 @@ def test_the_earliest_forged_round_is_named(monkeypatch, second_blocks):
 @pytest.mark.parametrize("record", [False, True])
 def test_wire_calls_stay_within_the_gather_budget(monkeypatch, record):
     # The runner streams: no neighbor-OR call gathers more than
-    # GATHER_BUDGET bytes, unless one block alone (ceil(width / 64) words a
+    # GATHER_BYTES bytes, unless one block alone (ceil(width / 64) words a
     # node) is over it, and no call wastes a whole word a node.  The two set
     # budgets are under the family's total, so they need several calls.
     g = generate_random_graph(12, 3, seed=2)
@@ -349,12 +349,12 @@ def test_wire_calls_stay_within_the_gather_budget(monkeypatch, record):
         return real(indptr, indices, patterns)
 
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
-    default = beepnet.protocols.broadcast.GATHER_BUDGET
+    default = beepnet._bits.GATHER_BYTES
     for width in (5, 70):
         msgs = _random_messages(g, width, seed=1)
         one_block = slots * math.ceil(width / 64) * 8
         for budget in (default, slots * 8 // 2, 5 * slots * 8 + 3):
-            monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", budget)
+            monkeypatch.setattr("beepnet._bits.GATHER_BYTES", budget)
             gathered.clear()
             res = run_local_broadcast(g, LocalBroadcastInput(msgs, width), record=record)
             assert max(gathered) <= max(budget, one_block)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from beepnet import c2b, harness
 from beepnet._bits import pack_bool_rows, unpack_word_rows
 from beepnet.c2b import (
-    AUDIT_BATCH,
-    TRACE_FEED_CHUNK,
+    LIVE_BATCH,
     C2BNode,
     C2BSchedule,
     CongestRoundInput,
@@ -456,10 +455,16 @@ def test_forged_realization_is_a_violation():
 
 def test_dropped_direction_breaks_symmetry():
     inp, res = _star_run()
-    bad = dataclasses.replace(res)
-    bad.realization_log = res.realization_log[:-1]
+    *kept, dropped = res.realization_log
+    bad = dataclasses.replace(res, realization_log=kept)
     rep = check_handshake_lemmas(res.trace, STAR, bad, inp)
-    assert any("asymmetr" in v for v in rep.violations)
+    # the log comparison, then the symmetry check over what the log kept
+    other = [rec for rec in kept if {rec.node, rec.peer} == {dropped.node, dropped.peer}]
+    a, b = sorted((dropped.node, dropped.peer))
+    assert rep.violations == [
+        f"realization log omits {dropped}, which the trace gives",
+        f"link {a}-{b} realized asymmetrically: {other}",
+    ]
 
 
 def _flip_payload(log, row):
@@ -559,16 +564,16 @@ def _h_hop_run():
 
 
 @pytest.mark.parametrize("run, batch, count, first, last", [
-    (lambda: (STAR, *_star_run()), AUDIT_BATCH, 1,
+    (lambda: (STAR, *_star_run()), LIVE_BATCH, 1,
      "3 heard 2 identical responding words (part 1) at epoch 1 phase 3 subphase 1 window 1 sr 388",
      None),
     *[(_h_hop_run, batch, 40,
        "3 heard 2 identical responding words (part 1) at epoch 1 phase 1 subphase 1 window 1 sr 2",
        "5 heard 2 identical responding words (part 11) at epoch 1 phase 5 subphase 1 window 6 "
-       "sr 8200") for batch in (AUDIT_BATCH, 64)],
+       "sr 8200") for batch in (LIVE_BATCH, 64)],
 ], ids=["star", "h-hop", "h-hop-in-7-batches"])
 def test_flagged_pile_ups_read_the_same_every_time(monkeypatch, run, batch, count, first, last):
-    monkeypatch.setattr(c2b, "AUDIT_BATCH", batch)
+    monkeypatch.setattr(c2b, "LIVE_BATCH", batch)
     graph, inp, res = run()
     flagged = res.handshake.flagged
     assert len(flagged) == count
@@ -638,7 +643,7 @@ def test_the_auditor_places_rows_by_their_block():
     rows, report = _audit_pile_ups()
     # seven rows a phase: the first batch closes at the end of phase 73, so
     # phase 80 sits in the second one, behind blocks of both sizes
-    assert rows == 700 and 73 * 7 < AUDIT_BATCH <= 74 * 7
+    assert rows == 700 and 73 * 7 < LIVE_BATCH <= 74 * 7
     assert report.super_rounds == rows and report.decode_events == 7   # one an event
     assert report.flagged == [
         "1 heard 2 identical responding words (part 2) at epoch 1 phase 11 "
@@ -663,7 +668,7 @@ def test_the_auditor_cell_budget_only_splits_batches(monkeypatch):
     monkeypatch.setattr(c2b._Auditor, "flush",
                         lambda self: (flushes.append(self._rows), real_flush(self)))
     _, split = _audit_pile_ups()
-    assert len(flushes) > rows // AUDIT_BATCH + 1 and max(flushes) <= 10 + 2
+    assert len(flushes) > rows // LIVE_BATCH + 1 and max(flushes) <= 10 + 2
     for field in ("violations", "flagged", "super_rounds", "decode_events"):
         assert getattr(split, field) == getattr(whole, field), field
 
@@ -762,12 +767,12 @@ def test_a_forged_later_part_names_its_lone_sender():
         f"at epoch 1 phase 3 subphase 1 window 5 sr {sr}"]
 
 
-@pytest.mark.parametrize("batch", [AUDIT_BATCH, 3])
+@pytest.mark.parametrize("batch", [LIVE_BATCH, 3])
 def test_replay_violations_keep_their_order(monkeypatch, batch):
     # the last window's responder beeps a message word its announcer did not
     # hear, and its confirmation is forged: with batch = 3 every confirming
     # half closes a batch just before its window does
-    monkeypatch.setattr(c2b, "AUDIT_BATCH", batch)
+    monkeypatch.setattr(c2b, "LIVE_BATCH", batch)
     inp, res = _star_run()
     w = res.schedule.w
     confirmed = _forge_last_window_confirmation(res)
@@ -786,7 +791,7 @@ def test_replay_violations_keep_their_order(monkeypatch, batch):
     confirming = [f"1 missed the lone word 3 from 3 {at} {confirmed}",
                   f"1 logged payload 2 from a word its lone beeping neighbor 3 did not send, "
                   f"{at} {confirmed}"]
-    if batch == AUDIT_BATCH:     # one batch, flushed by finish after the log comparison
+    if batch == LIVE_BATCH:     # one batch, flushed by finish after the log comparison
         want = replayed + window + logs + confirming[:1] + responding + confirming[1:]
     else:
         want = replayed + responding + confirming + window + logs
@@ -1076,7 +1081,7 @@ def test_record_modes_share_the_digest():
     silent = [not (b.patterns.any() or b.noise.any()) for b in blocks]
     assert not any(a and b for a, b in zip(silent, silent[1:]))
     assert max(b.nrounds for b, quiet in zip(blocks, silent) if quiet) > (
-        TRACE_FEED_CHUNK * 2 * full.schedule.w)
+        LIVE_BATCH * 2 * full.schedule.w)
 
 
 def test_the_trace_feed_flushes_a_full_chunk(monkeypatch):
@@ -1090,16 +1095,16 @@ def test_the_trace_feed_flushes_a_full_chunk(monkeypatch):
     monkeypatch.setattr(_TraceFeed, "flush",
                         lambda self, silent=0: flushes.append(1) or real(self, silent))
     runs = {}
-    for chunk in (TRACE_FEED_CHUNK, 3):
-        monkeypatch.setattr(c2b, "TRACE_FEED_CHUNK", chunk)
+    for chunk in (LIVE_BATCH, 3):
+        monkeypatch.setattr(c2b, "LIVE_BATCH", chunk)
         for record in ("full", "digest"):
             flushes.clear()
             runs[chunk, record] = run_c2b(STAR, inp, delta_hat=4, record=record), len(flushes)
     for record in ("full", "digest"):
-        assert runs[3, record][1] > runs[TRACE_FEED_CHUNK, record][1]
+        assert runs[3, record][1] > runs[LIVE_BATCH, record][1]
     full = runs[3, "full"][0]
-    assert len(full.trace.blocks) > len(runs[TRACE_FEED_CHUNK, "full"][0].trace.blocks)
-    want = runs[TRACE_FEED_CHUNK, "digest"][0].digest
+    assert len(full.trace.blocks) > len(runs[LIVE_BATCH, "full"][0].trace.blocks)
+    want = runs[LIVE_BATCH, "digest"][0].digest
     assert full.digest == runs[3, "digest"][0].digest == want
     assert full.trace.digest() == _canonical_digest(full.trace) == want
     assert validate_trace(STAR, full.trace).ok

@@ -7,16 +7,14 @@ import pytest
 
 from beepnet.engine import validate_trace
 from beepnet.graphs import Graph, ParameterError, generate_random_graph, graph_from_edges
-from beepnet.protocols import (
+from beepnet.protocols.gathering import (
     AggregationSpec,
     ClusterLayout,
     LayoutError,
     gathering_schedule_length,
     generate_cluster_layout,
-    load_layout,
     run_cluster_gathering,
     run_leader_broadcast,
-    save_layout,
     sum_aggregation,
     validate_layout,
 )
@@ -250,36 +248,3 @@ def test_leader_broadcast_traces_validate_and_cover_every_round():
     msgs = {l: 100 + i for i, l in enumerate(layout.leaders)}
     res = run_leader_broadcast(g, layout, msgs, delta_hat=4)
     _check_traces(g, res)
-
-
-def test_layout_file_roundtrip(tmp_path):
-    g = generate_random_graph(14, 3, seed=8)
-    layout = generate_cluster_layout(g, 3, seed=2)
-    path = tmp_path / "layout.json"
-    save_layout(layout, path)
-    back = load_layout(path)
-    assert back == layout
-
-
-def test_layout_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"clusters": 3}\n')
-    with pytest.raises(ParameterError):
-        load_layout(path)
-
-
-def test_layout_file_that_is_not_json_is_named(tmp_path):
-    g = generate_random_graph(14, 3, seed=8)
-    path = tmp_path / "layout.json"
-    save_layout(generate_cluster_layout(g, 3, seed=2), path)
-    path.write_text(path.read_text()[:40])
-    with pytest.raises(ParameterError, match=f"{path}: not a layout file"):
-        load_layout(path)
-
-
-def test_layout_file_that_is_not_text_is_named(tmp_path):
-    path = tmp_path / "layout.json"
-    path.write_bytes(b'\xff\xfe{"clusters": []}\n')
-    with pytest.raises(ParameterError, match=f"{path}: not UTF-8 text"):
-        load_layout(path)
-

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from beepnet import graphs
-from beepnet.graphs import ParameterError, generate_random_graph, graph_from_edges
+from beepnet.graphs import (
+    Graph,
+    ParameterError,
+    generate_random_graph,
+    graph_from_edges,
+    load_graph,
+    save_graph,
+)
 
 GRID_NS = (*range(1, 41), 64, 100, 200, 1024)
 GRID_DELTAS = (1, 2, 3, 4, 6, 8, 47)
@@ -67,3 +74,24 @@ def test_replace_builds_fresh_link_views():
     assert star.delta == 3 and star.neighbors_of(1) == (2, 3, 4)
     assert star.has_edge(4, 1) and not star.has_edge(2, 3)
     assert path.delta == 2 and path.has_edge(2, 3)
+
+
+@pytest.mark.parametrize("graph, lost", [
+    (Graph(n=2, c=2, ids=(1, 3), edges=()), 3),                     # would load as IDs 1, 2
+    (Graph(n=4, c=2, ids=(2, 5, 7, 9), edges=((2, 5), (5, 7))), 9),   # would not load
+], ids=["edgeless-gap", "node-on-no-edge"])
+def test_save_graph_refuses_a_graph_the_file_cannot_carry(tmp_path, graph, lost):
+    path = tmp_path / "g.txt"
+    with pytest.raises(ParameterError, match=f"^node {lost} is on no edge"):
+        save_graph(graph, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(n=3, c=1, ids=(1, 2, 3), edges=()),
+    Graph(n=3, c=2, ids=(2, 5, 7), edges=((2, 5), (5, 7))),
+], ids=["edgeless", "path"])
+def test_a_saved_graph_loads_back_as_itself(tmp_path, graph):
+    path = tmp_path / "g.txt"
+    save_graph(graph, path)
+    assert load_graph(path) == graph

@@ -11,7 +11,7 @@ from beepnet.c2b import CongestRoundInput, run_c2b
 from beepnet.engine import Feedback, Trace, run, step, validate_trace
 from beepnet.graphs import Graph, generate_random_graph, graph_from_edges
 from beepnet.kernel import expand_patterns, or_neighbor_patterns
-from beepnet.protocols import (
+from beepnet.protocols.broadcast import (
     LocalBroadcastInput,
     LocalBroadcastNode,
     run_local_broadcast,
@@ -81,6 +81,12 @@ def _broadcast_setup(n=10, delta=3, width=2, seed=9):
 def test_validation_catches_a_forged_kernel(monkeypatch):
     g, msgs, inp = _broadcast_setup()
     res = run_local_broadcast(g, inp, delta_hat=3, record=False)
+
+    def machines():
+        return {u: LocalBroadcastNode(u, g.neighbors_of(u), msgs[u], 2, res.family)
+                for u in g.ids}
+
+    honest = run(g, machines(), max_rounds=res.rounds).trace
     real = beepnet.kernel.or_neighbor_patterns
 
     def forged(indptr, indices, patterns):
@@ -92,12 +98,17 @@ def test_validation_catches_a_forged_kernel(monkeypatch):
         return out
 
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", forged)
-    # The per-node machines hear the channel through step(), so only the
-    # recorded noise goes through the forged kernel.
-    nodes = {u: LocalBroadcastNode(u, g.neighbors_of(u), msgs[u], 2, res.family)
-             for u in g.ids}
-    trace = run(g, nodes, max_rounds=res.rounds).trace
-    report = validate_trace(g, trace, sample_rounds=0)
+    # engine.run records the channel step() computed, so the forged kernel
+    # cannot reach its trace, and the digest cross-checks stay independent.
+    trace = run(g, machines(), max_rounds=res.rounds).trace
+    assert validate_trace(g, trace, sample_rounds=0).ok
+    assert trace.digest() == honest.digest()
+    # The same beeps with their noise recorded through the forged kernel.
+    through = Trace(g)
+    for block in trace.blocks:
+        through.append_block(block.patterns, block.nrounds,
+                             beepnet.kernel.or_neighbor_patterns(*g.csr, block.patterns))
+    report = validate_trace(g, through, sample_rounds=0)
     assert not report.ok
     assert any(m.startswith("noise mismatch") for m in report.mismatches)
 
@@ -105,7 +116,7 @@ def test_validation_catches_a_forged_kernel(monkeypatch):
 def test_validation_names_the_block_with_a_flipped_noise_bit(monkeypatch):
     g, _, inp = _broadcast_setup(n=16, delta=4, width=3, seed=5)
     # four selector blocks a wire call, so the trace has several blocks
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 4)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", g.csr[1].size * 8 * 4)
     trace = run_local_broadcast(g, inp).trace
     assert validate_trace(g, trace, sample_rounds=0).ok
     block = trace.blocks[len(trace.blocks) // 2]
@@ -281,7 +292,7 @@ def _live_blocks_trace():
     wire call) of 2, 2 and 1 words, and its graph."""
     g, _, inp = _broadcast_setup(n=16, delta=4, width=3, seed=5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8 * 2)
+        mp.setattr("beepnet._bits.GATHER_BYTES", g.csr[1].size * 8 * 2)
         trace = run_local_broadcast(g, inp).trace
     return g, trace
 
@@ -294,7 +305,7 @@ def test_the_full_pass_names_bad_blocks_in_order_across_batches(monkeypatch, tog
     assert [b.patterns.shape[1] for b in live] == [2, 2, 1]
     # one block a batch, or every live block in one batch
     width = 5 if together else 2
-    monkeypatch.setattr(beepnet.engine, "_READ_BUDGET", 8 * (g.n + 1) * width)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", 8 * (g.n + 1) * width)
     batches = list(beepnet.engine._live_batches(trace.blocks, width))
     assert len(batches) == (1 if together else len(live))
     assert validate_trace(g, trace, sample_rounds=0).ok
@@ -326,7 +337,7 @@ def _word_edge_trace():
 def test_sampled_replay_reads_the_last_bit_of_a_word_and_a_partial_word(monkeypatch, budget):
     g, trace, beeps = _word_edge_trace()
     if budget != "default":
-        monkeypatch.setattr(beepnet.engine, "_READ_BUDGET", 8 * (g.n + 1))
+        monkeypatch.setattr("beepnet._bits.GATHER_BYTES", 8 * (g.n + 1))
     total = trace.total_rounds
     assert validate_trace(g, trace, sample_rounds=total).ok
     # bit 63 of word 0 and of word 1, the last partial word of the first

@@ -42,17 +42,17 @@ def random_payload(rng, max_bits):
 
 def test_dissemination_single_hop_is_the_neighborhood():
     res = run_id_dissemination(STAR, 1)
-    assert res.tables[3].entries == {1: (1, 1), 2: (2, 1), 4: (4, 1), 5: (5, 1)}
-    assert res.tables[1].entries == {3: (3, 1)}
+    assert res.tables[3] == {1: (1, 1), 2: (2, 1), 4: (4, 1), 5: (5, 1)}
+    assert res.tables[1] == {3: (3, 1)}
     assert res.rounds == res.epoch_rounds[0] > 0
 
 
 def test_dissemination_path_reaches_two_hops():
     g = graph_from_edges([(1, 2), (2, 3)])
     res = run_id_dissemination(g, 2)
-    assert res.tables[1].entries == {2: (2, 1), 3: (2, 2)}
-    assert res.tables[3].entries == {2: (2, 1), 1: (2, 2)}
-    assert res.tables[2].entries == {1: (1, 1), 3: (3, 1)}
+    assert res.tables[1] == {2: (2, 1), 3: (2, 2)}
+    assert res.tables[3] == {2: (2, 1), 1: (2, 2)}
+    assert res.tables[2] == {1: (1, 1), 3: (3, 1)}
 
 
 @pytest.mark.parametrize(
@@ -66,8 +66,8 @@ def test_dissemination_matches_bfs_balls(n, delta, h, seed):
     for u in g.ids:
         table = res.tables[u]
         ball = {v for v, d in dists[u].items() if d >= 1}
-        assert table.entries.keys() == ball
-        for v, (w, i) in table.entries.items():
+        assert table.keys() == ball
+        for v, (w, i) in table.items():
             assert dists[u][v] == i
             assert w in g.neighbors_of(u)
             # the neighbor on file is the smallest one that is a hop closer
@@ -92,7 +92,7 @@ def test_dissemination_rejects_zero_radius():
 def test_dissemination_on_a_single_node():
     g = Graph(n=1, c=1, ids=(1,), edges=())
     res = run_id_dissemination(g, 2)
-    assert res.tables[1].entries == {}
+    assert res.tables[1] == {}
     assert res.rounds == 0
 
 
@@ -214,7 +214,7 @@ def test_simulation_frames_are_built_field_by_field(monkeypatch):
         items = {}
         for u in STAR.ids:
             for s, d, m in holding[u]:
-                hop, dist = res.tables[u].entries[d]
+                hop, dist = res.tables[u][d]
                 if dist <= h - (i - 1):
                     items.setdefault((u, hop), []).append((s, d, m))
         assert payloads == {

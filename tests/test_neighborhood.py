@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from beepnet.encoding import decode_extended, encode_extended, id_width
 from beepnet.engine import run, validate_trace
 from beepnet.graphs import ParameterError, generate_random_graph, graph_from_edges
-from beepnet.protocols import (
+from beepnet.protocols.neighborhood import (
     LearnNeighborhoodNode,
     learning_family,
     learning_schedule_length,
@@ -143,7 +143,7 @@ def test_learning_across_chunks_matches_one_chunk(monkeypatch, words):
     width = 2 * id_width(g.n, g.c)
     one_word = g.csr[1].size * 8
     length = len(learning_family(g.n, g.c, 4))
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", length * width * one_word)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", length * width * one_word)
     whole = run_learning_neighborhood(g, delta_hat=4)
     assert len(whole.trace.blocks) == 1
     real = beepnet.kernel.or_neighbor_patterns
@@ -154,7 +154,7 @@ def test_learning_across_chunks_matches_one_chunk(monkeypatch, words):
         return real(indptr, indices, patterns)
 
     monkeypatch.setattr(beepnet.kernel, "or_neighbor_patterns", spy)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", words * one_word)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", words * one_word)
     res = run_learning_neighborhood(g, delta_hat=4)
     chunk = 64 * words // width
     assert len(gathered) == len(res.trace.blocks) == -(-len(res.family) // chunk)
@@ -174,7 +174,7 @@ def test_learning_trace_keeps_its_rounds_dense(monkeypatch):
     # carries two blocks, 44 rounds in one word, so the trace holds at most
     # 1.5 times the words its rounds fill, not one word per block.
     g = generate_random_graph(1024, 4, seed=1)
-    monkeypatch.setattr("beepnet.protocols.broadcast.GATHER_BUDGET", g.csr[1].size * 8)
+    monkeypatch.setattr("beepnet._bits.GATHER_BYTES", g.csr[1].size * 8)
     res = run_learning_neighborhood(g)
     words = sum(block.patterns.shape[1] for block in res.trace.blocks)
     assert words <= 1.5 * -(-res.rounds // 64)
